@@ -75,8 +75,10 @@ def _numpy_scatter_adjoint(t1: np.ndarray, t2: np.ndarray, h1: float, h2: float)
 def _numpy_scatter_diag(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
     """Diagonal of scatter_adjoint((w1,w2) * cell_gradient(.)).
 
-    Used as a Jacobi preconditioner; entries are sums of squared stencil
-    weights times the per-cell curvatures w1, w2 (both >= 0).
+    Entries are sums of squared stencil weights times the per-cell
+    curvatures w1, w2 (both >= 0).  The solver no longer uses it (its CG is
+    preconditioned by a fast sine transform); perfbench/tracer.py still
+    looks it up by name.
     """
     n1, n2 = w1.shape
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.float64)

@@ -25,7 +25,7 @@ from .densities import (
     make_pair,
     predict_integrability,
 )
-from .duality import duality_gap, stress
+from .duality import duality_gap
 from .diagnostics import approximation_experiment, integrability_sweep, relaxation_gap
 from .energy import BVCandidate, JumpSegment, eval_K, lift_to_candidate
 from .grid import Grid, GridFunction, load_csv, save_csv, save_vsgf

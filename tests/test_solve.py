@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from splitvar import _kernels, solve
 from splitvar import (
     ContinuationContractError,
     Grid,
@@ -130,6 +131,107 @@ def test_bilinear_interpolant_is_stationary(pair_std):
     report = continuation(cfg)
     assert report.records[0].iterations == 0
     assert report.records[0].euler_residual_max == 0.0
+
+
+def test_affine_oracle_from_perturbed_interior(pair_std):
+    # the preconditioned Newton solve must land back on the affine interpolant
+    g = Grid(32, 32)
+    u0 = affine_field(g, 2.0, -1.0)
+    exact = u0.values.copy()
+    u0.values[1:-1, 1:-1] += np.random.default_rng(3).uniform(-0.5, 0.5, (31, 31))
+    cfg = SolveConfig(
+        grid=g, densities=pair_std, u0=u0, delta_schedule=[1e-1, 1e-2, 1e-3]
+    )
+    report = continuation(cfg)
+    assert report.records[0].iterations > 0
+    for rec in report.records:
+        assert rec.converged and rec.flags == ()
+        assert rec.j_value == pytest.approx(AFFINE_J, abs=1e-10)
+    assert np.max(np.abs(report.u_final.values - exact)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# fast-sine-transform preconditioner
+# ---------------------------------------------------------------------------
+
+
+def test_dst1_matches_reference_transform():
+    sfft = pytest.importorskip("scipy.fft")
+    x = np.random.default_rng(0).standard_normal((95, 63))
+    assert np.array_equal(solve._dst1(x), sfft.dst(x, type=1))
+    two_d = solve._dst2_transposed(x).T
+    assert np.allclose(two_d, sfft.dstn(x, type=1), rtol=0.0, atol=1e-12)
+    # DST-I is its own inverse up to 2n along each axis
+    assert np.allclose(solve._dst1(solve._dst1(x)), 2 * 64 * x, rtol=0.0, atol=1e-12)
+
+
+def _interior_random(grid, rng):
+    v = np.zeros(grid.node_shape)
+    v[1:-1, 1:-1] = rng.standard_normal((grid.n1 - 1, grid.n2 - 1))
+    return v
+
+
+@pytest.mark.parametrize("w2_value", [0.3, 0.0])
+def test_fst_preconditioner_inverts_constant_hessian(w2_value):
+    g = Grid(24, 10)
+    w1 = np.full((g.n1, g.n2), 1.7)
+    w2 = np.full((g.n1, g.n2), w2_value)
+    precond = solve._fst_preconditioner(w1, w2, g.h1, g.h2)
+    v = _interior_random(g, np.random.default_rng(7))
+    r = solve._zero_ring(_kernels.hessvec(v, w1, w2, g.h1, g.h2))
+    z = precond(r)
+    assert np.max(np.abs(z - v)) <= 1e-12 * np.max(np.abs(v))
+    assert np.array_equal(solve._zero_ring(z.copy()), z)
+
+
+def test_fst_preconditioner_symmetric_positive():
+    g = Grid(20, 13)
+    rng = np.random.default_rng(11)
+    w1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
+    w2 = np.where(rng.uniform(size=(g.n1, g.n2)) < 0.5, 0.0, 2.0)
+    precond = solve._fst_preconditioner(w1, w2, g.h1, g.h2)
+    for _ in range(5):
+        x = _interior_random(g, rng)
+        y = _interior_random(g, rng)
+        mx, my = precond(x), precond(y)
+        assert float(np.sum(x * my)) == pytest.approx(float(np.sum(mx * y)), rel=1e-12)
+        assert float(np.sum(x * mx)) > 0.0
+
+
+def test_hessian_products_per_newton_step_bounded(pair_std, monkeypatch):
+    # Jacobi needed about 150 products per step here; a silent fallback to a
+    # diagonal-like preconditioner would blow this bound
+    calls = []
+    original = _kernels.hessvec
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "hessvec", counted)
+    report = continuation(tanh_config(pair_std, n=64))
+    steps = sum(r.iterations for r in report.records)
+    assert all(r.converged and r.flags == () for r in report.records)
+    assert steps > 0
+    assert len(calls) <= 40 * steps
+
+
+def test_offset_step_data_converges_at_small_delta(pair_std):
+    # offset step data on which the Jacobi-preconditioned solve hit the
+    # 200-step cap at delta = 1e-4 (residual floor 1.7e-9 above tol_grad)
+    g = Grid(64, 64)
+    offset = 0.6772768550696802
+    data = GridFunction.from_callable(
+        g, lambda x1, x2: np.where(x1 < 0.0, 0.0, 1.0) + offset + 0.0 * x2
+    )
+    cfg = SolveConfig(
+        grid=g, densities=pair_std, u0=data, delta_schedule=[1e-1, 1e-2, 1e-3, 1e-4]
+    )
+    u = None
+    for delta in cfg.delta_schedule:
+        u, rec = minimize_J_delta(cfg, delta, warm_start=u)
+        assert rec.converged and rec.flags == ()
+        assert rec.iterations <= 10
 
 
 # ---------------------------------------------------------------------------
