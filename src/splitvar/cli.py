@@ -27,7 +27,7 @@ from .densities import (
 )
 from .duality import duality_gap
 from .diagnostics import approximation_experiment, integrability_sweep, relaxation_gap
-from .energy import BVCandidate, JumpSegment, eval_K, lift_to_candidate
+from .energy import BVCandidate, JumpSegment
 from .grid import Grid, GridFunction, load_csv, save_csv, save_vsgf
 from .solve import ContinuationContractError, SolveConfig, continuation
 
@@ -134,7 +134,6 @@ def _echo(args) -> dict:
         "grid": args.grid,
         "deltas": _parse_floats(args.deltas),
         "seed": args.seed,
-        "threads": args.threads,
     }
 
 
@@ -271,26 +270,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_relax_gap(args) -> int:
     cfg = _build_config(args)
+    candidates = None  # default: the solver's own final iterate, lifted
     if args.candidate_table:
         smooth = load_csv(args.candidate_table)
         if smooth.grid != cfg.grid:
             raise ValueError("candidate table grid does not match --grid")
         jumps = tuple(_parse_jump(tok, cfg.grid) for tok in args.jump or ())
-        candidate = BVCandidate(smooth_part=smooth, jumps=jumps)
-        result = relaxation_gap([candidate], cfg)
-    else:
-        # default candidate: the solver's own final iterate, lifted
-        report = continuation(cfg)
-        candidate = lift_to_candidate(report.u_final)
-        j_final = report.records[-1].j_value
-        k_val = eval_K(candidate, cfg.densities, cfg.u0).j_total
-        result = {
-            "j_final": j_final,
-            "k_values": [k_val],
-            "k_best": k_val,
-            "gap": k_val - j_final,
-            "contract_ok": k_val - j_final >= -1e-3 * (1.0 + abs(j_final)),
-        }
+        candidates = [BVCandidate(smooth_part=smooth, jumps=jumps)]
+    result = relaxation_gap(candidates, cfg)
     print(json.dumps(result, sort_keys=True))
     if not result["contract_ok"]:
         _emit_error(
@@ -310,12 +297,6 @@ def _cmd_relax_gap(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="splitvar", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON file with option defaults")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; execution is single threaded",
-    )
     parser.add_argument(
         "--strict",
         action="store_true",

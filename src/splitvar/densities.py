@@ -3,9 +3,10 @@
 The variational integrand splits as f(xi) = f1(xi_1) + f2(xi_2) where f1 is
 convex of linear growth and f2 grows superlinearly, bounded below by an
 N-function.  This module provides the built-in density families, their
-convex conjugates, recession slopes, a Fenchel-Young verification kit, and
-the exponent bookkeeping that predicts how much integrability of the second
-gradient component the a-priori machinery yields.
+convex conjugates, recession slopes, a Fenchel-Young verification kit, the
+delta-regularizer with its stress, and the exponent bookkeeping that
+predicts how much integrability of the second gradient component the
+a-priori machinery yields.
 
 All ``eval``/``deriv``/``second_deriv`` maps are numpy ufunc style: they
 accept floats or arrays and broadcast.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +38,10 @@ __all__ = [
     "power_density2",
     "smooth_power_density2",
     "tlog_density2",
+    "regularizer",
+    "regularizer_deriv",
+    "regularizer_second_deriv",
+    "regularized_stress",
     "make_pair",
     "density_from_id",
     "conjugate_scalar",
@@ -591,32 +596,23 @@ def power_density2(p: float, coef: float = 1.0) -> Density2Spec:
 
 
 def smooth_power_density2(p: float) -> Density2Spec:
-    """f2(t) = (1+t**2)**(p/2) - 1: two-sided curvature comparable to (1+|t|)**(p-2)."""
+    """f2(t) = (1+t**2)**(p/2) - 1 = rho_p(t) - 1, the regularizer shifted to
+    vanish at zero: two-sided curvature comparable to (1+|t|)**(p-2)."""
     if p < 2.0:
         raise ValueError("smooth power density defined for p >= 2")
 
-    def ev(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = (1.0 + t_arr * t_arr) ** (p / 2.0) - 1.0
-        return out if out.ndim else float(out)
+    def pointwise(fn):
+        def m(t):
+            out = fn(np.asarray(t, dtype=np.float64), p)
+            return out if out.ndim else float(out)
 
-    def dv(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = p * t_arr * (1.0 + t_arr * t_arr) ** ((p - 2.0) / 2.0)
-        return out if out.ndim else float(out)
+        return m
 
-    def d2(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        w = 1.0 + t_arr * t_arr
-        out = p * w ** ((p - 2.0) / 2.0) + p * (p - 2.0) * t_arr * t_arr * w ** (
-            (p - 4.0) / 2.0
-        )
-        return out if out.ndim else float(out)
-
+    rho = pointwise(regularizer)
     return Density2Spec(
-        eval=ev,
-        deriv=dv,
-        second_deriv=d2,
+        eval=lambda t: rho(t) - 1.0,
+        deriv=pointwise(regularizer_deriv),
+        second_deriv=pointwise(regularizer_second_deriv),
         b1=1.0,
         b2=1.0,
         # (1+t^2)^(p/2) <= 2^(p/2) max(1, t^p): constant part absorbed by b4
@@ -735,6 +731,43 @@ def density_from_id(ident: str, slot: str):
     if slot == "f2" and not isinstance(spec, Density2Spec):
         raise ValueError(f"{ident!r} has linear growth; not usable as f2")
     return spec
+
+
+# ---------------------------------------------------------------------------
+# the delta-regularizer and the regularized stress
+# ---------------------------------------------------------------------------
+
+
+def regularizer(t, p: float):
+    """rho_p(t) = (1+t**2)**(p/2), the integrand the solver adds with weight
+    delta on the first gradient component."""
+    return (1.0 + t * t) ** (0.5 * p)
+
+
+def regularizer_deriv(t, p: float):
+    """rho_p'(t) = p (1+t**2)**((p-2)/2) t."""
+    return p * (1.0 + t * t) ** (0.5 * (p - 2.0)) * t
+
+
+def regularizer_second_deriv(t, p: float):
+    """rho_p''(t) = p w**((p-2)/2) + p (p-2) t**2 w**((p-4)/2), w = 1+t**2;
+    at least p for p >= 2."""
+    w = 1.0 + t * t
+    return p * w ** (0.5 * (p - 2.0)) + p * (p - 2.0) * t * t * w ** (0.5 * (p - 4.0))
+
+
+def regularized_stress(d: DensityPair, c1, c2, delta: float, p: float):
+    """Stress of the regularized density at gradient values (c1, c2).
+
+    Returns (sigma1, tau1, tau2, x): tau = (f1'(c1), f2'(c2)) is the plain
+    stress Df, x = rho_p'(c1), and sigma_delta = tau + delta (x, 0) =
+    (sigma1, tau2) is the stress whose discrete divergence is the Euler
+    residual of the regularized energy.
+    """
+    x = regularizer_deriv(c1, p)
+    tau1 = np.asarray(d.f1.deriv(c1), dtype=np.float64)
+    tau2 = np.asarray(d.f2.deriv(c2), dtype=np.float64)
+    return tau1 + delta * x, tau1, tau2, x
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ values exactly.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .densities import DensityPair
-from .energy import BVCandidate, EnergyBreakdown, eval_K
+from .energy import BVCandidate, eval_K, lift_to_candidate
 from .grid import GridFunction, gradient
 from .solve import SolveConfig, SolveReport, continuation
 
@@ -321,18 +320,22 @@ def approximation_experiment(
 # ---------------------------------------------------------------------------
 
 
-def relaxation_gap(candidates: Sequence[BVCandidate], cfg: SolveConfig) -> dict:
+def relaxation_gap(
+    candidates: Optional[Sequence[BVCandidate]], cfg: SolveConfig
+) -> dict:
     """Minimum relaxed energy over the candidates minus the continuation limit.
 
     The gap should be nonnegative up to solver tolerance: the relaxed
     functional of any admissible candidate cannot undercut the infimum the
-    continuation approaches from above.
+    continuation approaches from above.  ``candidates=None`` uses the lifted
+    final iterate of the continuation itself.
     """
-    candidates = list(candidates)
-    if not candidates:
+    if candidates is not None and len(candidates) == 0:
         raise ValueError("need at least one candidate")
     report = continuation(cfg)
     j_final = report.records[-1].j_value
+    if candidates is None:
+        candidates = [lift_to_candidate(report.u_final)]
     k_values = [eval_K(w, cfg.densities, cfg.u0).j_total for w in candidates]
     k_best = min(k_values)
     gap = k_best - j_final

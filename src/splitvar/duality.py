@@ -13,13 +13,12 @@ fields the reported bound degrades linearly in the residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .densities import DensityPair
+from .densities import DensityPair, regularized_stress
 from .energy import eval_J
 from .grid import CellField2, GridFunction, divergence_residual, gradient
 
@@ -58,28 +57,15 @@ class DualReport:
         }
 
 
-def _x_delta_field(c1: np.ndarray, p_reg: float) -> np.ndarray:
-    """Derivative of the regularizer integrand (1+t**2)**(p/2) at t = comp1."""
-    return p_reg * (1.0 + c1 * c1) ** (0.5 * (p_reg - 2.0)) * c1
-
-
 def stress(
     u: GridFunction, d: DensityPair, delta: float, p_reg: float
 ) -> tuple[CellField2, CellField2, np.ndarray]:
-    """Stress fields of a primal iterate.
-
-    Returns (sigma_delta, tau, x_delta): tau maps the cell gradient through
-    the plain density derivatives, x_delta is the regularizer derivative on
-    the first component, and sigma_delta = tau + delta * (x_delta, 0) is the
-    regularized stress whose divergence residual is the Euler residual.
-    """
+    """Stress fields (sigma_delta, tau, x_delta) of a primal iterate: the
+    ``regularized_stress`` of its cell gradient, with sigma_delta = tau +
+    delta * (x_delta, 0) and tau = Df, as cell fields."""
     g = gradient(u)
-    x_delta = _x_delta_field(g.comp1, p_reg)
-    t1 = np.asarray(d.f1.deriv(g.comp1), dtype=np.float64)
-    t2 = np.asarray(d.f2.deriv(g.comp2), dtype=np.float64)
-    tau = CellField2(u.grid, t1, t2)
-    sigma = CellField2(u.grid, t1 + delta * x_delta, t2)
-    return sigma, tau, x_delta
+    sigma1, t1, t2, x_delta = regularized_stress(d, g.comp1, g.comp2, delta, p_reg)
+    return CellField2(u.grid, sigma1, t2), CellField2(u.grid, t1, t2), x_delta
 
 
 def eval_R(
@@ -143,16 +129,10 @@ def duality_gap(
     res_max = float(np.max(np.abs(divergence_residual(tau))))
     gap_abs = j_value - r_value
     gap_rel = gap_abs / (1.0 + abs(j_value))
-    g_young = gradient(u)
-    tau_young = CellField2(
-        u.grid,
-        np.asarray(d.f1.deriv(g_young.comp1), dtype=np.float64),
-        np.asarray(d.f2.deriv(g_young.comp2), dtype=np.float64),
-    )
+    _, tau_young, x_delta = stress(u, d, delta, p_reg)
     extremality = extremality_check(u, tau_young, d)
 
     if delta > 0.0:
-        x_delta = _x_delta_field(g_young.comp1, p_reg)
         q = p_reg / (p_reg - 1.0)
         norm_q = (
             u.grid.cell_area * float(np.sum(np.abs(delta * x_delta) ** q))

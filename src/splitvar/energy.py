@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .densities import DensityPair, NFunctionSpec
+from .densities import DensityPair, NFunctionSpec, regularizer
 from .grid import CellField2, Grid, GridFunction, gradient
 
 __all__ = [
@@ -103,7 +103,7 @@ def eval_J(u: GridFunction, d: DensityPair) -> EnergyBreakdown:
 def eval_J_delta(
     u: GridFunction, d: DensityPair, delta: float, p_reg: float
 ) -> EnergyBreakdown:
-    """Regularized energy: adds delta * sum of (1+comp1**2)**(p_reg/2).
+    """Regularized energy: adds delta * sum of rho_p(comp1) = (1+comp1**2)**(p_reg/2).
 
     The added term is linear in delta by construction (the delta-independent
     integral is formed first and scaled).
@@ -113,9 +113,7 @@ def eval_J_delta(
     if p_reg < 2.0:
         raise ValueError(f"p_reg must be >= 2, got {p_reg}")
     j1, j2, g = _cell_sums(u, d)
-    base = u.grid.cell_area * float(
-        np.sum((1.0 + g.comp1**2) ** (0.5 * p_reg))
-    )
+    base = u.grid.cell_area * float(np.sum(regularizer(g.comp1, p_reg)))
     return EnergyBreakdown(j_f1=j1, j_f2=j2, delta_term=delta * base)
 
 

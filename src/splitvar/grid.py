@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -25,6 +25,7 @@ __all__ = [
     "CellField2",
     "gradient",
     "divergence_residual",
+    "zero_ring",
     "apply_dirichlet",
     "save_csv",
     "load_csv",
@@ -141,12 +142,14 @@ def divergence_residual(tau: CellField2) -> np.ndarray:
     supported on interior nodes.  Constant fields have zero residual.
     """
     g = tau.grid
-    out = _kernels.scatter_adjoint(tau.comp1, tau.comp2, g.h1, g.h2)
-    out[0, :] = 0.0
-    out[-1, :] = 0.0
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return out
+    return zero_ring(_kernels.scatter_adjoint(tau.comp1, tau.comp2, g.h1, g.h2))
+
+
+def zero_ring(arr: np.ndarray) -> np.ndarray:
+    """Zero the boundary ring of a nodal array in place and return it."""
+    arr[[0, -1], :] = 0.0
+    arr[:, [0, -1]] = 0.0
+    return arr
 
 
 def apply_dirichlet(

@@ -198,7 +198,7 @@ def test_relax_gap_default_candidate(capsys):
 
 def test_global_flags_accepted(capsys):
     rc, _, _ = run(
-        ["--strict", "--threads", "2", "predict", "--p", "3", "--gamma", "0.7"],
+        ["--strict", "predict", "--p", "3", "--gamma", "0.7"],
         capsys,
     )
     assert rc == 0

@@ -33,6 +33,7 @@ from splitvar import (
     validate_nfunction,
     young_residual,
 )
+from splitvar.densities import regularizer, regularizer_deriv, regularizer_second_deriv
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,23 @@ def test_validate_density2_reports(power2):
     assert tlog_report["ok"], tlog_report
     smooth_report = validate_density2(smooth_power_density2(3.0))
     assert smooth_report["ok"], smooth_report
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+def test_regularizer_derivatives_match_central_differences(p):
+    t = np.linspace(-3.0, 3.0, 61)
+    h = 1e-5
+    fd1 = (regularizer(t + h, p) - regularizer(t - h, p)) / (2.0 * h)
+    assert np.allclose(regularizer_deriv(t, p), fd1, rtol=1e-8, atol=1e-9)
+    h = 1e-4
+    fd2 = (regularizer(t + h, p) - 2.0 * regularizer(t, p) + regularizer(t - h, p))
+    fd2 /= h**2
+    assert np.allclose(regularizer_second_deriv(t, p), fd2, rtol=1e-5, atol=1e-5)
+    # the smooth power density is the regularizer shifted to vanish at zero
+    f2 = smooth_power_density2(p)
+    assert np.array_equal(f2.eval(t), regularizer(t, p) - 1.0)
+    assert np.array_equal(f2.deriv(t), regularizer_deriv(t, p))
+    assert np.array_equal(f2.second_deriv(t), regularizer_second_deriv(t, p))
 
 
 def test_density_pair_split_additivity(pair_std):

@@ -221,6 +221,12 @@ def test_relax_gap_of_lifted_minimizer(pair_std):
     assert out["k_best"] == out["k_values"][0]
 
 
+def test_relax_gap_default_candidate_is_lifted_final_iterate(affine_config):
+    report = continuation(affine_config)
+    explicit = relaxation_gap([lift_to_candidate(report.u_final)], affine_config)
+    assert relaxation_gap(None, affine_config) == explicit
+
+
 def test_relax_gap_jump_candidate_stays_above(pair_std):
     # boundary data steps across x1 = 0; pricing the whole transition as a
     # jump costs the full recession rate, so the smooth minimizer wins.

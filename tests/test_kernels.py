@@ -1,67 +1,8 @@
-"""Twin-flavour checks: the jitted kernels must match the numpy reference."""
-
-import os
-import subprocess
-import sys
+"""Identities of the grid kernels: composition, adjointness, diagonal, telescoping."""
 
 import numpy as np
-import pytest
 
 from splitvar import _kernels as K
-
-needs_numba = pytest.mark.skipif(
-    not K._NUMBA_IMPORTED, reason="numba not importable"
-)
-
-SHAPES = [(3, 5), (8, 8), (16, 4), (7, 9)]
-
-
-def random_cells(shape, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape)
-
-
-@needs_numba
-@pytest.mark.parametrize("shape", SHAPES)
-def test_cell_gradient_twins(shape):
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal((shape[0] + 1, shape[1] + 1))
-    a1, a2 = K._numpy_cell_gradient(v, 0.25, 0.125)
-    b1, b2 = K._numba_cell_gradient(v, 0.25, 0.125)
-    assert np.max(np.abs(a1 - b1)) <= 1e-14
-    assert np.max(np.abs(a2 - b2)) <= 1e-14
-
-
-@needs_numba
-@pytest.mark.parametrize("shape", SHAPES)
-def test_scatter_adjoint_twins(shape):
-    t1 = random_cells(shape, 1)
-    t2 = random_cells(shape, 2)
-    a = K._numpy_scatter_adjoint(t1, t2, 0.25, 0.5)
-    b = K._numba_scatter_adjoint(t1, t2, 0.25, 0.5)
-    assert np.max(np.abs(a - b)) <= 1e-14
-
-
-@needs_numba
-@pytest.mark.parametrize("shape", SHAPES)
-def test_scatter_diag_twins(shape):
-    w1 = random_cells(shape, 3) ** 2
-    w2 = random_cells(shape, 4) ** 2
-    a = K._numpy_scatter_diag(w1, w2, 0.125, 0.25)
-    b = K._numba_scatter_diag(w1, w2, 0.125, 0.25)
-    assert np.max(np.abs(a - b)) <= 1e-14
-
-
-@needs_numba
-@pytest.mark.parametrize("shape", SHAPES)
-def test_hessvec_twins(shape):
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal((shape[0] + 1, shape[1] + 1))
-    w1 = random_cells(shape, 6) ** 2
-    w2 = random_cells(shape, 7) ** 2
-    a = K._numpy_hessvec(v, w1, w2, 0.25, 0.125)
-    b = K._numba_hessvec(v, w1, w2, 0.25, 0.125)
-    assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def test_hessvec_is_weighted_scatter_of_gradient():
@@ -102,32 +43,10 @@ def test_scatter_diag_matches_unit_vector_probe():
     assert np.allclose(diag, probe, rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize(
-    "flavour",
-    ["numpy", pytest.param("numba", marks=needs_numba)],
-)
-def test_constant_fields_scatter_to_interior_zero(flavour):
-    scatter = (
-        K._numpy_scatter_adjoint if flavour == "numpy" else K._numba_scatter_adjoint
-    )
+def test_constant_fields_scatter_to_interior_zero():
     t1 = np.full((12, 9), 0.7310585786300049)
     t2 = np.full((12, 9), -0.1234567890123456)
-    out = scatter(t1, t2, 1.0 / 12.0, 1.0 / 9.0)
+    out = K._numpy_scatter_adjoint(t1, t2, 1.0 / 12.0, 1.0 / 9.0)
     # per-component accumulation telescopes exactly away from the boundary
     assert np.array_equal(out[1:-1, 1:-1], np.zeros((11, 8)))
     assert np.any(out[0, :] != 0.0)
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, SPLITVAR_NUMBA="0")
-    code = "import splitvar._kernels as k; print(k.USE_NUMBA)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "False"
-
-
-def test_dispatch_matches_flag():
-    expected = K._numba_cell_gradient if K.USE_NUMBA else K._numpy_cell_gradient
-    assert K.cell_gradient is expected

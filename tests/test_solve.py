@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import splitvar
 from splitvar import _kernels, solve
 from splitvar import (
     ContinuationContractError,
@@ -11,11 +15,14 @@ from splitvar import (
     GridFunction,
     SolveConfig,
     continuation,
+    divergence_residual,
     eval_J_delta,
     gradient,
     minimize_J_delta,
     multi_start,
+    stress,
 )
+from splitvar.grid import zero_ring
 from tests.conftest import affine_field
 
 AFFINE_J = 20.0 - 8.0 * math.sqrt(3.0)  # 4*(Phi_1.5(2) + f2(-1)) in closed form
@@ -178,10 +185,10 @@ def test_fst_preconditioner_inverts_constant_hessian(w2_value):
     w2 = np.full((g.n1, g.n2), w2_value)
     precond = solve._fst_preconditioner(w1, w2, g.h1, g.h2)
     v = _interior_random(g, np.random.default_rng(7))
-    r = solve._zero_ring(_kernels.hessvec(v, w1, w2, g.h1, g.h2))
+    r = zero_ring(_kernels.hessvec(v, w1, w2, g.h1, g.h2))
     z = precond(r)
     assert np.max(np.abs(z - v)) <= 1e-12 * np.max(np.abs(v))
-    assert np.array_equal(solve._zero_ring(z.copy()), z)
+    assert np.array_equal(zero_ring(z.copy()), z)
 
 
 def test_fst_preconditioner_symmetric_positive():
@@ -373,6 +380,57 @@ def test_report_dict_keys(pair_std):
         "converged",
         "flags",
     }
+
+
+# ---------------------------------------------------------------------------
+# one regularizer, one stress: solver and certificates agree bitwise
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p_reg, schedule", [(None, [1e-1, 1e-2, 1e-3]), (4.5, [1e-2])]
+)
+def test_solver_matches_certificate_quantities_bitwise(pair_std, p_reg, schedule):
+    # at 32^2 the cell area is a power of two, so h1 h2 (a + b) and
+    # h1 h2 a + h1 h2 b round alike; p_reg = 4.5 makes rho_p' round
+    # differently under any reordering of its factors
+    cfg = tanh_config(pair_std, n=32, p_reg=p_reg)
+    cfg = dataclasses.replace(cfg, delta_schedule=schedule)
+    report = continuation(cfg)
+    delta = cfg.delta_schedule[-1]
+    last = report.records[-1]
+    sigma, _, _ = stress(report.u_final, pair_std, delta, cfg.p_reg)
+    assert np.array_equal(report.stress_final.comp1, sigma.comp1)
+    assert np.array_equal(report.stress_final.comp2, sigma.comp2)
+    res = divergence_residual(sigma)
+    assert float(np.max(np.abs(res))) == last.euler_residual_max
+    energy = eval_J_delta(report.u_final, pair_std, delta, cfg.p_reg)
+    assert energy.j_f1 + energy.j_f2 == last.j_value
+    assert energy.delta_term == last.delta_term
+
+
+def test_continuation_loads_no_package_beyond_numpy():
+    # a continuation needs numpy alone; scipy is imported lazily and only for
+    # tabulated conjugates (scipy.fft alone adds about 24 MiB of resident memory)
+    code = (
+        "import sys, numpy as np\n"
+        "top = lambda: {m.split('.')[0] for m in sys.modules}\n"
+        "before = top()\n"
+        "import splitvar as s\n"
+        "g = s.Grid(16, 16)\n"
+        "u0 = s.GridFunction.from_callable(g, lambda x, y: np.tanh(3 * x) + 0.2 * y)\n"
+        "pair = s.make_pair(s.make_phi_nu(1.5), s.power_density2(2.0))\n"
+        "s.continuation(s.SolveConfig(g, pair, u0, [1e-1, 1e-2, 1e-3]))\n"
+        "print(sorted(top() - before - set(sys.stdlib_module_names)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(splitvar.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['splitvar']"
 
 
 # ---------------------------------------------------------------------------
