@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .densities import DensityPair, regularized_stress
-from .energy import eval_J
+from .energy import EnergyBreakdown, _cell_sums
 from .grid import CellField2, GridFunction, divergence_residual, gradient
 
 __all__ = [
@@ -79,19 +79,28 @@ def eval_R(
     over admissible v.  Conjugate range errors (first component slope
     outside the recession interval) propagate.
     """
-    g0 = gradient(u0)
+    r_value = _dual_value(tau, d, gradient(u0))
+    return r_value, _div_residual_max(tau) <= div_tol
+
+
+def _dual_value(tau: CellField2, d: DensityPair, g0: CellField2) -> float:
     conj1 = np.asarray(d.conjugate_f1(tau.comp1), dtype=np.float64)
     conj2 = np.asarray(d.conjugate_f2(tau.comp2), dtype=np.float64)
     pairing = tau.comp1 * g0.comp1 + tau.comp2 * g0.comp2
-    r_value = u0.grid.cell_area * float(np.sum(pairing - conj1 - conj2))
-    res_max = float(np.max(np.abs(divergence_residual(tau))))
-    return r_value, res_max <= div_tol
+    return g0.grid.cell_area * float(np.sum(pairing - conj1 - conj2))
+
+
+def _div_residual_max(tau: CellField2) -> float:
+    return float(np.max(np.abs(divergence_residual(tau))))
 
 
 def extremality_check(u: GridFunction, sigma: CellField2, d: DensityPair) -> float:
     """Max relative violation of the pointwise conjugate extremality identity
     f(grad u) + f*(sigma) = sigma . grad u over cells."""
-    g = gradient(u)
+    return _extremality(gradient(u), sigma, d)
+
+
+def _extremality(g: CellField2, sigma: CellField2, d: DensityPair) -> float:
     lhs = (
         np.asarray(d.f1.eval(g.comp1))
         + np.asarray(d.f2.eval(g.comp2))
@@ -122,15 +131,17 @@ def duality_gap(
     norm of the vanishing regularization stress delta * x_delta in the dual
     exponent p/(p-1).
     """
-    if u0 is None:
-        u0 = u
-    j_value = eval_J(u, d).j_total
-    r_value, certified = eval_R(tau, d, u0, div_tol)
-    res_max = float(np.max(np.abs(divergence_residual(tau))))
+    # the cell gradients and the divergence residual are formed once each
+    g = gradient(u)
+    g0 = g if u0 is None else gradient(u0)
+    j_value = EnergyBreakdown(*_cell_sums(g, d)).j_total
+    r_value = _dual_value(tau, d, g0)
+    res_max = _div_residual_max(tau)
+    certified = res_max <= div_tol
     gap_abs = j_value - r_value
     gap_rel = gap_abs / (1.0 + abs(j_value))
-    _, tau_young, x_delta = stress(u, d, delta, p_reg)
-    extremality = extremality_check(u, tau_young, d)
+    _, t1, t2, x_delta = regularized_stress(d, g.comp1, g.comp2, delta, p_reg)
+    extremality = _extremality(g, CellField2(u.grid, t1, t2), d)
 
     if delta > 0.0:
         q = p_reg / (p_reg - 1.0)

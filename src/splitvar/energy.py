@@ -82,21 +82,21 @@ class EnergyBreakdown:
         }
 
 
-def _cell_sums(u: GridFunction, d: DensityPair) -> tuple[float, float, CellField2]:
-    g = gradient(u)
-    w = u.grid.cell_area
+def _cell_sums(g: CellField2, d: DensityPair) -> tuple[float, float]:
+    """(j_f1, j_f2) of a cell gradient field."""
+    w = g.grid.cell_area
     # overflow surfaces as the non-finite check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         vals1 = np.asarray(d.f1.eval(g.comp1), dtype=np.float64)
         vals2 = np.asarray(d.f2.eval(g.comp2), dtype=np.float64)
     if not (np.all(np.isfinite(vals1)) and np.all(np.isfinite(vals2))):
         raise EnergyOverflowError("non-finite cell energy")
-    return w * float(np.sum(vals1)), w * float(np.sum(vals2)), g
+    return w * float(np.sum(vals1)), w * float(np.sum(vals2))
 
 
 def eval_J(u: GridFunction, d: DensityPair) -> EnergyBreakdown:
     """Split energy of a nodal field: sum of f1(comp1) + f2(comp2) over cells."""
-    j1, j2, _ = _cell_sums(u, d)
+    j1, j2 = _cell_sums(gradient(u), d)
     return EnergyBreakdown(j_f1=j1, j_f2=j2)
 
 
@@ -112,7 +112,8 @@ def eval_J_delta(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if p_reg < 2.0:
         raise ValueError(f"p_reg must be >= 2, got {p_reg}")
-    j1, j2, g = _cell_sums(u, d)
+    g = gradient(u)
+    j1, j2 = _cell_sums(g, d)
     base = u.grid.cell_area * float(np.sum(regularizer(g.comp1, p_reg)))
     return EnergyBreakdown(j_f1=j1, j_f2=j2, delta_term=delta * base)
 
@@ -286,7 +287,7 @@ def eval_K(
                     f"{cand[i]!r} vs {ref[i]!r}"
                 )
 
-    j1, j2, _ = _cell_sums(w.smooth_part, d)
+    j1, j2 = _cell_sums(gradient(w.smooth_part), d)
 
     k_sing = 0.0
     for seg in w.jumps:

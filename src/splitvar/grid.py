@@ -184,16 +184,17 @@ def apply_dirichlet(
 
 def save_csv(u: GridFunction, path: str) -> None:
     """Write nodes as x1,x2,value rows (row-major in the x1 index)."""
-    x1, x2 = u.grid.node_coords()
+    # plain-float repr: shortest round-trip digits, no numpy tags
+    x1, x2 = (list(map(repr, x.tolist())) for x in u.grid.node_coords())
+    rows = (
+        (a, b, repr(v))
+        for a, row in zip(x1, u.values.tolist())
+        for b, v in zip(x2, row)
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "value"])
-        for i in range(u.grid.n1 + 1):
-            for j in range(u.grid.n2 + 1):
-                # plain-float repr: shortest round-trip digits, no numpy tags
-                writer.writerow(
-                    [repr(float(x1[i])), repr(float(x2[j])), repr(float(u.values[i, j]))]
-                )
+        writer.writerows(rows)
 
 
 def load_csv(path: str) -> GridFunction:

@@ -1,6 +1,6 @@
-"""Damped Newton solver for the regularized split energy, with warm-started
-continuation along a decreasing regularization schedule and a seeded
-multi-start uniqueness probe.
+"""Damped inexact Newton solver for the regularized split energy, with
+warm-started continuation along a decreasing regularization schedule and a
+seeded multi-start uniqueness probe.
 
 Unknowns are the interior nodal values; the boundary ring carries the
 Dirichlet data.  Newton directions come from a conjugate-gradient solve on
@@ -9,6 +9,22 @@ with steepest descent as fallback and Armijo backtracking for global
 descent.  CG is preconditioned by the exact inverse of H with the
 curvatures W1, W2 replaced by their cell means, applied with a 2-D fast
 sine transform (see ``_fst_preconditioner``).
+
+The Newton method is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982): step k stops CG once the linear residual of its direction d
+has ||H d + g_k||_2 <= max(eta_k ||g_k||_2, FORCING_FLOOR tol_grad).  The
+forcing term eta_k is Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput.
+17, 1996), restarted on each level: eta_0 = FORCING_MAX = 0.1 and
+
+    eta_k = min(FORCING_MAX, FORCING_GAMMA (||g_k|| / ||g_{k-1}||)^2),
+
+with FORCING_GAMMA = 0.9, raised to FORCING_GAMMA eta_{k-1}^2 whenever that
+exceeds FORCING_SAFEGUARD = 0.1.  Early steps, far from the minimizer, solve
+loosely; near it eta_k shrinks with the square of the residual ratio, which
+keeps the local convergence quadratic.  The floor FORCING_FLOOR tol_grad
+(0.1 tol_grad) ends over-solving on the last step and suffices to converge:
+max|r| <= ||r||_2, so the linear model of the accepted step meets tol_grad
+with a factor of ten to spare.
 """
 
 from __future__ import annotations
@@ -53,11 +69,16 @@ ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
 CURVATURE_FLOOR = -1e-10
-# relative residual and iteration cap of each CG solve; with the
-# fast-sine-transform preconditioner the largest count measured was 65
-# Hessian products (step data at 256^2 down to delta = 1e-4)
-CG_TOL = 1e-8
+# iteration cap of each CG solve; with the fast-sine-transform
+# preconditioner the largest count measured was 65 Hessian products (step
+# data at 256^2 down to delta = 1e-4, each CG solve run to 1e-8 relative)
 CG_MAXITER = 200
+# Eisenstat-Walker choice 2 forcing terms, and the floor of each CG
+# tolerance as a fraction of tol_grad (see the module docstring)
+FORCING_MAX = 0.1
+FORCING_GAMMA = 0.9
+FORCING_SAFEGUARD = 0.1
+FORCING_FLOOR = 0.1
 
 
 class NonConvexDetected(ArithmeticError):
@@ -272,18 +293,21 @@ def _fst_preconditioner(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
     return apply
 
 
-def _pcg(apply_h, b, precond):
-    """Preconditioned CG on interior-supported nodal arrays, to relative
-    residual CG_TOL within CG_MAXITER iterations.
+def _pcg(apply_h, b, precond, tol):
+    """Preconditioned CG on interior-supported nodal arrays, from x = 0 to
+    the first iterate whose residual b - H x has 2-norm at most ``tol``,
+    within CG_MAXITER iterations.
 
+    ``tol`` is absolute; the Newton loop passes the inexact-Newton tolerance
+    max(eta_k ||g_k||_2, FORCING_FLOOR tol_grad) of the module docstring, so
+    the linear solve is only as accurate as the outer Newton step needs.
     ``precond`` maps a residual r to z = M^-1 r with M symmetric positive
     definite and the ring of z zero (here ``_fst_preconditioner``).  Returns
     (x, converged); raises NonConvexDetected on negative curvature.
     """
     x = np.zeros_like(b)
     r = b.copy()
-    b_norm = math.sqrt(float(np.sum(b * b)))
-    if b_norm == 0.0:
+    if math.sqrt(float(np.sum(b * b))) <= tol:
         return x, True
     z = precond(r)
     p = z.copy()
@@ -302,13 +326,28 @@ def _pcg(apply_h, b, precond):
         alpha = rz / php
         x += alpha * p
         r -= alpha * hp
-        if math.sqrt(float(np.sum(r * r))) <= CG_TOL * b_norm:
+        if math.sqrt(float(np.sum(r * r))) <= tol:
             return x, True
         z = precond(r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x, False
+
+
+def _forcing_term(g_norm, g_norm_prev, eta_prev):
+    """Eisenstat-Walker choice 2 forcing term of a Newton step from the
+    gradient 2-norms of this step and the previous one (None on the first
+    step of a level)."""
+    if g_norm_prev is None:
+        return FORCING_MAX
+    eta = FORCING_GAMMA * (g_norm / g_norm_prev) ** 2
+    # EW's safeguard against a forcing term that falls too fast; it binds only
+    # for FORCING_MAX above 1/3
+    floor = FORCING_GAMMA * eta_prev**2
+    if floor > FORCING_SAFEGUARD:
+        eta = max(eta, floor)
+    return min(FORCING_MAX, eta)
 
 
 def minimize_J_delta(
@@ -337,12 +376,16 @@ def minimize_J_delta(
     split = prob.split_energy(values)
     energy = split[0] + split[1]
     res_max = math.inf
+    g_norm_prev = eta = None
     while steps < cfg.max_iter:
         _, _, c1, c2 = split
         g = prob.residual(c1, c2)
         res_max = float(np.max(np.abs(g)))
         if res_max <= cfg.tol_grad:
             break
+        g_norm = math.sqrt(float(np.sum(g * g)))
+        eta = _forcing_term(g_norm, g_norm_prev, eta)
+        g_norm_prev = g_norm
 
         w1, w2 = prob.curvatures(c1, c2)
         precond = _fst_preconditioner(w1, w2, grid.h1, grid.h2)
@@ -353,7 +396,8 @@ def minimize_J_delta(
             hv = _kernels.hessvec(v, w1, w2, grid.h1, grid.h2)
             return zero_ring(hv)
 
-        d_dir, cg_ok = _pcg(apply_h, -g, precond)
+        cg_tol = max(eta * g_norm, FORCING_FLOOR * cfg.tol_grad)
+        d_dir, cg_ok = _pcg(apply_h, -g, precond, cg_tol)
         slope = float(np.sum(g * d_dir))
         if not cg_ok or slope >= 0.0:
             if "cg_fallback" not in flags:

@@ -83,7 +83,7 @@ def test_criterion_01_fenchel_kit():
         assert conjugate_scalar(a.eval, 0.0) <= 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    verdict(1, f"Young<=1e-8 rel, conjugates match s^q/q, {elapsed:.2f}s")
+    verdict(1, "Young<=1e-8 rel, conjugates match s^q/q")
 
 
 def test_criterion_02_phi_family():
@@ -133,7 +133,7 @@ def test_criterion_04_affine_oracle(crit4):
     verdict(
         4,
         f"nodal err {u_err:.1e}, |J-{AFFINE_J:.6f}|="
-        f"{abs(j_final - AFFINE_J):.1e}, {elapsed:.2f}s",
+        f"{abs(j_final - AFFINE_J):.1e}",
     )
 
 
@@ -193,7 +193,7 @@ def test_criterion_07_integrability_sweep(pair_std):
     assert flags == ["BOUNDED"] * 5
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
-    verdict(7, f"chi {{3,4,6}} and kappa {{4,8}} all BOUNDED, {elapsed:.1f}s")
+    verdict(7, "chi {3,4,6} and kappa {4,8} all BOUNDED")
 
 
 def test_criterion_08_relaxation_equality(pair_std):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,31 @@ def test_csv_round_trip_bitwise(tmp_path):
     back = load_csv(str(path))
     assert back.grid == g
     assert np.array_equal(back.values, u.values)
+
+
+def row_by_row_csv(u, path):
+    """Reference writer: one writerow per node, each float through numpy."""
+    x1, x2 = u.grid.node_coords()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "value"])
+        for i in range(u.grid.n1 + 1):
+            for j in range(u.grid.n2 + 1):
+                v = u.values[i, j]
+                writer.writerow([repr(float(x1[i])), repr(float(x2[j])), repr(float(v))])
+
+
+def test_csv_bytes_match_row_by_row_writer(tmp_path):
+    g = Grid(7, 3)
+    values = np.random.default_rng(5).standard_normal(g.node_shape)
+    special = [-0.0, 0.0, 1e300, -2.5e-310, 1.2345678901234567e-100, 1e22, 1e16, -1e-5]
+    values.flat[: len(special)] = special
+    u = GridFunction(g, values)
+    save_csv(u, str(tmp_path / "fast.csv"))
+    row_by_row_csv(u, str(tmp_path / "ref.csv"))
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    assert b"\r\n" in fast and b",-0.0\r\n" in fast and b"e-310" in fast
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -223,6 +223,106 @@ def test_hessian_products_per_newton_step_bounded(pair_std, monkeypatch):
     assert len(calls) <= 40 * steps
 
 
+def step_config(pair, n, schedule):
+    g = Grid(n, n)
+    u0 = GridFunction.from_callable(
+        g, lambda x, y: np.where(x < 0.0, 0.0, 1.0) + 0.0 * y
+    )
+    return SolveConfig(grid=g, densities=pair, u0=u0, delta_schedule=schedule)
+
+
+def level_chain(cfg):
+    # level by level: continuation's delta-term ratio contract rejects step data
+    u, records = None, []
+    for delta in cfg.delta_schedule:
+        u, rec = minimize_J_delta(cfg, delta, warm_start=u)
+        records.append(rec)
+    return records
+
+
+def test_forcing_terms_cut_hessian_products(pair_std, monkeypatch):
+    # CG to a fixed 1e-8 relative residual made 126 products here; the
+    # Eisenstat-Walker forcing terms stop each solve once it is accurate enough
+    calls = []
+    original = _kernels.hessvec
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "hessvec", counted)
+    report = continuation(tanh_config(pair_std, n=64))
+    assert all(r.converged and r.flags == () for r in report.records)
+    assert len(calls) <= 80
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [
+        lambda pair: tanh_config(pair, n=32),
+        lambda pair: step_config(pair, 32, [1e-1, 1e-2, 1e-3, 1e-4]),
+    ],
+    ids=["tanh", "step"],
+)
+def test_inexact_newton_matches_exact_newton(pair_std, make_cfg, monkeypatch):
+    inexact = level_chain(make_cfg(pair_std))
+    # a constant forcing term of 1e-8 and no floor: every CG solve runs to a
+    # fixed 1e-8 relative residual, as in exact Newton
+    monkeypatch.setattr(solve, "_forcing_term", lambda *args: 1e-8)
+    monkeypatch.setattr(solve, "FORCING_FLOOR", 0.0)
+    exact = level_chain(make_cfg(pair_std))
+    for a, b in zip(inexact, exact):
+        assert a.converged and a.flags == ()
+        assert b.converged and b.flags == ()
+        assert abs(a.j_value - b.j_value) <= 1e-9
+        assert abs(a.j_delta_value - b.j_delta_value) <= 1e-9
+
+
+def test_forcing_term_is_eisenstat_walker_choice_2(monkeypatch):
+    assert solve._forcing_term(3.0, None, None) == solve.FORCING_MAX
+    assert solve._forcing_term(1.0, 10.0, 0.1) == pytest.approx(0.9e-2, rel=1e-15)
+    assert solve._forcing_term(9.0, 10.0, 0.1) == solve.FORCING_MAX
+    # the safeguard binds once 0.9 eta_prev^2 exceeds 0.1
+    monkeypatch.setattr(solve, "FORCING_MAX", 0.9)
+    assert solve._forcing_term(1.0, 10.0, 0.5) == pytest.approx(0.9 * 0.25, rel=1e-15)
+    assert solve._forcing_term(1.0, 10.0, 0.3) == pytest.approx(0.9e-2, rel=1e-15)
+
+
+def test_pcg_stops_at_first_iterate_meeting_tolerance(monkeypatch):
+    g = Grid(12, 9)
+    rng = np.random.default_rng(4)
+    w1 = rng.uniform(0.1, 5.0, (g.n1, g.n2))
+    w2 = rng.uniform(0.0, 2.0, (g.n1, g.n2))
+    precond = solve._fst_preconditioner(w1, w2, g.h1, g.h2)
+    calls = []
+
+    def apply_h(v):
+        calls.append(1)
+        return zero_ring(_kernels.hessvec(v, w1, w2, g.h1, g.h2))
+
+    b = _interior_random(g, rng)
+    # iterate k from a run capped at k iterations with a tolerance never met
+    iterates = []
+    for k in range(20):
+        monkeypatch.setattr(solve, "CG_MAXITER", k)
+        iterates.append(solve._pcg(apply_h, b, precond, 0.0)[0])
+    norms = [math.sqrt(float(np.sum((b - apply_h(x)) ** 2))) for x in iterates]
+    monkeypatch.setattr(solve, "CG_MAXITER", 200)
+    # a tolerance halfway (geometrically) between iterate k and all before it
+    checked = 0
+    for k in range(1, 20):
+        if norms[k] >= 0.5 * min(norms[:k]):
+            continue
+        calls.clear()
+        x, ok = solve._pcg(apply_h, b, precond, math.sqrt(norms[k] * min(norms[:k])))
+        assert ok and len(calls) == k
+        assert np.array_equal(x, iterates[k])
+        checked += 1
+    assert checked >= 5
+    x, ok = solve._pcg(apply_h, b, precond, norms[0])
+    assert ok and not np.any(x)
+
+
 def test_offset_step_data_converges_at_small_delta(pair_std):
     # offset step data on which the Jacobi-preconditioned solve hit the
     # 200-step cap at delta = 1e-4 (residual floor 1.7e-9 above tol_grad)
