@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -297,11 +296,6 @@ def _cmd_relax_gap(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="splitvar", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON file with option defaults")
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="escalate conjugate-boundary warnings to errors",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", parents=[], help="run the continuation solver")
@@ -357,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_BOOL_FLAGS = ("--strict", "--store-fields")
+_BOOL_FLAGS = ("--store-fields",)
 
 
 def _has_subcommand(argv: list) -> bool:
@@ -432,10 +426,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        with warnings.catch_warnings():
-            if args.strict:
-                warnings.simplefilter("error", ConjugateBoundaryWarning)
-            return args.func(args)
+        return args.func(args)
     except SystemExit:
         raise
     except ContinuationContractError as exc:

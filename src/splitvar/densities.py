@@ -45,7 +45,6 @@ __all__ = [
     "make_pair",
     "density_from_id",
     "conjugate_scalar",
-    "tabulate_conjugate",
     "conjugate_via_slope_inversion",
     "young_residual",
     "check_condition_dual4",
@@ -60,6 +59,9 @@ ScalarMap = Callable[[np.ndarray], np.ndarray]
 
 # fitted-constant sample grid: zero plus a log-spaced sweep up to 1e4
 _FIT_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 199)])
+
+# slope inversion reports an infinite conjugate once a bracket passes |t| = 1e12
+_T_CAP = 1e12
 
 
 class ConjugateRangeError(ValueError):
@@ -148,13 +150,11 @@ class Density1Spec:
             raise ConjugateRangeError(
                 f"{self.name}: conjugate finite only on ({lo}, {hi})"
             )
-        flat = np.atleast_1d(s_arr).ravel()
-        vals = np.empty_like(flat)
-        for idx, sv in enumerate(flat):
-            t_star = _conjugate_by_inversion_signed(self.deriv, float(sv))
-            vals[idx] = sv * t_star - float(self.eval(t_star))
-        out = vals.reshape(np.atleast_1d(s_arr).shape)
-        return out if s_arr.ndim else float(out[0])
+        flat = s_arr.ravel()
+        # f1 is convex on the whole line: the bracket starts at [-1, 1]
+        t_star = _invert_slope(self.deriv, flat, -1.0)
+        out = flat * t_star - np.asarray(self.eval(t_star))
+        return out.reshape(s_arr.shape) if s_arr.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,12 @@ def conjugate_scalar(
 ) -> float:
     """sup_{0 <= t <= t_max} of s*t - g(t) by coarse bracketing plus golden section.
 
+    The derivative-free reference conjugate, one slope at a time: acceptance
+    criterion 1 checks the N-function conjugates against it, and the
+    biconjugate tests conjugate a conjugate with it.  The package's own
+    conjugates without a closed form invert the slope map instead
+    (``conjugate_via_slope_inversion``, ``Density1Spec.conjugate``).
+
     The objective must be concave (g convex); a unimodality violation on the
     coarse grid raises NonConcaveObjectiveError.  When the maximizer lands
     within 1e-6*t_max of t_max a ConjugateBoundaryWarning is emitted (the true
@@ -252,68 +258,64 @@ def conjugate_scalar(
     return float(value)
 
 
-def conjugate_via_slope_inversion(
-    g: ScalarMap, dg: ScalarMap, s, t_cap: float = 1e12
-) -> np.ndarray:
+def conjugate_via_slope_inversion(g: ScalarMap, dg: ScalarMap, s) -> np.ndarray:
     """Conjugate of a differentiable convex g on [0, inf) by inverting g'.
 
-    Solves g'(t) = s by bisection (g' nondecreasing) and returns s*t - g(t).
-    Requires s >= g'(0); diverging brackets raise ConjugateRangeError.
+    Solves g'(t) = s entrywise (``_invert_slope``) and returns s*t - g(t);
+    slopes s <= g'(0) give -g(0), the supremum at t = 0.  A slope not
+    attained below t = 1e12 raises ConjugateRangeError.
     """
     s_arr = np.asarray(s, dtype=np.float64)
-    flat = np.atleast_1d(s_arr).astype(np.float64).ravel()
-    out = np.empty_like(flat)
-    for idx, sv in enumerate(flat):
-        if sv <= float(dg(0.0)):
-            # objective nonincreasing on [0, inf): supremum attained at t = 0
-            out[idx] = -float(g(0.0))
-            continue
-        hi = 1.0
-        while float(dg(hi)) < sv:
-            hi *= 2.0
-            if hi > t_cap:
-                raise ConjugateRangeError(
-                    f"slope {sv:g} not attained below t={t_cap:g}; conjugate infinite"
-                )
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(dg(mid)) < sv:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-        t_star = 0.5 * (lo + hi)
-        out[idx] = sv * t_star - float(g(t_star))
-    return out.reshape(np.atleast_1d(s_arr).shape) if s_arr.ndim else float(out[0])
+    flat = s_arr.ravel()
+    out = np.full(flat.shape, -float(g(0.0)))
+    # objective nonincreasing on [0, inf) where s <= g'(0); a NaN slope
+    # is inverted and comes back NaN
+    inner = np.flatnonzero(~(flat <= float(dg(0.0))))
+    if inner.size:
+        t_star = _invert_slope(dg, flat[inner], 0.0)
+        out[inner] = flat[inner] * t_star - np.asarray(g(t_star))
+    return out.reshape(s_arr.shape) if s_arr.ndim else float(out[0])
 
 
-def tabulate_conjugate(
-    g: ScalarMap,
-    s_max: float,
-    n: int = 513,
-    t_max: float = 1e6,
-):
-    """Dense conjugate table on [0, s_max] with monotone cubic interpolation.
+def _invert_slope(deriv: ScalarMap, s: np.ndarray, lo: float) -> np.ndarray:
+    """Solve deriv(t) = s entrywise for a nondecreasing deriv; s is 1-D.
 
-    Returns a vectorized callable; conjugates are convex and nondecreasing on
-    [0, inf), which PCHIP preserves.
+    Every bracket starts at [lo, 1] (lo is 0 or -1); its upper end, and its
+    lower end when lo < 0, doubles per entry until the bracket encloses the
+    slope, and an end beyond |t| = 1e12 raises ConjugateRangeError.
+    Bisection then halves each bracket, freezing an entry once
+    hi - lo <= 1e-15*max(1, |hi|), and returns the midpoints.  Only the
+    entries still moving are passed to ``deriv``.
     """
-    from scipy.interpolate import PchipInterpolator
+    a = np.full(s.shape, float(lo))
+    b = np.ones(s.shape)
 
-    s_grid = np.linspace(0.0, s_max, n)
-    vals = np.array([conjugate_scalar(g, float(sv), t_max=t_max) for sv in s_grid])
-    interp = PchipInterpolator(s_grid, vals, extrapolate=False)
+    def widen(end, outside):
+        idx = np.flatnonzero(outside(deriv(end), s))
+        while idx.size:
+            end[idx] *= 2.0
+            beyond = np.abs(end[idx]) > _T_CAP
+            if np.any(beyond):
+                raise ConjugateRangeError(
+                    f"slope {s[idx][beyond][0]:g} not attained for |t| <= "
+                    f"{_T_CAP:g}; conjugate infinite"
+                )
+            idx = idx[outside(deriv(end[idx]), s[idx])]
 
-    def conj(s):
-        s_arr = np.asarray(s, dtype=np.float64)
-        if np.any(s_arr < 0.0) or np.any(s_arr > s_max):
-            raise ConjugateRangeError(f"tabulated conjugate covers [0, {s_max:g}]")
-        out = interp(s_arr)
-        return out if s_arr.ndim else float(out)
-
-    return conj
+    if lo < 0.0:
+        # a NaN slope is never enclosed and runs into the cap
+        widen(a, lambda d, sl: ~(d <= sl))
+    widen(b, lambda d, sl: d < sl)
+    idx = np.arange(s.size)
+    for _ in range(200):
+        mid = 0.5 * (a[idx] + b[idx])
+        below = deriv(mid) < s[idx]
+        a[idx] = np.where(below, mid, a[idx])
+        b[idx] = np.where(below, b[idx], mid)
+        idx = idx[b[idx] - a[idx] > 1e-15 * np.maximum(1.0, np.abs(b[idx]))]
+        if not idx.size:
+            break
+    return 0.5 * (a + b)
 
 
 def young_residual(a: NFunctionSpec, t: float) -> float:
@@ -334,12 +336,7 @@ def check_condition_dual4(a: NFunctionSpec, samples) -> tuple[float, bool]:
         raise ValueError("need at least one sample")
 
     def fit(points):
-        ratios = []
-        for t in points:
-            ratios.append(
-                float(a.conjugate(float(a.deriv(t)))) / (float(a.eval(t)) + 1.0)
-            )
-        return max(ratios)
+        return float(np.max(a.conjugate(a.deriv(points)) / (a.eval(points) + 1.0)))
 
     c_fit = fit(ts)
     refined = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])) if ts.size > 1 else ts
@@ -698,9 +695,10 @@ def make_pair(f1: Density1Spec, f2: Density2Spec) -> DensityPair:
         raise ValueError(
             f"{f2.name}: linear growth detected; the second slot must be superlinear"
         )
-    conj1 = f1.conjugate if f1.conjugate_closed is None else f1.conjugate_closed
-    conj2 = f2.conjugate if f2.conjugate_closed is None else f2.conjugate_closed
-    return DensityPair(f1=f1, f2=f2, conjugate_f1=conj1, conjugate_f2=conj2)
+    # each spec's conjugate dispatches to its closed form when it has one
+    return DensityPair(
+        f1=f1, f2=f2, conjugate_f1=f1.conjugate, conjugate_f2=f2.conjugate
+    )
 
 
 def density_from_id(ident: str, slot: str):
@@ -1028,34 +1026,3 @@ def predict_integrability(
         feasible=True,
         which_case="gamma-small",
     )
-
-
-def _conjugate_by_inversion_signed(deriv, s):
-    """Invert a nondecreasing slope map over the real line; returns the argmax."""
-
-    def dpos(t):
-        return float(deriv(t))
-
-    # f1 is convex on R; reduce to the monotone slope equation f1'(t) = s
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if dpos(lo) <= s:
-            break
-        lo *= 2.0
-        if lo < -1e12:
-            raise ConjugateRangeError(f"slope {s:g} below the attainable range")
-    for _ in range(200):
-        if dpos(hi) >= s:
-            break
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConjugateRangeError(f"slope {s:g} above the attainable range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dpos(mid) < s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)

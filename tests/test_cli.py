@@ -196,12 +196,13 @@ def test_relax_gap_default_candidate(capsys):
     assert abs(result["gap"]) <= 1e-9
 
 
-def test_global_flags_accepted(capsys):
-    rc, _, _ = run(
-        ["--strict", "predict", "--p", "3", "--gamma", "0.7"],
-        capsys,
-    )
-    assert rc == 0
+def test_removed_strict_flag_is_rejected(capsys):
+    # --strict escalated a warning that no command can raise; it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["--strict", "predict", "--p", "3", "--gamma", "0.7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert last_json(err)["error"]["type"] == "ArgumentError"
 
 
 # ---------------------------------------------------------------------------

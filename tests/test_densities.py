@@ -1,5 +1,5 @@
+import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from splitvar import (
     ConjugateRangeError,
     Density1Spec,
     Density2Spec,
+    NFunctionSpec,
     NonConcaveObjectiveError,
     NonLinearGrowthError,
     check_condition_dual4,
@@ -25,7 +26,6 @@ from splitvar import (
     predict_integrability,
     recession,
     smooth_power_density2,
-    tabulate_conjugate,
     tlog_density2,
     tlog_nfunction,
     validate_density1,
@@ -33,7 +33,12 @@ from splitvar import (
     validate_nfunction,
     young_residual,
 )
-from splitvar.densities import regularizer, regularizer_deriv, regularizer_second_deriv
+from splitvar.densities import (
+    _invert_slope,
+    regularizer,
+    regularizer_deriv,
+    regularizer_second_deriv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +50,27 @@ def scan_conjugate(g, s, t_hi, n=2_000_001):
     """Dense grid-scan supremum of s*t - g(t); brute-force conjugate oracle."""
     ts = np.linspace(0.0, t_hi, n)
     return float(np.max(s * ts - np.asarray(g(ts))))
+
+
+def loop_inversion(deriv, slopes, lo):
+    """One bracketed bisection per slope, the loop ``_invert_slope`` replaces."""
+    out = []
+    for s in slopes:
+        a, b = lo, 1.0
+        while lo < 0.0 and float(deriv(a)) > s:
+            a *= 2.0
+        while float(deriv(b)) < s:
+            b *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if float(deriv(mid)) < s:
+                a = mid
+            else:
+                b = mid
+            if b - a <= 1e-15 * max(1.0, abs(b)):
+                break
+        out.append(0.5 * (a + b))
+    return np.array(out)
 
 
 def fd_second_derivative(deriv, t, h=1e-4):
@@ -107,21 +133,95 @@ def test_slope_inversion_matches_closed_forms(phi15):
     for s in (0.1, 0.5, 0.9):
         got = conjugate_via_slope_inversion(phi15.eval, phi15.deriv, s)
         assert float(got) == pytest.approx(phi15.conjugate(s), rel=1e-9, abs=1e-12)
+    # whole arrays: slopes at or below g'(0) = 0 give -g(0), the rest invert
+    slopes = np.array([[-1.0, 0.0, 0.2], [1.0, 3.5, 9.0]])
+    got = conjugate_via_slope_inversion(lambda t: t**3 / 3.0, lambda t: t**2, slopes)
+    assert got.shape == slopes.shape
+    want = (2.0 / 3.0) * np.maximum(slopes, 0.0) ** 1.5
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def test_tabulated_conjugate():
-    conj = tabulate_conjugate(lambda t: t * t, 4.0, n=257)
-    # table nodes carry the refined search values
-    nodes = np.linspace(0.0, 4.0, 257)
-    assert np.allclose(conj(nodes), nodes * nodes / 4.0, rtol=1e-8, atol=1e-10)
-    # between nodes the monotone interpolant is only shape-preserving; near
-    # s=0 the values vanish quadratically so the bound is absolute there
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    assert np.allclose(conj(mids), mids * mids / 4.0, rtol=1e-6, atol=5e-6)
+@pytest.mark.parametrize(
+    "deriv,lo,s_lo,s_hi",
+    [
+        (tlog_nfunction().deriv, 0.0, 1e-3, 25.0),
+        (smooth_power_density2(3.0).deriv, 0.0, 1e-3, 1e4),
+        (make_phi_nu(1.5).deriv, -1.0, -0.999, 0.999),
+        (make_hencky(1.0, 0.3).deriv, -1.0, -1.41, 1.41),
+    ],
+    ids=["nfun_tlog", "smooth_power_3", "phi_nu_1.5", "hencky_1_0.3"],
+)
+def test_invert_slope_matches_per_entry_bisection(deriv, lo, s_lo, s_hi):
+    slopes = np.random.default_rng(11).uniform(s_lo, s_hi, 200)
+    got = _invert_slope(deriv, slopes, lo)
+    want = loop_inversion(deriv, slopes, lo)
+    # array and scalar calls of deriv may round apart, which can move a
+    # bisection step by one bracket width: 1e-15*max(1, |t|), twice over
+    assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_signed_inversion_matches_closed_forms():
+    # with the closed form stripped, the signed f1 conjugate inverts f1'
+    for spec in (make_phi_nu(1.5), make_hencky(1.0, 0.3)):
+        bare = dataclasses.replace(spec, conjugate_closed=None)
+        rec = spec.recession_plus
+        slopes = np.linspace(-0.999 * rec, 0.999 * rec, 48).reshape(6, 8)
+        got = bare.conjugate(slopes)
+        want = spec.conjugate_closed(slopes)
+        assert got.shape == slopes.shape
+        # near s = 0 the density's own evaluation cancels, so the bound is
+        # relative to 1 + |f1*|
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+        scalar = bare.conjugate(np.float64(0.3 * rec))
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(spec.conjugate_closed(0.3 * rec), rel=1e-13)
+        for edge in (-rec, rec):
+            with pytest.raises(ConjugateRangeError):
+                bare.conjugate(np.array([0.0, edge]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [tlog_nfunction(), tlog_density2(), smooth_power_density2(3.0)],
+    ids=["tlog_nfunction", "tlog_density2", "smooth_power_3"],
+)
+def test_inversion_fenchel_young_equality_on_arrays(spec):
+    signs = np.where(np.arange(60) % 2, 1.0, -1.0).reshape(6, 10)
+    t = np.geomspace(1e-3, 1e5, 60).reshape(6, 10)
+    if not isinstance(spec, NFunctionSpec):
+        t = t * signs  # the f2 densities are even
+    slope = spec.deriv(t)
+    lhs = spec.eval(t) + spec.conjugate(slope)
+    assert lhs.shape == t.shape
+    rhs = t * slope
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * (1.0 + np.abs(rhs)))
+
+
+def test_inversion_reports_unattained_slopes(phi15):
+    # phi_nu' stays below its recession slope 1: no t attains 1.5
     with pytest.raises(ConjugateRangeError):
-        conj(4.5)
+        conjugate_via_slope_inversion(phi15.eval, phi15.deriv, 1.5)
     with pytest.raises(ConjugateRangeError):
-        conj(-0.1)
+        conjugate_via_slope_inversion(phi15.eval, phi15.deriv, np.array([0.5, 1.5]))
+    # t*log(1+t) attains the slope 50 only near t = 5e21, beyond the 1e12 cap
+    with pytest.raises(ConjugateRangeError):
+        tlog_nfunction().conjugate(np.array([1.0, 50.0]))
+
+
+def test_inversion_deriv_call_budget():
+    # one vectorized inversion: the calls to A' do not grow with the entry
+    # count (a per-entry bisection makes about 50 per entry)
+    a = tlog_nfunction()
+    calls = []
+
+    def deriv(t):
+        calls.append(np.size(t))
+        return a.deriv(t)
+
+    counted = dataclasses.replace(a, deriv=deriv)
+    slopes = np.random.default_rng(7).uniform(0.0, 20.0, (64, 64))
+    counted.conjugate(slopes)
+    assert len(calls) <= 300
 
 
 # ---------------------------------------------------------------------------

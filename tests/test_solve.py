@@ -510,8 +510,9 @@ def test_solver_matches_certificate_quantities_bitwise(pair_std, p_reg, schedule
 
 
 def test_continuation_loads_no_package_beyond_numpy():
-    # a continuation needs numpy alone; scipy is imported lazily and only for
-    # tabulated conjugates (scipy.fft alone adds about 24 MiB of resident memory)
+    # a continuation and the conjugates without a closed form (the nfun_tlog
+    # certificate, the dual-4 fit) need numpy alone; scipy is a test-only
+    # dependency (scipy.fft alone adds about 24 MiB of resident memory)
     code = (
         "import sys, numpy as np\n"
         "top = lambda: {m.split('.')[0] for m in sys.modules}\n"
@@ -521,7 +522,12 @@ def test_continuation_loads_no_package_beyond_numpy():
         "u0 = s.GridFunction.from_callable(g, lambda x, y: np.tanh(3 * x) + 0.2 * y)\n"
         "pair = s.make_pair(s.make_phi_nu(1.5), s.power_density2(2.0))\n"
         "s.continuation(s.SolveConfig(g, pair, u0, [1e-1, 1e-2, 1e-3]))\n"
+        "tlog = s.make_pair(s.make_phi_nu(1.5), s.tlog_density2())\n"
+        "sigma, _, _ = s.stress(u0, tlog, 1e-2, 2.0)\n"
+        "s.duality_gap(u0, sigma, tlog, delta=1e-2)\n"
+        "s.check_condition_dual4(s.tlog_nfunction(), np.linspace(0.0, 50.0, 40))\n"
         "print(sorted(top() - before - set(sys.stdlib_module_names)))\n"
+        "print('scipy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(splitvar.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -530,7 +536,7 @@ def test_continuation_loads_no_package_beyond_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "['splitvar']"
+    assert out.stdout.split() == ["['splitvar']", "False"]
 
 
 # ---------------------------------------------------------------------------
