@@ -17,13 +17,7 @@ import sys
 
 import numpy as np
 
-from .densities import (
-    ConjugateBoundaryWarning,
-    NonConcaveObjectiveError,
-    density_from_id,
-    make_pair,
-    predict_integrability,
-)
+from .densities import density_from_id, make_pair, predict_integrability
 from .duality import duality_gap
 from .diagnostics import approximation_experiment, integrability_sweep, relaxation_gap
 from .energy import BVCandidate, JumpSegment
@@ -100,18 +94,15 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u0", default="zero", help="boundary data id")
     p.add_argument("--grid", default="32x32", help="cells per axis, e.g. 64x64")
     p.add_argument("--deltas", default="1e-1,1e-2,1e-3", help="decreasing schedule")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--p-reg", type=float, default=None, help="default: growth of f2")
     p.add_argument("--tol-grad", type=float, default=1e-10)
-    p.add_argument("--store-fields", action="store_true")
 
 
-def _build_config(args, store_fields=None) -> SolveConfig:
+def _build_config(args, store_fields=False) -> SolveConfig:
     grid = _parse_grid(args.grid)
     pair = make_pair(density_from_id(args.f1, "f1"), density_from_id(args.f2, "f2"))
     u0 = _resolve_u0(args.u0, grid)
-    store = args.store_fields if store_fields is None else store_fields
     return SolveConfig(
         grid=grid,
         densities=pair,
@@ -119,9 +110,8 @@ def _build_config(args, store_fields=None) -> SolveConfig:
         delta_schedule=_parse_floats(args.deltas),
         p_reg=args.p_reg,
         tol_grad=args.tol_grad,
-        seed=args.seed,
         max_iter=args.max_iter,
-        store_fields=store,
+        store_fields=store_fields,
     )
 
 
@@ -132,7 +122,6 @@ def _echo(args) -> dict:
         "u0": args.u0,
         "grid": args.grid,
         "deltas": _parse_floats(args.deltas),
-        "seed": args.seed,
     }
 
 
@@ -351,15 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_BOOL_FLAGS = ("--store-fields",)
-
-
 def _has_subcommand(argv: list) -> bool:
+    # every top-level flag takes a value, inline after "=" or as the next token
     i = 0
     while i < len(argv):
         tok = argv[i]
         if tok.startswith("--"):
-            i += 1 if (tok in _BOOL_FLAGS or "=" in tok) else 2
+            i += 1 if "=" in tok else 2
         else:
             return True
     return False
@@ -435,7 +422,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
         return EXIT_VALIDATION
-    except (ArithmeticError, NonConcaveObjectiveError, ConjugateBoundaryWarning) as exc:
+    except ArithmeticError as exc:
         _emit_error(type(exc).__name__, str(exc), EXIT_SOLVER)
         return EXIT_SOLVER
 

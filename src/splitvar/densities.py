@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -199,7 +199,6 @@ def conjugate_scalar(
     g: ScalarMap,
     s: float,
     t_max: float = 1e6,
-    strict: bool = False,
     n_coarse: int = 96,
     n_golden: int = 90,
 ) -> float:
@@ -214,8 +213,7 @@ def conjugate_scalar(
     The objective must be concave (g convex); a unimodality violation on the
     coarse grid raises NonConcaveObjectiveError.  When the maximizer lands
     within 1e-6*t_max of t_max a ConjugateBoundaryWarning is emitted (the true
-    supremum may live beyond the cap), escalated to ConjugateRangeError when
-    ``strict``.
+    supremum may live beyond the cap).
     """
     ts = np.concatenate([[0.0], np.geomspace(t_max * 1e-9, t_max, n_coarse - 1)])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,10 +249,10 @@ def conjugate_scalar(
     t_star = 0.5 * (a + b)
     value = max(f1, f2, float(vals[k]))
     if t_star >= t_max * (1.0 - 1e-6):
-        msg = f"conjugate maximizer at search cap t_max={t_max:g} (s={s:g})"
-        if strict:
-            raise ConjugateRangeError(msg)
-        warnings.warn(msg, ConjugateBoundaryWarning)
+        warnings.warn(
+            f"conjugate maximizer at search cap t_max={t_max:g} (s={s:g})",
+            ConjugateBoundaryWarning,
+        )
     return float(value)
 
 
@@ -478,7 +476,7 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
         out = s_arr * s_arr / (4.0 * nu)
         return out if out.ndim else float(out)
 
-    spec = Density1Spec(
+    return Density1Spec(
         eval=ev,
         deriv=dv,
         second_deriv=d2,
@@ -493,8 +491,6 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
         name=f"hencky:{k:g}:{nu:g}",
         conjugate_closed=conj,
     )
-    object.__setattr__(spec, "branch_point", s0)
-    return spec
 
 
 def power_nfunction(p: float, coef: float = 1.0) -> NFunctionSpec:
@@ -915,23 +911,10 @@ class IntegrabilityPrediction:
     full_gradient_margin: Optional[float] = None
 
     def to_dict(self) -> dict:
-        chi = self.chi
-        if chi is not None and math.isinf(chi):
-            chi = "unbounded"
-        return {
-            "p": self.p,
-            "gamma": self.gamma,
-            "mu": self.mu,
-            "tau_s": self.tau_s,
-            "tau_alpha": self.tau_alpha,
-            "s": self.s,
-            "alpha": self.alpha,
-            "chi": chi,
-            "feasible": self.feasible,
-            "which_case": self.which_case,
-            "full_gradient": self.full_gradient,
-            "full_gradient_margin": self.full_gradient_margin,
-        }
+        out = asdict(self)
+        if self.chi is not None and math.isinf(self.chi):
+            out["chi"] = "unbounded"
+        return out
 
 
 def _exponent_pair_ok(p: float, gamma: float, tau_s: float, tau_alpha: float) -> bool:

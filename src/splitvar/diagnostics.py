@@ -13,13 +13,13 @@ values exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .densities import DensityPair
-from .energy import BVCandidate, eval_K, lift_to_candidate
+from .energy import BVCandidate, _cell_sums, eval_K, lift_to_candidate
 from .grid import GridFunction, gradient
 from .solve import SolveConfig, SolveReport, continuation
 
@@ -189,16 +189,7 @@ class ApproximationTable:
     terminal_j_deviation: float
 
     def to_dict(self) -> dict:
-        return {
-            "widths": self.widths,
-            "l1_distance": self.l1_distance,
-            "area_integral": self.area_integral,
-            "f2_energy": self.f2_energy,
-            "j_value": self.j_value,
-            "area_reference": self.area_reference,
-            "k_reference": self.k_reference,
-            "terminal_j_deviation": self.terminal_j_deviation,
-        }
+        return asdict(self)
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -264,10 +255,8 @@ def approximation_experiment(
 
     grad_smooth = gradient(w.smooth_part)
     c1, c2 = grad_smooth.comp1, grad_smooth.comp2
-    area_w = g.cell_area
-    base_j1 = area_w * float(np.sum(np.asarray(d.f1.eval(c1))))
-    base_j2 = area_w * float(np.sum(np.asarray(d.f2.eval(c2))))
-    base_area = area_w * float(np.sum(np.sqrt(1.0 + c1**2 + c2**2)))
+    base_j1, base_j2, _ = _cell_sums(grad_smooth, d)
+    base_area = g.cell_area * float(np.sum(np.sqrt(1.0 + c1**2 + c2**2)))
     jump_mass = sum(
         abs(seg.height) * (seg.cell_end - seg.cell_start) * g.h2 for seg in w.jumps
     )

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+# relative tolerance of the top and bottom trace match in eval_K
+TRACE_TOL = 1e-10
+
+
 class EnergyOverflowError(ArithmeticError):
     """A cell produced a non-finite energy value."""
 
@@ -82,21 +86,30 @@ class EnergyBreakdown:
         }
 
 
-def _cell_sums(g: CellField2, d: DensityPair) -> tuple[float, float]:
-    """(j_f1, j_f2) of a cell gradient field."""
+def _cell_sums(
+    g: CellField2, d: DensityPair, p_reg: Optional[float] = None
+) -> tuple[float, float, float]:
+    """(j_f1, j_f2, i_reg) of a cell gradient field: the area integrals of
+    f1(comp1), f2(comp2) and, when ``p_reg`` is given, of the regularizer
+    rho_p(comp1) = (1+comp1**2)**(p_reg/2) (else i_reg = 0.0).
+
+    The one place the split energy is summed: the solver's line search and
+    the certificates call it alike, so their J and J_delta agree bitwise.
+    """
     w = g.grid.cell_area
     # overflow surfaces as the non-finite check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        vals1 = np.asarray(d.f1.eval(g.comp1), dtype=np.float64)
-        vals2 = np.asarray(d.f2.eval(g.comp2), dtype=np.float64)
-    if not (np.all(np.isfinite(vals1)) and np.all(np.isfinite(vals2))):
+        j1 = w * float(np.sum(d.f1.eval(g.comp1)))
+        j2 = w * float(np.sum(d.f2.eval(g.comp2)))
+        i_reg = 0.0 if p_reg is None else w * float(np.sum(regularizer(g.comp1, p_reg)))
+    if not math.isfinite(j1 + j2 + i_reg):
         raise EnergyOverflowError("non-finite cell energy")
-    return w * float(np.sum(vals1)), w * float(np.sum(vals2))
+    return j1, j2, i_reg
 
 
 def eval_J(u: GridFunction, d: DensityPair) -> EnergyBreakdown:
     """Split energy of a nodal field: sum of f1(comp1) + f2(comp2) over cells."""
-    j1, j2 = _cell_sums(gradient(u), d)
+    j1, j2, _ = _cell_sums(gradient(u), d)
     return EnergyBreakdown(j_f1=j1, j_f2=j2)
 
 
@@ -112,10 +125,8 @@ def eval_J_delta(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if p_reg < 2.0:
         raise ValueError(f"p_reg must be >= 2, got {p_reg}")
-    g = gradient(u)
-    j1, j2 = _cell_sums(g, d)
-    base = u.grid.cell_area * float(np.sum(regularizer(g.comp1, p_reg)))
-    return EnergyBreakdown(j_f1=j1, j_f2=j2, delta_term=delta * base)
+    j1, j2, i_reg = _cell_sums(gradient(u), d, p_reg)
+    return EnergyBreakdown(j_f1=j1, j_f2=j2, delta_term=delta * i_reg)
 
 
 def eval_E(v_cells: np.ndarray, f2) -> float:
@@ -240,9 +251,6 @@ def _resolve_boundary(u0, grid: Grid) -> np.ndarray:
         if u0.grid != grid:
             raise ValueError("boundary data grid does not match the candidate grid")
         return u0.values
-    if callable(u0):
-        x1, x2 = grid.node_coords()
-        return np.broadcast_to(u0(x1[:, None], x2[None, :]), grid.node_shape)
     arr = np.asarray(u0, dtype=np.float64)
     if arr.shape != grid.node_shape:
         raise ValueError("boundary data array must have full nodal shape")
@@ -254,19 +262,16 @@ def _recession_of_sign(d: DensityPair, x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, d.f1.recession_plus, d.f1.recession_minus)
 
 
-def eval_K(
-    w: BVCandidate,
-    d: DensityPair,
-    u0,
-    trace_tol: float = 1e-10,
-) -> EnergyBreakdown:
+def eval_K(w: BVCandidate, d: DensityPair, u0) -> EnergyBreakdown:
     """Relaxed energy of a jump candidate.
 
     Absolutely continuous part from the smooth nodal field, interior jumps
     priced at recession-slope times jump mass, detachment from the boundary
     data on the two vertical sides priced the same way with trapezoid
-    weights.  The candidate's top and bottom traces (jump contributions
-    included, nodes on jump lines excluded) must match the boundary data.
+    weights.  ``u0`` is a GridFunction or a full nodal array; only its ring
+    is read.  The candidate's top and bottom traces (jump contributions
+    included, nodes on jump lines excluded) must match the boundary data to
+    TRACE_TOL relative.
     """
     g = w.smooth_part.grid
     u0_vals = _resolve_boundary(u0, g)
@@ -281,13 +286,13 @@ def eval_K(
             if i in line_nodes:
                 continue
             scale = 1.0 + abs(ref[i])
-            if abs(cand[i] - ref[i]) > trace_tol * scale:
+            if abs(cand[i] - ref[i]) > TRACE_TOL * scale:
                 raise CandidateInvariantError(
                     f"{edge} trace mismatches boundary data at node {i}: "
                     f"{cand[i]!r} vs {ref[i]!r}"
                 )
 
-    j1, j2 = _cell_sums(gradient(w.smooth_part), d)
+    j1, j2, _ = _cell_sums(gradient(w.smooth_part), d)
 
     k_sing = 0.0
     for seg in w.jumps:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "gradient",
     "divergence_residual",
     "zero_ring",
-    "apply_dirichlet",
     "save_csv",
     "load_csv",
     "save_vsgf",
@@ -75,20 +74,13 @@ class Grid:
         x2 = -1.0 + (2.0 * np.arange(self.n2) + 1.0) / self.n2
         return x1, x2
 
-    def interior_mask(self) -> np.ndarray:
-        """Boolean nodal mask, True strictly inside the boundary ring."""
-        m = np.zeros(self.node_shape, dtype=bool)
-        m[1:-1, 1:-1] = True
-        return m
-
 
 @dataclass
 class GridFunction:
-    """Nodal scalar field with an optional Dirichlet-locked boundary mask."""
+    """Nodal scalar field on the (n1+1) x (n2+1) lattice."""
 
     grid: Grid
     values: np.ndarray
-    boundary_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -96,10 +88,6 @@ class GridFunction:
             raise ValueError(
                 f"values shape {self.values.shape} != node shape {self.grid.node_shape}"
             )
-        if self.boundary_mask is not None:
-            self.boundary_mask = np.asarray(self.boundary_mask, dtype=bool)
-            if self.boundary_mask.shape != self.grid.node_shape:
-                raise ValueError("boundary mask shape mismatch")
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
@@ -108,8 +96,7 @@ class GridFunction:
         return cls(grid, np.broadcast_to(vals, grid.node_shape).astype(np.float64).copy())
 
     def copy(self) -> "GridFunction":
-        mask = None if self.boundary_mask is None else self.boundary_mask.copy()
-        return GridFunction(self.grid, self.values.copy(), mask)
+        return GridFunction(self.grid, self.values.copy())
 
 
 @dataclass
@@ -150,31 +137,6 @@ def zero_ring(arr: np.ndarray) -> np.ndarray:
     arr[[0, -1], :] = 0.0
     arr[:, [0, -1]] = 0.0
     return arr
-
-
-def apply_dirichlet(
-    u: GridFunction, data: Union[Callable, np.ndarray, "GridFunction"]
-) -> GridFunction:
-    """Overwrite the boundary ring with Dirichlet data and lock it.
-
-    ``data`` may be a callable (x1, x2) -> values, a full nodal array, or
-    another GridFunction; only the ring is read.  Idempotent.
-    """
-    g = u.grid
-    out = u.copy()
-    if callable(data) and not isinstance(data, GridFunction):
-        x1, x2 = g.node_coords()
-        full = np.broadcast_to(data(x1[:, None], x2[None, :]), g.node_shape)
-    elif isinstance(data, GridFunction):
-        full = data.values
-    else:
-        full = np.asarray(data, dtype=np.float64)
-        if full.shape != g.node_shape:
-            raise ValueError("Dirichlet data array must have the full nodal shape")
-    ring = ~g.interior_mask()
-    out.values[ring] = full[ring]
-    out.boundary_mask = ring
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .densities import (
-    DensityPair,
-    regularized_stress,
-    regularizer,
-    regularizer_second_deriv,
-)
+from .densities import DensityPair, regularized_stress, regularizer_second_deriv
 from .duality import stress
-from .energy import EnergyOverflowError
+from .energy import _cell_sums
 from .grid import (
     CellField2,
     Grid,
@@ -79,6 +74,9 @@ FORCING_MAX = 0.1
 FORCING_GAMMA = 0.9
 FORCING_SAFEGUARD = 0.1
 FORCING_FLOOR = 0.1
+# rounding allowance of continuation's contracts, relative to the energies;
+# numpy's pairwise cell sums over 1e6 cells round to below 1e-14 relative
+ROUNDING_REL = 1e-12
 
 
 class NonConvexDetected(ArithmeticError):
@@ -86,7 +84,8 @@ class NonConvexDetected(ArithmeticError):
 
 
 class ContinuationContractError(RuntimeError):
-    """A monotonicity contract of the continuation run was violated."""
+    """A continuation level did not converge, or two levels broke the
+    schedule bound derived in ``continuation``."""
 
 
 @dataclass
@@ -205,22 +204,14 @@ class _DeltaProblem:
         self.d = d
         self.delta = delta
         self.p = p_reg
-        self.area = grid.cell_area
 
     def split_energy(self, values: np.ndarray):
-        """(j, delta_term, c1, c2) of a nodal field, raising
-        EnergyOverflowError on a non-finite total."""
+        """(j, delta_term, c1, c2) of a nodal field, summed by the certificates'
+        ``energy._cell_sums``; raises EnergyOverflowError on a non-finite
+        energy."""
         c1, c2 = _kernels.cell_gradient(values, self.grid.h1, self.grid.h2)
-        # overflow surfaces through the finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            f1v = np.asarray(self.d.f1.eval(c1))
-            f2v = np.asarray(self.d.f2.eval(c2))
-            reg = regularizer(c1, self.p)
-        j = self.area * (float(np.sum(f1v)) + float(np.sum(f2v)))
-        delta_term = self.delta * self.area * float(np.sum(reg))
-        if not math.isfinite(j + delta_term):
-            raise EnergyOverflowError("non-finite energy during line search")
-        return j, delta_term, c1, c2
+        j1, j2, i_reg = _cell_sums(CellField2(self.grid, c1, c2), self.d, self.p)
+        return j1 + j2, self.delta * i_reg, c1, c2
 
     def residual(self, c1, c2) -> np.ndarray:
         """Energy gradient: the divergence residual of the regularized stress."""
@@ -364,10 +355,9 @@ def minimize_J_delta(
     grid = cfg.grid
     prob = _DeltaProblem(grid, cfg.densities, delta, cfg.p_reg)
     start = warm_start if warm_start is not None else cfg.u0
-    values = start.values.copy()
-    # re-impose the boundary data of the config
-    ring = ~grid.interior_mask()
-    values[ring] = cfg.u0.values[ring]
+    # the ring carries the Dirichlet data of the config, the interior the start
+    values = cfg.u0.values.copy()
+    values[1:-1, 1:-1] = start.values[1:-1, 1:-1]
 
     flags = []
     steps = 0
@@ -445,38 +435,69 @@ def minimize_J_delta(
         flags=tuple(flags),
         u=values.copy() if cfg.store_fields else None,
     )
-    u_out = GridFunction(grid, values, boundary_mask=ring)
-    return u_out, record
+    return GridFunction(grid, values), record
 
 
 def continuation(cfg: SolveConfig) -> SolveReport:
     """Warm-started sweep along the regularization schedule.
 
-    Checks that the plain energy is nonincreasing along the schedule (slack
-    1e-10 relative) and that the regularization term contracts at least by
-    the schedule ratio times 1.1 between consecutive levels; violations
-    raise ContinuationContractError.
+    Each level must converge (Euler residual at most tol_grad; a level
+    flagged ``iteration_cap_exceeded`` or ``stalled`` does not), and each
+    pair of consecutive levels must satisfy the two-sided schedule bound
+    below; a violation raises ContinuationContractError.
+
+    Let u, u' be the iterates at delta > delta', J, J' their split energies
+    and I, I' their regularizer integrals (delta_term = delta I).  J_delta is
+    convex in the interior nodal values, and all iterates share the boundary
+    ring, so an iterate u with Euler residual g (the gradient of J_delta at
+    u) satisfies, for every v with the same ring,
+
+        J_delta(v) >= J_delta(u) + <g, v - u> >= J_delta(u) - max|g| ||v - u||_1.
+
+    On converged levels max|g| <= tol_grad.  Applying this at delta from u to
+    v = u', and at delta' from u' to v = u, gives with s = tol_grad ||u' - u||_1
+
+        J + delta I <= J' + delta I' + s,    J' + delta' I' <= J + delta' I + s,
+
+    that is
+
+        delta' (I' - I) - s <= J - J' <= delta (I' - I) + s.
+
+    For exact minimizers (s = 0) this says I' >= I and J' <= J: the plain
+    energy does not increase and the regularizer integral does not decrease
+    as delta shrinks; with slack, the two ends meet only if
+    (delta - delta') (I' - I) >= -2 s.  The check adds ROUNDING_REL times the
+    size of the energies to s for the rounding of their cell sums.  Since
+    rho_p >= 1 and the domain has area 4, also I >= 4.
     """
     records = []
     u = None
     for delta in cfg.delta_schedule:
+        u_prev = u
         u, rec = minimize_J_delta(cfg, delta, warm_start=u)
-        if rec.delta_term < delta * 4.0 * (1.0 - 1e-12):
+        if not rec.converged:
+            raise ContinuationContractError(
+                f"level delta={delta:g} did not converge (flags {list(rec.flags)}): "
+                f"Euler residual {rec.euler_residual_max!r} > tol_grad {cfg.tol_grad!r}"
+            )
+        if rec.delta_term < delta * 4.0 * (1.0 - ROUNDING_REL):
             raise ContinuationContractError(
                 "regularization term fell below its area lower bound"
             )
         if records:
             prev = records[-1]
-            slack = 1e-10 * (1.0 + abs(prev.j_value))
-            if rec.j_value > prev.j_value + slack:
+            i_prev, i_next = prev.delta_term / prev.delta, rec.delta_term / delta
+            size = 1.0 + abs(prev.j_value) + abs(rec.j_value)
+            size += prev.delta * max(i_prev, i_next)
+            slack = cfg.tol_grad * float(np.sum(np.abs(u.values - u_prev.values)))
+            slack += ROUNDING_REL * size
+            drop = prev.j_value - rec.j_value
+            lo = delta * (i_next - i_prev) - slack
+            hi = prev.delta * (i_next - i_prev) + slack
+            if not lo <= drop <= hi:
                 raise ContinuationContractError(
-                    f"energy increased along the schedule at delta={delta:g}: "
-                    f"{prev.j_value!r} -> {rec.j_value!r}"
-                )
-            ratio_cap = (rec.delta / prev.delta) * 1.1
-            if rec.delta_term > prev.delta_term * ratio_cap:
-                raise ContinuationContractError(
-                    f"regularization term contracted too slowly at delta={delta:g}"
+                    f"schedule bound violated at delta={delta:g}: "
+                    f"J - J' = {drop!r} outside [{lo!r}, {hi!r}]"
                 )
         records.append(rec)
 

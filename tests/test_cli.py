@@ -197,12 +197,19 @@ def test_relax_gap_default_candidate(capsys):
 
 
 def test_removed_strict_flag_is_rejected(capsys):
-    # --strict escalated a warning that no command can raise; it is gone
-    with pytest.raises(SystemExit) as exc:
-        main(["--strict", "predict", "--p", "3", "--gamma", "0.7"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert last_json(err)["error"]["type"] == "ArgumentError"
+    for argv in (
+        # --strict escalated a warning that no command can raise
+        ["--strict", "predict", "--p", "3", "--gamma", "0.7"],
+        # --seed was only echoed into report.json; no command runs multi_start
+        ["solve", "--seed", "0"],
+        # --store-fields had no effect: no command writes stored fields
+        ["solve", "--store-fields"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert last_json(err)["error"]["type"] == "ArgumentError"
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +334,20 @@ def converged_step_table(tmp_path, capsys):
     rc, _, _ = run(["solve", *STEP_ARGS, "--out-dir", str(tmp_path)], capsys)
     assert rc == 0
     return str(tmp_path / "u_final.csv")
+
+
+@pytest.mark.parametrize("grid", ["32x32", "64x64"])
+def test_step_data_default_schedule_succeeds(grid, tmp_path, capsys):
+    # the paper's jump scenario at default settings: every level converges
+    # and the two-sided schedule bound of continuation holds
+    rc, _, err = run(
+        ["solve", "--grid", grid, "--u0", "step:0:1", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert rc == 0, err
+    records = json.loads((tmp_path / "report.json").read_text())["report"]["records"]
+    assert [r["delta"] for r in records] == [1e-1, 1e-2, 1e-3]
+    assert all(r["converged"] and r["flags"] == [] for r in records)
 
 
 def test_exit_4_capped_continuation(converged_step_table, capsys):

@@ -17,7 +17,6 @@ from splitvar import (
     eval_R,
     extremality_check,
     gradient,
-    minimize_J_delta,
     stress,
 )
 from tests.conftest import affine_field
@@ -276,10 +275,7 @@ def test_duality_gap_bitwise_equal_to_composed_report(pair_std, data, monkeypatc
     u0 = GridFunction.from_callable(g, data)
     delta = 1e-2
     cfg = SolveConfig(grid=g, densities=pair_std, u0=u0, delta_schedule=[1e-1, delta])
-    # level by level: continuation's delta-term ratio contract rejects step data
-    u = None
-    for level in cfg.delta_schedule:
-        u, _ = minimize_J_delta(cfg, level, warm_start=u)
+    u = continuation(cfg).u_final
     sigma, _, _ = stress(u, pair_std, delta, cfg.p_reg)
     kwargs = dict(u0=cfg.u0, div_tol=1e-6, delta=delta, p_reg=cfg.p_reg)
     calls = {"cell_gradient": 0, "scatter_adjoint": 0}

@@ -7,7 +7,6 @@ from splitvar import (
     CellField2,
     Grid,
     GridFunction,
-    apply_dirichlet,
     divergence_residual,
     gradient,
     load_csv,
@@ -45,11 +44,6 @@ def test_grid_rejects_degenerate():
         Grid(1, 4)
     with pytest.raises(ValueError):
         Grid(4, 0)
-
-
-def test_interior_mask_count():
-    g = Grid(5, 7)
-    assert int(g.interior_mask().sum()) == 4 * 6
 
 
 def test_gradient_hand_stencil_2x2():
@@ -139,34 +133,6 @@ def test_from_callable_broadcasts_constant():
     g = Grid(3, 3)
     u = GridFunction.from_callable(g, lambda x1, x2: 2.5)
     assert np.array_equal(u.values, np.full(g.node_shape, 2.5))
-
-
-def test_apply_dirichlet_ring_only():
-    g = Grid(4, 4)
-    u = GridFunction(g, np.full(g.node_shape, 7.0))
-    fixed = apply_dirichlet(u, lambda x1, x2: x1 + 0.0 * x2)
-    x1, _ = g.node_coords()
-    assert np.allclose(fixed.values[0, :], -1.0)
-    assert np.allclose(fixed.values[-1, :], 1.0)
-    assert np.array_equal(fixed.values[1:-1, 1:-1], np.full((3, 3), 7.0))
-    assert fixed.boundary_mask is not None
-    assert np.array_equal(fixed.boundary_mask, ~g.interior_mask())
-
-
-def test_apply_dirichlet_idempotent():
-    g = Grid(5, 5)
-    rng = np.random.default_rng(9)
-    u = GridFunction(g, rng.standard_normal(g.node_shape))
-    once = apply_dirichlet(u, lambda x1, x2: x1 * x2)
-    twice = apply_dirichlet(once, lambda x1, x2: x1 * x2)
-    assert np.array_equal(once.values, twice.values)
-
-
-def test_apply_dirichlet_rejects_bad_array():
-    g = Grid(4, 4)
-    u = GridFunction(g, np.zeros(g.node_shape))
-    with pytest.raises(ValueError):
-        apply_dirichlet(u, np.zeros((2, 2)))
 
 
 def test_csv_round_trip_bitwise(tmp_path):

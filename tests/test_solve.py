@@ -231,15 +231,6 @@ def step_config(pair, n, schedule):
     return SolveConfig(grid=g, densities=pair, u0=u0, delta_schedule=schedule)
 
 
-def level_chain(cfg):
-    # level by level: continuation's delta-term ratio contract rejects step data
-    u, records = None, []
-    for delta in cfg.delta_schedule:
-        u, rec = minimize_J_delta(cfg, delta, warm_start=u)
-        records.append(rec)
-    return records
-
-
 def test_forcing_terms_cut_hessian_products(pair_std, monkeypatch):
     # CG to a fixed 1e-8 relative residual made 126 products here; the
     # Eisenstat-Walker forcing terms stop each solve once it is accurate enough
@@ -265,12 +256,12 @@ def test_forcing_terms_cut_hessian_products(pair_std, monkeypatch):
     ids=["tanh", "step"],
 )
 def test_inexact_newton_matches_exact_newton(pair_std, make_cfg, monkeypatch):
-    inexact = level_chain(make_cfg(pair_std))
+    inexact = continuation(make_cfg(pair_std)).records
     # a constant forcing term of 1e-8 and no floor: every CG solve runs to a
     # fixed 1e-8 relative residual, as in exact Newton
     monkeypatch.setattr(solve, "_forcing_term", lambda *args: 1e-8)
     monkeypatch.setattr(solve, "FORCING_FLOOR", 0.0)
-    exact = level_chain(make_cfg(pair_std))
+    exact = continuation(make_cfg(pair_std)).records
     for a, b in zip(inexact, exact):
         assert a.converged and a.flags == ()
         assert b.converged and b.flags == ()
@@ -348,7 +339,7 @@ def test_offset_step_data_converges_at_small_delta(pair_std):
 
 @pytest.fixture(scope="module")
 def tanh_report(pair_std):
-    cfg = tanh_config(pair_std)
+    cfg = tanh_config(pair_std, store_fields=True)
     return cfg, continuation(cfg)
 
 
@@ -406,16 +397,44 @@ def test_minimizer_beats_perturbations(pair_std, tanh_report):
 
 
 def test_continuation_contracts_hold(pair_std, tanh_report):
-    _, report = tanh_report
+    cfg, report = tanh_report
     records = report.records
+    # the two-sided schedule bound of continuation, recomputed from each
+    # level's stored iterate: delta'(I'-I) - s <= J - J' <= delta(I'-I) + s
     for prev, rec in zip(records, records[1:]):
+        i_prev, i_next = prev.delta_term / prev.delta, rec.delta_term / rec.delta
+        slack = cfg.tol_grad * float(np.sum(np.abs(rec.u - prev.u))) + 1e-12 * (
+            1.0 + abs(prev.j_value) + abs(rec.j_value) + prev.delta * i_next
+        )
+        drop = prev.j_value - rec.j_value
+        assert rec.delta * (i_next - i_prev) - slack <= drop
+        assert drop <= prev.delta * (i_next - i_prev) + slack
         assert rec.j_value <= prev.j_value + 1e-10 * (1.0 + abs(prev.j_value))
-        assert rec.delta_term <= prev.delta_term * (rec.delta / prev.delta) * 1.1
     for rec in records:
+        assert rec.converged and rec.flags == ()
         assert rec.delta_term >= 4.0 * rec.delta * (1.0 - 1e-12)
         assert rec.j_delta_value == pytest.approx(
             rec.j_value + rec.delta_term, rel=1e-14
         )
+
+
+@pytest.mark.parametrize("shift", [0.03, -0.04])
+def test_continuation_rejects_schedule_bound_violation(pair_std, shift, monkeypatch):
+    # from delta = 1e-1 to 1e-2 here J - J' = 0.0322 must lie within
+    # [delta' (I' - I), delta (I' - I)] = [0.0066, 0.066]; shifting J' by
+    # +0.03 breaks the lower end, by -0.04 the upper end
+    original = solve.minimize_J_delta
+
+    def shifted(cfg, delta, warm_start=None):
+        u, rec = original(cfg, delta, warm_start=warm_start)
+        if warm_start is not None:
+            rec = dataclasses.replace(rec, j_value=rec.j_value + shift)
+        return u, rec
+
+    monkeypatch.setattr(solve, "minimize_J_delta", shifted)
+    cfg = dataclasses.replace(tanh_config(pair_std), delta_schedule=[1e-1, 1e-2])
+    with pytest.raises(ContinuationContractError, match="schedule bound"):
+        continuation(cfg)
 
 
 def test_single_level_matches_minimize(pair_std):
@@ -433,6 +452,9 @@ def test_iteration_cap_flagged(pair_std):
     assert "iteration_cap_exceeded" in rec.flags
     assert not rec.converged
     assert rec.iterations == 1
+    # continuation's schedule bound assumes converged levels
+    with pytest.raises(ContinuationContractError, match="iteration_cap_exceeded"):
+        continuation(cfg)
 
 
 def test_continuation_determinism(pair_std):
@@ -491,22 +513,26 @@ def test_report_dict_keys(pair_std):
     "p_reg, schedule", [(None, [1e-1, 1e-2, 1e-3]), (4.5, [1e-2])]
 )
 def test_solver_matches_certificate_quantities_bitwise(pair_std, p_reg, schedule):
-    # at 32^2 the cell area is a power of two, so h1 h2 (a + b) and
-    # h1 h2 a + h1 h2 b round alike; p_reg = 4.5 makes rho_p' round
-    # differently under any reordering of its factors
-    cfg = tanh_config(pair_std, n=32, p_reg=p_reg)
-    cfg = dataclasses.replace(cfg, delta_schedule=schedule)
-    report = continuation(cfg)
-    delta = cfg.delta_schedule[-1]
-    last = report.records[-1]
-    sigma, _, _ = stress(report.u_final, pair_std, delta, cfg.p_reg)
-    assert np.array_equal(report.stress_final.comp1, sigma.comp1)
-    assert np.array_equal(report.stress_final.comp2, sigma.comp2)
-    res = divergence_residual(sigma)
-    assert float(np.max(np.abs(res))) == last.euler_residual_max
-    energy = eval_J_delta(report.u_final, pair_std, delta, cfg.p_reg)
-    assert energy.j_f1 + energy.j_f2 == last.j_value
-    assert energy.delta_term == last.delta_term
+    # the solver's line search and eval_J_delta sum J and the delta term in
+    # energy._cell_sums alike: at 96^2 the cell area is not a power of two,
+    # so any other grouping of h1 h2, delta and the sums rounds differently;
+    # p_reg = 4.5 makes rho_p' round differently under any reordering of its
+    # factors
+    for n in (32, 96):
+        cfg = tanh_config(pair_std, n=n, p_reg=p_reg)
+        cfg = dataclasses.replace(cfg, delta_schedule=schedule)
+        report = continuation(cfg)
+        delta = cfg.delta_schedule[-1]
+        last = report.records[-1]
+        sigma, _, _ = stress(report.u_final, pair_std, delta, cfg.p_reg)
+        assert np.array_equal(report.stress_final.comp1, sigma.comp1)
+        assert np.array_equal(report.stress_final.comp2, sigma.comp2)
+        res = divergence_residual(sigma)
+        assert float(np.max(np.abs(res))) == last.euler_residual_max
+        energy = eval_J_delta(report.u_final, pair_std, delta, cfg.p_reg)
+        assert energy.j_f1 + energy.j_f2 == last.j_value
+        assert energy.delta_term == last.delta_term
+        assert energy.j_total == last.j_delta_value
 
 
 def test_continuation_loads_no_package_beyond_numpy():
