@@ -9,7 +9,12 @@ predicts how much integrability of the second gradient component the
 a-priori machinery yields.
 
 All ``eval``/``deriv``/``second_deriv`` maps are numpy ufunc style: they
-accept floats or arrays and broadcast.
+accept floats or arrays and broadcast, and a float in gives a float out.
+Every built-in density is even, so each family is written once, as a
+profile g on [0, inf) with its slope g', curvature g'' and, where one
+exists, closed conjugate g*; the public maps are the even extension
+t -> g(|t|), the odd slope t -> sign(t) g'(|t|), and s -> g*(|s|).
+N-functions are evaluated at |t| too.
 """
 
 from __future__ import annotations
@@ -104,10 +109,8 @@ class NFunctionSpec:
     conjugate_closed: Optional[ScalarMap] = None
 
     def conjugate(self, s):
-        """Convex conjugate A*(s); closed form when available, else slope inversion."""
-        if self.conjugate_closed is not None:
-            return self.conjugate_closed(s)
-        return conjugate_via_slope_inversion(self.eval, self.deriv, s)
+        """Convex conjugate A*(|s|) of the even extension t -> A(|t|)."""
+        return _even_conjugate(self.eval, self.deriv, self.conjugate_closed, s)
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,8 @@ class Density2Spec:
 
     Bounded below by an N-function: b1*A(|t|) - b2 <= eval(t), with
     b3/b4 the analogous upper sandwich constants.  ``p`` is the power-growth
-    exponent (1 for nearly-linear N-functions such as t*log(1+t)), ``mu_hat``
-    the lower curvature decay exponent, ``c3`` the triangle constant in
-    f2(t + s) <= c3*(f2(t) + f2(s)).
+    exponent (1 for nearly-linear N-functions such as t*log(1+t)), ``c3``
+    the triangle constant in f2(t + s) <= c3*(f2(t) + f2(s)).
     """
 
     eval: ScalarMap
@@ -176,18 +178,14 @@ class Density2Spec:
     b3: float
     b4: float
     p: float
-    mu_hat: float
     c3: float
     nfunction: Optional[NFunctionSpec] = None
     name: str = "density2"
     conjugate_closed: Optional[ScalarMap] = None
 
     def conjugate(self, s):
-        """Convex conjugate f2*(s) = A*(|s|) for the N-function form."""
-        if self.conjugate_closed is not None:
-            return self.conjugate_closed(s)
-        s_abs = np.abs(np.asarray(s, dtype=np.float64))
-        return conjugate_via_slope_inversion(self.eval, self.deriv, s_abs)
+        """Convex conjugate f2*(|s|) of the even density f2."""
+        return _even_conjugate(self.eval, self.deriv, self.conjugate_closed, s)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +271,17 @@ def conjugate_via_slope_inversion(g: ScalarMap, dg: ScalarMap, s) -> np.ndarray:
         t_star = _invert_slope(dg, flat[inner], 0.0)
         out[inner] = flat[inner] * t_star - np.asarray(g(t_star))
     return out.reshape(s_arr.shape) if s_arr.ndim else float(out[0])
+
+
+def _even_conjugate(g: ScalarMap, dg: ScalarMap, closed: Optional[ScalarMap], s):
+    """Conjugate of an even convex function from its maps on [0, inf).
+
+    The closed form when there is one, else slope inversion at |s|.
+    """
+    if closed is not None:
+        return closed(s)
+    s_abs = np.abs(np.asarray(s, dtype=np.float64))
+    return conjugate_via_slope_inversion(g, dg, s_abs)
 
 
 def _invert_slope(deriv: ScalarMap, s: np.ndarray, lo: float) -> np.ndarray:
@@ -380,6 +389,27 @@ def recession(f1_eval: ScalarMap, sign: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _pointwise(fn: ScalarMap) -> ScalarMap:
+    """Lift fn, a map of float64 arrays, to a ufunc-style map: arrays in and
+    out, and a float out for a float (or 0-d) in."""
+
+    def m(t):
+        out = fn(np.asarray(t, dtype=np.float64))
+        return out if out.ndim else float(out)
+
+    return m
+
+
+def _of_abs(g: ScalarMap) -> ScalarMap:
+    """The even extension t -> g(|t|) of a profile g on [0, inf)."""
+    return _pointwise(lambda t: g(np.abs(t)))
+
+
+def _odd(dg: ScalarMap) -> ScalarMap:
+    """The slope t -> sign(t)*g'(|t|) of the even extension, from dg = g'."""
+    return _pointwise(lambda t: np.sign(t) * dg(np.abs(t)))
+
+
 def make_phi_nu(nu: float) -> Density1Spec:
     """Linear-growth density with curvature (nu-1)*(1+|t|)**(-nu), nu in (1,2).
 
@@ -389,42 +419,25 @@ def make_phi_nu(nu: float) -> Density1Spec:
     if not (1.0 < nu < 2.0):
         raise ValueError(f"nu must lie in (1, 2), got {nu}")
     a = 2.0 - nu
-
-    def ev(t):
-        s = np.abs(np.asarray(t, dtype=np.float64))
-        out = s - ((1.0 + s) ** a - 1.0) / a
-        return out if out.ndim else float(out)
-
-    def dv(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = np.sign(t_arr) * (1.0 - (1.0 + np.abs(t_arr)) ** (1.0 - nu))
-        return out if out.ndim else float(out)
-
-    def d2(t):
-        s = np.abs(np.asarray(t, dtype=np.float64))
-        out = (nu - 1.0) * (1.0 + s) ** (-nu)
-        return out if out.ndim else float(out)
-
     expo = (nu - 2.0) / (nu - 1.0)
 
-    def conj(sl):
-        s_arr = np.asarray(sl, dtype=np.float64)
-        if np.any(np.abs(s_arr) >= 1.0):
+    def conj(s):
+        if np.any(s >= 1.0):
             raise ConjugateRangeError(
                 "conjugate finite only for slopes strictly inside (-1, 1)"
             )
-        beta = 1.0 - np.abs(s_arr)
-        out = beta**expo * (nu - 1.0) / a + beta - 1.0 / a
-        return out if out.ndim else float(out)
+        beta = 1.0 - s
+        return beta**expo * (nu - 1.0) / a + beta - 1.0 / a
 
+    ev = _of_abs(lambda s: s - ((1.0 + s) ** a - 1.0) / a)
     # a1 = 1/2 lower sandwich: the worst deficit of ev(t) - t/2 sits where
     # the slope equals 1/2
     t_half = 2.0 ** (1.0 / (nu - 1.0)) - 1.0
-    a2 = max(0.0, 0.5 * t_half - float(ev(t_half)))
+    a2 = max(0.0, 0.5 * t_half - ev(t_half))
     return Density1Spec(
         eval=ev,
-        deriv=dv,
-        second_deriv=d2,
+        deriv=_odd(lambda s: 1.0 - (1.0 + s) ** (1.0 - nu)),
+        second_deriv=_of_abs(lambda s: (nu - 1.0) * (1.0 + s) ** (-nu)),
         a1=0.5,
         a2=a2,
         a3=1.0,
@@ -434,7 +447,7 @@ def make_phi_nu(nu: float) -> Density1Spec:
         recession_plus=1.0,
         recession_minus=1.0,
         name=f"phi_nu:{nu:g}",
-        conjugate_closed=conj,
+        conjugate_closed=_of_abs(conj),
     )
 
 
@@ -451,35 +464,19 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
     s0 = k / (math.sqrt(2.0) * nu)
     sl = math.sqrt(2.0) * k
 
-    def ev(t):
-        s = np.abs(np.asarray(t, dtype=np.float64))
-        out = np.where(s <= s0, nu * s * s, sl * s - k * k / (2.0 * nu))
-        return out if out.ndim else float(out)
-
-    def dv(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        s = np.abs(t_arr)
-        out = np.sign(t_arr) * np.where(s <= s0, 2.0 * nu * s, sl)
-        return out if out.ndim else float(out)
-
-    def d2(t):
-        s = np.abs(np.asarray(t, dtype=np.float64))
-        out = np.where(s <= s0, 2.0 * nu, 0.0)
-        return out if out.ndim else float(out)
-
-    def conj(slope):
-        s_arr = np.asarray(slope, dtype=np.float64)
-        if np.any(np.abs(s_arr) > sl):
+    def conj(s):
+        if np.any(s > sl):
             raise ConjugateRangeError(
                 f"conjugate finite only on [-{sl:g}, {sl:g}]"
             )
-        out = s_arr * s_arr / (4.0 * nu)
-        return out if out.ndim else float(out)
+        return s * s / (4.0 * nu)
 
     return Density1Spec(
-        eval=ev,
-        deriv=dv,
-        second_deriv=d2,
+        eval=_of_abs(
+            lambda s: np.where(s <= s0, nu * s * s, sl * s - k * k / (2.0 * nu))
+        ),
+        deriv=_odd(lambda s: np.where(s <= s0, 2.0 * nu * s, sl)),
+        second_deriv=_of_abs(lambda s: np.where(s <= s0, 2.0 * nu, 0.0)),
         a1=sl,
         a2=k * k / (2.0 * nu),
         a3=sl,
@@ -489,7 +486,7 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
         recession_plus=sl,
         recession_minus=sl,
         name=f"hencky:{k:g}:{nu:g}",
-        conjugate_closed=conj,
+        conjugate_closed=_of_abs(conj),
     )
 
 
@@ -500,50 +497,23 @@ def power_nfunction(p: float, coef: float = 1.0) -> NFunctionSpec:
     if coef <= 0.0:
         raise ValueError("coef must be positive")
     q = p / (p - 1.0)
-
-    def ev(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = coef * np.abs(t_arr) ** p
-        return out if out.ndim else float(out)
-
-    def dv(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = coef * p * np.abs(t_arr) ** (p - 1.0)
-        return out if out.ndim else float(out)
-
-    def conj(s):
-        s_arr = np.asarray(s, dtype=np.float64)
-        # sup_t s*t - coef*t**p attained at t = (s/(coef*p))**(1/(p-1))
-        out = (p - 1.0) * coef * (np.abs(s_arr) / (coef * p)) ** q
-        return out if out.ndim else float(out)
-
     return NFunctionSpec(
-        eval=ev,
-        deriv=dv,
+        eval=_of_abs(lambda s: coef * s**p),
+        deriv=_of_abs(lambda s: coef * p * s ** (p - 1.0)),
         delta2_k=2.0**p,
         delta2_t0=1.0,
         growth_p=p,
         name=f"power:{p:g}" + ("" if coef == 1.0 else f":{coef:g}"),
-        conjugate_closed=conj,
+        # sup_t s*t - coef*t**p attained at t = (s/(coef*p))**(1/(p-1))
+        conjugate_closed=_of_abs(lambda s: (p - 1.0) * coef * (s / (coef * p)) ** q),
     )
 
 
 def tlog_nfunction() -> NFunctionSpec:
     """Nearly-linear N-function A(t) = t*log(1+t)."""
-
-    def ev(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = t_arr * np.log1p(t_arr)
-        return out if out.ndim else float(out)
-
-    def dv(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = np.log1p(t_arr) + t_arr / (1.0 + t_arr)
-        return out if out.ndim else float(out)
-
     return NFunctionSpec(
-        eval=ev,
-        deriv=dv,
+        eval=_of_abs(lambda s: s * np.log1p(s)),
+        deriv=_of_abs(lambda s: np.log1p(s) + s / (1.0 + s)),
         delta2_k=4.0,
         delta2_t0=1.0,
         growth_p=1.0,
@@ -555,64 +525,45 @@ def power_density2(p: float, coef: float = 1.0) -> Density2Spec:
     """Superlinear density f2(t) = coef*|t|**p with attached N-function."""
     a = power_nfunction(p, coef)
 
-    def d2(t):
-        s = np.abs(np.asarray(t, dtype=np.float64))
+    def d2(s):
         with np.errstate(divide="ignore"):
-            out = coef * p * (p - 1.0) * s ** (p - 2.0)
-        if p == 2.0:
-            out = np.full_like(s, 2.0 * coef)
-        return out if out.ndim else float(out)
-
-    def dv(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = np.sign(t_arr) * coef * p * np.abs(t_arr) ** (p - 1.0)
-        return out if out.ndim else float(out)
-
-    def conj(s):
-        return a.conjugate_closed(np.abs(s))
+            return coef * p * (p - 1.0) * s ** (p - 2.0)
 
     return Density2Spec(
-        eval=lambda t: a.eval(np.abs(t)),
-        deriv=dv,
-        second_deriv=d2,
+        eval=a.eval,
+        deriv=_odd(a.deriv),
+        second_deriv=_of_abs(d2),
         b1=1.0,
         b2=0.0,
         b3=1.0,
         b4=0.0,
         p=p,
-        mu_hat=max(0.0, 2.0 - p),
         c3=2.0 ** (p - 1.0),
         nfunction=a,
         name=f"power:{p:g}",
-        conjugate_closed=conj,
+        conjugate_closed=a.conjugate_closed,
     )
 
 
 def smooth_power_density2(p: float) -> Density2Spec:
     """f2(t) = (1+t**2)**(p/2) - 1 = rho_p(t) - 1, the regularizer shifted to
-    vanish at zero: two-sided curvature comparable to (1+|t|)**(p-2)."""
+    vanish at zero: two-sided curvature comparable to (1+|t|)**(p-2).
+
+    The value is computed as expm1(p/2 * log1p(t**2)), which keeps full
+    relative accuracy at small t where rho_p(t) - 1 cancels.
+    """
     if p < 2.0:
         raise ValueError("smooth power density defined for p >= 2")
-
-    def pointwise(fn):
-        def m(t):
-            out = fn(np.asarray(t, dtype=np.float64), p)
-            return out if out.ndim else float(out)
-
-        return m
-
-    rho = pointwise(regularizer)
     return Density2Spec(
-        eval=lambda t: rho(t) - 1.0,
-        deriv=pointwise(regularizer_deriv),
-        second_deriv=pointwise(regularizer_second_deriv),
+        eval=_pointwise(lambda t: np.expm1(0.5 * p * np.log1p(t * t))),
+        deriv=_pointwise(lambda t: regularizer_deriv(t, p)),
+        second_deriv=_pointwise(lambda t: regularizer_second_deriv(t, p)),
         b1=1.0,
         b2=1.0,
         # (1+t^2)^(p/2) <= 2^(p/2) max(1, t^p): constant part absorbed by b4
         b3=2.0 ** (p / 2.0),
         b4=2.0 ** (p / 2.0),
         p=p,
-        mu_hat=max(0.0, 2.0 - p),
         c3=2.0 ** (p - 1.0),
         nfunction=power_nfunction(p),
         name=f"smooth_power:{p:g}",
@@ -622,30 +573,15 @@ def smooth_power_density2(p: float) -> Density2Spec:
 def tlog_density2() -> Density2Spec:
     """Nearly-linear superlinear density f2(t) = |t|*log(1+|t|)."""
     a = tlog_nfunction()
-
-    def ev(t):
-        return a.eval(np.abs(t))
-
-    def dv(t):
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = np.sign(t_arr) * np.asarray(a.deriv(np.abs(t_arr)))
-        return out if out.ndim else float(out)
-
-    def d2(t):
-        s = np.abs(np.asarray(t, dtype=np.float64))
-        out = (2.0 + s) / (1.0 + s) ** 2
-        return out if out.ndim else float(out)
-
     return Density2Spec(
-        eval=ev,
-        deriv=dv,
-        second_deriv=d2,
+        eval=a.eval,
+        deriv=_odd(a.deriv),
+        second_deriv=_of_abs(lambda s: (2.0 + s) / (1.0 + s) ** 2),
         b1=1.0,
         b2=0.0,
         b3=1.0,
         b4=0.0,
         p=1.0,
-        mu_hat=1.0,
         c3=4.0,
         nfunction=a,
         name="nfun_tlog",

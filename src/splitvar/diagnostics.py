@@ -20,7 +20,7 @@ import numpy as np
 
 from .densities import DensityPair
 from .energy import BVCandidate, _cell_sums, eval_K, lift_to_candidate
-from .grid import GridFunction, gradient
+from .grid import GridFunction, _inset_mask, gradient
 from .solve import SolveConfig, SolveReport, continuation
 
 __all__ = [
@@ -111,9 +111,7 @@ def integrability_sweep(
         raise ValueError("need at least 3 schedule levels with stored fields")
 
     grid = report.u_final.grid
-    xc, yc = grid.cell_centers()
-    inset = 1.0 - 2.0 * margin
-    mask = (np.abs(xc)[:, None] <= inset) & (np.abs(yc)[None, :] <= inset)
+    mask = _inset_mask(grid, margin)
     area = grid.cell_area
 
     deltas = [r.delta for r in stored]

@@ -297,7 +297,7 @@ def eval_K(w: BVCandidate, d: DensityPair, u0) -> EnergyBreakdown:
     k_sing = 0.0
     for seg in w.jumps:
         length = (seg.cell_end - seg.cell_start) * g.h2
-        slope = d.f1.recession_plus if seg.height >= 0.0 else d.f1.recession_minus
+        slope = float(_recession_of_sign(d, seg.height))
         k_sing += slope * abs(seg.height) * length
 
     # trapezoid weights along each vertical side

@@ -132,6 +132,13 @@ def divergence_residual(tau: CellField2) -> np.ndarray:
     return zero_ring(_kernels.scatter_adjoint(tau.comp1, tau.comp2, g.h1, g.h2))
 
 
+def _inset_mask(grid: Grid, margin: float) -> np.ndarray:
+    """Cells whose centers lie in the window inset by ``margin`` of each side."""
+    xc, yc = grid.cell_centers()
+    inset = 1.0 - 2.0 * margin
+    return (np.abs(xc)[:, None] <= inset) & (np.abs(yc)[None, :] <= inset)
+
+
 def zero_ring(arr: np.ndarray) -> np.ndarray:
     """Zero the boundary ring of a nodal array in place and return it."""
     arr[[0, -1], :] = 0.0

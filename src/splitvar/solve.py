@@ -44,6 +44,7 @@ from .grid import (
     CellField2,
     Grid,
     GridFunction,
+    _inset_mask,
     divergence_residual,
     gradient,
     zero_ring,
@@ -105,7 +106,6 @@ class SolveConfig:
     p_reg: Optional[float] = None
     tol_grad: float = 1e-10
     max_iter: int = 200
-    seed: int = 0
     store_fields: bool = False
 
     def __post_init__(self):
@@ -510,14 +510,15 @@ def multi_start(
 ) -> dict:
     """Uniqueness probe: rerun the continuation from seeded random interiors.
 
-    Initial interiors are uniform on (-1, 1).  Returns the runs plus the
+    Initial interiors are uniform on (-1, 1), drawn with ``seeds`` (by
+    default 0, ..., n_starts - 1).  Returns the runs plus the
     maximum over interior cells (inset by 10% of each side) and start pairs
     of the 2-norm difference of the final discrete gradients.
     """
     if n_starts < 2:
         raise ValueError(f"need at least 2 starts, got {n_starts}")
     if seeds is None:
-        seeds = [cfg.seed + k for k in range(n_starts)]
+        seeds = range(n_starts)
     if len(seeds) != n_starts:
         raise ValueError("seeds list length must equal n_starts")
 
@@ -535,9 +536,7 @@ def multi_start(
         reports.append(report)
         grads.append(gradient(report.u_final))
 
-    xc, yc = grid.cell_centers()
-    inset = 1.0 - 0.1 * 2.0
-    mask = (np.abs(xc)[:, None] <= inset) & (np.abs(yc)[None, :] <= inset)
+    mask = _inset_mask(grid, 0.1)
     worst = 0.0
     for a in range(n_starts):
         for b in range(a + 1, n_starts):

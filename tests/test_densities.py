@@ -460,11 +460,54 @@ def test_regularizer_derivatives_match_central_differences(p):
     fd2 = (regularizer(t + h, p) - 2.0 * regularizer(t, p) + regularizer(t - h, p))
     fd2 /= h**2
     assert np.allclose(regularizer_second_deriv(t, p), fd2, rtol=1e-5, atol=1e-5)
-    # the smooth power density is the regularizer shifted to vanish at zero
+    # the smooth power density is the regularizer shifted to vanish at zero;
+    # rho_p - 1 cancels near t = 0 (1e-14 relative at t = 0.1, p = 4.5), so
+    # the two forms agree to rounding on the scale of rho_p
     f2 = smooth_power_density2(p)
-    assert np.array_equal(f2.eval(t), regularizer(t, p) - 1.0)
+    rho = regularizer(t, p)
+    assert np.all(np.abs(f2.eval(t) - (rho - 1.0)) <= 1e-14 * rho)
     assert np.array_equal(f2.deriv(t), regularizer_deriv(t, p))
     assert np.array_equal(f2.second_deriv(t), regularizer_second_deriv(t, p))
+
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+def test_smooth_power_density_small_t_relative_accuracy(p):
+    # (1+t^2)^(p/2) - 1 = p/2 t^2 (1 + (p-2)/4 t^2) + O(t^6)
+    t = np.array([1e-8, 1e-6, 1e-4])
+    series = 0.5 * p * t * t * (1.0 + 0.25 * (p - 2.0) * t * t)
+    assert np.allclose(smooth_power_density2(p).eval(t), series, rtol=1e-14, atol=0.0)
+
+
+EVEN_SPECS = {
+    "phi_nu:1.5": make_phi_nu(1.5),
+    "hencky:1:0.3": make_hencky(1.0, 0.3),
+    "power:2": power_density2(2.0),
+    "power:3": power_density2(3.0),
+    "nfun_tlog": tlog_density2(),
+    "smooth_power:3": smooth_power_density2(3.0),
+    "A power:3": power_nfunction(3.0),
+    "A nfun_tlog": tlog_nfunction(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVEN_SPECS))
+def test_builtin_families_are_even(name):
+    spec = EVEN_SPECS[name]
+    t = np.concatenate([np.geomspace(1e-8, 1e4, 25), [0.3, 1.0, 2.5]])
+    if isinstance(spec, NFunctionSpec):
+        # an N-function lives on [0, inf): every map reads |t|
+        maps = [(spec.eval, 1.0), (spec.deriv, 1.0)]
+    else:
+        maps = [(spec.eval, 1.0), (spec.deriv, -1.0), (spec.second_deriv, 1.0)]
+    for fn, parity in maps:
+        assert np.array_equal(fn(-t), parity * fn(t))
+        assert type(fn(-0.7)) is float and fn(-0.7) == parity * fn(0.7)
+    # the linear-growth conjugates are finite only inside the recession slopes
+    s = np.linspace(0.0, min(3.0, 0.9 * getattr(spec, "recession_plus", np.inf)), 13)
+    assert np.array_equal(spec.conjugate(-s), spec.conjugate(s))
+    assert type(spec.conjugate(-0.5)) is float
+    assert spec.conjugate(-0.5) == spec.conjugate(0.5)
 
 
 def test_density_pair_split_additivity(pair_std):
