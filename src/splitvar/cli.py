@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .densities import density_from_id, make_pair, predict_integrability
-from .duality import duality_gap
+from .densities import DensityPair, density_from_id, make_pair, predict_integrability
+from .duality import duality_gap, stress
 from .diagnostics import approximation_experiment, integrability_sweep, relaxation_gap
 from .energy import BVCandidate, JumpSegment
 from .grid import Grid, GridFunction, load_csv, save_csv, save_vsgf
@@ -70,13 +70,7 @@ def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
             grid, lambda x1, x2: np.where(x1 < 0.0, lo, hi)
         )
     if spec.startswith("custom-table:"):
-        path = spec.split(":", 1)[1]
-        u = load_csv(path)
-        if u.grid != grid:
-            raise ValueError(
-                f"table grid {u.grid.n1}x{u.grid.n2} does not match requested "
-                f"{grid.n1}x{grid.n2}"
-            )
+        u = _load_table(spec.split(":", 1)[1], grid)
         # Lipschitz constant of the table is reported, not enforced
         d1 = np.abs(np.diff(u.values, axis=0)).max(initial=0.0) / grid.h1
         d2 = np.abs(np.diff(u.values, axis=1)).max(initial=0.0) / grid.h2
@@ -88,25 +82,50 @@ def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
     raise ValueError(f"unknown u0 id {spec!r}")
 
 
-def _add_problem_args(p: argparse.ArgumentParser) -> None:
+def _load_table(path: str, grid: Grid) -> GridFunction:
+    """A nodal CSV table whose grid must be the requested one."""
+    u = load_csv(path)
+    if u.grid != grid:
+        raise ValueError(
+            f"table {path} has grid {u.grid.n1}x{u.grid.n2}, which does not "
+            f"match --grid {grid.n1}x{grid.n2}"
+        )
+    return u
+
+
+def _candidate(grid: Grid, table, jump_tokens) -> BVCandidate:
+    """A jump candidate: the smooth part from ``table`` (zero without one)
+    plus the ``--jump`` segments."""
+    smooth = _load_table(table, grid) if table else _resolve_u0("zero", grid)
+    jumps = tuple(_parse_jump(tok, grid) for tok in jump_tokens or ())
+    return BVCandidate(smooth_part=smooth, jumps=jumps)
+
+
+def _add_density_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f1", default="phi_nu:1.5", help="linear-growth density id")
     p.add_argument("--f2", default="power:2", help="superlinear density id")
-    p.add_argument("--u0", default="zero", help="boundary data id")
     p.add_argument("--grid", default="32x32", help="cells per axis, e.g. 64x64")
+
+
+def _add_problem_args(p: argparse.ArgumentParser) -> None:
+    _add_density_args(p)
+    p.add_argument("--u0", default="zero", help="boundary data id")
     p.add_argument("--deltas", default="1e-1,1e-2,1e-3", help="decreasing schedule")
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--p-reg", type=float, default=None, help="default: growth of f2")
     p.add_argument("--tol-grad", type=float, default=1e-10)
 
 
+def _pair(args) -> DensityPair:
+    return make_pair(density_from_id(args.f1), density_from_id(args.f2))
+
+
 def _build_config(args, store_fields=False) -> SolveConfig:
     grid = _parse_grid(args.grid)
-    pair = make_pair(density_from_id(args.f1, "f1"), density_from_id(args.f2, "f2"))
-    u0 = _resolve_u0(args.u0, grid)
     return SolveConfig(
         grid=grid,
-        densities=pair,
-        u0=u0,
+        densities=_pair(args),
+        u0=_resolve_u0(args.u0, grid),
         delta_schedule=_parse_floats(args.deltas),
         p_reg=args.p_reg,
         tol_grad=args.tol_grad,
@@ -165,14 +184,9 @@ def _cmd_dual_report(args) -> int:
     delta_last = cfg.delta_schedule[-1]
     # the converged regularized stress is divergence free by the Euler
     # equation, so it is the certifiable dual candidate
+    sigma, _, _ = stress(report.u_final, cfg.densities, delta_last, cfg.p_reg)
     dual = duality_gap(
-        report.u_final,
-        report.stress_final,
-        cfg.densities,
-        u0=cfg.u0,
-        div_tol=args.div_tol,
-        delta=delta_last,
-        p_reg=cfg.p_reg,
+        report.u_final, sigma, cfg.densities, u0=cfg.u0, delta=delta_last, p_reg=cfg.p_reg
     )
     payload = {"config": _echo(args), "dual": dual.to_dict()}
     if args.out_dir:
@@ -196,7 +210,6 @@ def _cmd_sweep(args) -> int:
         report,
         chis=_parse_floats(args.chis),
         kappas=_parse_floats(args.kappas) if args.kappas else (),
-        margin=args.margin,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     table.write_csv(os.path.join(args.out_dir, "sweep.csv"))
@@ -209,15 +222,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_approx_demo(args) -> int:
     grid = _parse_grid(args.grid)
-    pair = make_pair(density_from_id(args.f1, "f1"), density_from_id(args.f2, "f2"))
-    if args.smooth_table:
-        smooth = load_csv(args.smooth_table)
-        if smooth.grid != grid:
-            raise ValueError("smooth table grid does not match --grid")
-    else:
-        smooth = GridFunction(grid, np.zeros(grid.node_shape))
-    jumps = tuple(_parse_jump(tok, grid) for tok in args.jump or ())
-    w = BVCandidate(smooth_part=smooth, jumps=jumps)
+    pair = _pair(args)
+    w = _candidate(grid, args.smooth_table, args.jump)
     u0 = _resolve_u0(args.u0, grid) if args.u0 else None
     table = approximation_experiment(w, pair, _parse_floats(args.widths), u0=u0)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -236,7 +242,7 @@ def _cmd_approx_demo(args) -> int:
 
 
 def _cmd_conjugate_table(args) -> int:
-    spec = density_from_id(args.density, args.slot)
+    spec = density_from_id(args.density)
     ss = np.linspace(-args.s_max, args.s_max, args.n)
     rows = [(float(s), float(spec.conjugate(s))) for s in ss]
     lines = ["s,conjugate"]
@@ -259,12 +265,8 @@ def _cmd_predict(args) -> int:
 def _cmd_relax_gap(args) -> int:
     cfg = _build_config(args)
     candidates = None  # default: the solver's own final iterate, lifted
-    if args.candidate_table:
-        smooth = load_csv(args.candidate_table)
-        if smooth.grid != cfg.grid:
-            raise ValueError("candidate table grid does not match --grid")
-        jumps = tuple(_parse_jump(tok, cfg.grid) for tok in args.jump or ())
-        candidates = [BVCandidate(smooth_part=smooth, jumps=jumps)]
+    if args.candidate_table or args.jump:
+        candidates = [_candidate(cfg.grid, args.candidate_table, args.jump)]
     result = relaxation_gap(candidates, cfg)
     print(json.dumps(result, sort_keys=True))
     if not result["contract_ok"]:
@@ -295,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual-report", help="duality gap for the continuation output")
     _add_problem_args(p)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--div-tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_dual_report)
 
     p = sub.add_parser("sweep", help="interior integrability sweep over the schedule")
@@ -303,13 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.add_argument("--chis", required=True, help="comma list of exponents")
     p.add_argument("--kappas", default="", help="full-gradient exponents")
-    p.add_argument("--margin", type=float, default=0.1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("approx-demo", help="jump smoothing experiment")
-    p.add_argument("--f1", default="phi_nu:1.5")
-    p.add_argument("--f2", default="power:2")
-    p.add_argument("--grid", default="32x32")
+    _add_density_args(p)
     p.add_argument("--smooth-table", default=None, help="CSV for the smooth part")
     p.add_argument("--jump", action="append", help="line:height (full span)")
     p.add_argument("--u0", default=None, help="boundary data id (optional)")
@@ -318,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_approx_demo)
 
     p = sub.add_parser("conjugate-table", help="tabulate a convex conjugate")
-    p.add_argument("--density", required=True)
-    p.add_argument("--slot", choices=("f1", "f2"), default="f1")
+    p.add_argument("--density", required=True, help="f1 or f2 density id")
     p.add_argument("--s-max", type=float, default=0.9)
     p.add_argument("--n", type=int, default=33)
     p.add_argument("--out", default=None)
@@ -333,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relax-gap", help="candidate energy vs continuation limit")
     _add_problem_args(p)
-    p.add_argument("--candidate-table", default=None)
-    p.add_argument("--jump", action="append")
+    p.add_argument("--candidate-table", default=None, help="CSV for the smooth part")
+    p.add_argument("--jump", action="append", help="line:height (full span)")
     p.set_defaults(func=_cmd_relax_gap)
 
     return parser
@@ -361,8 +358,6 @@ def _normalize_config(loaded: dict) -> dict:
             out["grid"] = f"{val['n1']}x{val['n2']}"
         elif key == "delta_schedule":
             out["deltas"] = ",".join(repr(float(x)) for x in val)
-        elif key == "tolerances":
-            out.update({k.replace("-", "_"): v for k, v in val.items()})
         elif key == "output_dir":
             out["out_dir"] = val
         else:

@@ -193,14 +193,9 @@ class Density2Spec:
 # ---------------------------------------------------------------------------
 
 
-def conjugate_scalar(
-    g: ScalarMap,
-    s: float,
-    t_max: float = 1e6,
-    n_coarse: int = 96,
-    n_golden: int = 90,
-) -> float:
-    """sup_{0 <= t <= t_max} of s*t - g(t) by coarse bracketing plus golden section.
+def conjugate_scalar(g: ScalarMap, s: float, t_max: float = 1e6) -> float:
+    """sup_{0 <= t <= t_max} of s*t - g(t) by coarse bracketing (96 points)
+    plus 90 golden-section steps.
 
     The derivative-free reference conjugate, one slope at a time: acceptance
     criterion 1 checks the N-function conjugates against it, and the
@@ -213,7 +208,7 @@ def conjugate_scalar(
     within 1e-6*t_max of t_max a ConjugateBoundaryWarning is emitted (the true
     supremum may live beyond the cap).
     """
-    ts = np.concatenate([[0.0], np.geomspace(t_max * 1e-9, t_max, n_coarse - 1)])
+    ts = np.concatenate([[0.0], np.geomspace(t_max * 1e-9, t_max, 95)])
     with np.errstate(over="ignore", invalid="ignore"):
         vals = s * ts - np.asarray(g(ts), dtype=np.float64)
     if not np.all(np.isfinite(vals)):
@@ -235,7 +230,7 @@ def conjugate_scalar(
     x2 = a + invphi * (b - a)
     f1 = s * x1 - float(g(x1))
     f2 = s * x2 - float(g(x2))
-    for _ in range(n_golden):
+    for _ in range(90):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -521,13 +516,13 @@ def tlog_nfunction() -> NFunctionSpec:
     )
 
 
-def power_density2(p: float, coef: float = 1.0) -> Density2Spec:
-    """Superlinear density f2(t) = coef*|t|**p with attached N-function."""
-    a = power_nfunction(p, coef)
+def power_density2(p: float) -> Density2Spec:
+    """Superlinear density f2(t) = |t|**p with attached N-function."""
+    a = power_nfunction(p)
 
     def d2(s):
         with np.errstate(divide="ignore"):
-            return coef * p * (p - 1.0) * s ** (p - 2.0)
+            return p * (p - 1.0) * s ** (p - 2.0)
 
     return Density2Spec(
         eval=a.eval,
@@ -610,15 +605,18 @@ class DensityPair:
     def eval(self, xi1, xi2):
         return self.f1.eval(xi1) + self.f2.eval(xi2)
 
-    def deriv(self, xi1, xi2):
-        return self.f1.deriv(xi1), self.f2.deriv(xi2)
-
     def conjugate(self, s1, s2):
         return self.conjugate_f1(s1) + self.conjugate_f2(s2)
 
 
 def make_pair(f1: Density1Spec, f2: Density2Spec) -> DensityPair:
-    """Bundle the two densities; rejects a linear-growth density in the f2 slot."""
+    """Bundle the two densities; the one place a density's slot is checked:
+    f1 must be a Density1Spec (linear growth) and f2 a Density2Spec whose
+    recession probe diverges (superlinear growth)."""
+    if not isinstance(f1, Density1Spec):
+        raise ValueError(f"{f1.name!r} is superlinear; not usable as f1")
+    if not isinstance(f2, Density2Spec):
+        raise ValueError(f"{f2.name!r} has linear growth; not usable as f2")
     try:
         recession(f2.eval, +1)
     except NonLinearGrowthError:
@@ -633,14 +631,13 @@ def make_pair(f1: Density1Spec, f2: Density2Spec) -> DensityPair:
     )
 
 
-def density_from_id(ident: str, slot: str):
-    """Resolve a density id string for the given slot ('f1' or 'f2').
+def density_from_id(ident: str):
+    """Resolve a density id string; the family fixes the spec type.
 
-    Ids: ``phi_nu:<nu>`` and ``hencky:<k>:<nu>`` (linear growth, f1 only),
-    ``power:<p>`` (f2(t) = |t|**p, f2 only), ``nfun_tlog`` (f2 only).
+    Ids: ``phi_nu:<nu>`` and ``hencky:<k>:<nu>`` give a Density1Spec (linear
+    growth, the f1 slot), ``power:<p>`` (f2(t) = |t|**p) and ``nfun_tlog`` a
+    Density2Spec (superlinear, the f2 slot); ``make_pair`` checks the slots.
     """
-    if slot not in ("f1", "f2"):
-        raise ValueError("slot must be 'f1' or 'f2'")
     parts = ident.split(":")
     kind = parts[0]
     try:
@@ -656,10 +653,6 @@ def density_from_id(ident: str, slot: str):
             raise ValueError(f"unknown density id {ident!r}")
     except ValueError as exc:
         raise ValueError(f"invalid density id {ident!r}: {exc}") from None
-    if slot == "f1" and not isinstance(spec, Density1Spec):
-        raise ValueError(f"{ident!r} is superlinear; not usable as f1")
-    if slot == "f2" and not isinstance(spec, Density2Spec):
-        raise ValueError(f"{ident!r} has linear growth; not usable as f2")
     return spec
 
 
@@ -705,15 +698,14 @@ def regularized_stress(d: DensityPair, c1, c2, delta: float, p: float):
 # ---------------------------------------------------------------------------
 
 
-def validate_nfunction(a: NFunctionSpec, t_grid=None) -> dict:
+def validate_nfunction(a: NFunctionSpec) -> dict:
     """Sampled check of the N-function axioms and the doubling bound."""
-    ts = _FIT_GRID if t_grid is None else np.asarray(t_grid, dtype=np.float64)
-    vals = np.asarray(a.eval(ts))
+    vals = np.asarray(a.eval(_FIT_GRID))
     report = {}
     report["nonnegative"] = bool(np.all(vals >= -1e-15))
-    report["strictly_increasing"] = bool(np.all(np.diff(vals[ts > 0]) > 0.0))
+    report["strictly_increasing"] = bool(np.all(np.diff(vals[_FIT_GRID > 0]) > 0.0))
     # convexity via slopes of secants on the sorted grid
-    sec = np.diff(vals) / np.diff(ts)
+    sec = np.diff(vals) / np.diff(_FIT_GRID)
     report["convex"] = bool(np.all(np.diff(sec) >= -1e-10 * max(1.0, sec.max())))
     report["zero_limit"] = float(a.eval(1e-8) / 1e-8)
     report["infinity_limit"] = float(a.eval(1e8) / 1e8)
@@ -722,7 +714,7 @@ def validate_nfunction(a: NFunctionSpec, t_grid=None) -> dict:
     # nearly linear built-ins where A(t)/t diverges only logarithmically
     mid_slope = float(a.eval(1e4)) / 1e4
     report["superlinear_ok"] = report["infinity_limit"] > 1.5 * mid_slope
-    ts_d = ts[ts >= a.delta2_t0]
+    ts_d = _FIT_GRID[_FIT_GRID >= a.delta2_t0]
     if ts_d.size:
         lhs = np.asarray(a.eval(2.0 * ts_d))
         rhs = a.delta2_k * np.asarray(a.eval(ts_d))
@@ -747,10 +739,9 @@ def validate_nfunction(a: NFunctionSpec, t_grid=None) -> dict:
     return report
 
 
-def validate_density1(f1: Density1Spec, t_grid=None) -> dict:
+def validate_density1(f1: Density1Spec) -> dict:
     """Linear-growth sandwich and curvature envelope fit for an f1 density."""
-    ts = _FIT_GRID if t_grid is None else np.asarray(t_grid, dtype=np.float64)
-    signed = np.concatenate([-ts[::-1], ts])
+    signed = np.concatenate([-_FIT_GRID[::-1], _FIT_GRID])
     vals = np.asarray(f1.eval(signed))
     sandwich_lo = f1.a1 * np.abs(signed) - f1.a2
     sandwich_hi = f1.a3 * np.abs(signed) + f1.a4
@@ -783,10 +774,9 @@ def validate_density1(f1: Density1Spec, t_grid=None) -> dict:
     return report
 
 
-def validate_density2(f2: Density2Spec, t_grid=None) -> dict:
+def validate_density2(f2: Density2Spec) -> dict:
     """N-function sandwich, model-case curvature fit, and triangle constant."""
-    ts = _FIT_GRID if t_grid is None else np.asarray(t_grid, dtype=np.float64)
-    signed = np.concatenate([-ts[::-1], ts])
+    signed = np.concatenate([-_FIT_GRID[::-1], _FIT_GRID])
     vals = np.asarray(f2.eval(signed))
     report = {"convex_ok": None, "sandwich_ok": True}
     if f2.nfunction is not None:

@@ -12,7 +12,6 @@ values exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .densities import DensityPair
 from .energy import BVCandidate, _cell_sums, eval_K, lift_to_candidate
-from .grid import GridFunction, _inset_mask, gradient
+from .grid import GridFunction, _inset_mask, gradient, write_csv
 from .solve import SolveConfig, SolveReport, continuation
 
 __all__ = [
@@ -65,24 +64,19 @@ class SweepTable:
         }
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "kind", "exponent", "integral", "flag"])
-            for kind, table, flags in (
-                ("second_component", self.chi_integrals, self.chi_flags),
-                ("full_gradient", self.kappa_integrals, self.kappa_flags),
-            ):
-                for expo, vals in table.items():
-                    for delta, val in zip(self.deltas, vals):
-                        writer.writerow(
-                            [
-                                repr(float(delta)),
-                                kind,
-                                repr(float(expo)),
-                                repr(float(val)),
-                                flags[expo],
-                            ]
-                        )
+        write_csv(
+            path,
+            ["delta", "kind", "exponent", "integral", "flag"],
+            (
+                (delta, kind, expo, val, flags[expo])
+                for kind, table, flags in (
+                    ("second_component", self.chi_integrals, self.chi_flags),
+                    ("full_gradient", self.kappa_integrals, self.kappa_flags),
+                )
+                for expo, vals in table.items()
+                for delta, val in zip(self.deltas, vals)
+            ),
+        )
 
 
 def _bounded_flag(vals: Sequence[float]) -> str:
@@ -190,13 +184,11 @@ class ApproximationTable:
         return asdict(self)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["width", "l1_distance", "area_integral", "f2_energy", "j"])
-            for row in zip(
-                self.widths, self.l1_distance, self.area_integral, self.f2_energy, self.j_value
-            ):
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(
+            path,
+            ["width", "l1_distance", "area_integral", "f2_energy", "j"],
+            zip(self.widths, self.l1_distance, self.area_integral, self.f2_energy, self.j_value),
+        )
 
 
 def _candidate_own_boundary(w: BVCandidate) -> np.ndarray:

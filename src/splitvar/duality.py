@@ -7,7 +7,7 @@ a cell stress tau,
     R[tau] = sum over cells of h1*h2 * (tau . grad(u0) - f1*(tau_1) - f2*(tau_2)),
 
 a certified lower bound on the primal energy whenever tau is discretely
-divergence-free (residual below ``div_tol``); for nearly divergence-free
+divergence-free (residual below ``DIV_TOL``); for nearly divergence-free
 fields the reported bound degrades linearly in the residual.
 """
 
@@ -29,6 +29,9 @@ __all__ = [
     "duality_gap",
     "extremality_check",
 ]
+
+# max-norm bound on the discrete divergence residual of a certified stress
+DIV_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,17 @@ def stress(
     return CellField2(u.grid, sigma1, t2), CellField2(u.grid, t1, t2), x_delta
 
 
-def eval_R(
-    tau: CellField2, d: DensityPair, u0: GridFunction, div_tol: float
-) -> tuple[float, bool]:
+def eval_R(tau: CellField2, d: DensityPair, u0: GridFunction) -> tuple[float, bool]:
     """Dual objective at a stress field, evaluated against the boundary field.
 
     Returns (r_value, certified).  ``certified`` means the discrete weak
-    divergence stays below ``div_tol`` in the max norm, making r_value a
+    divergence stays below ``DIV_TOL`` in the max norm, making r_value a
     lower bound for the primal energy up to residual_max * ||v - u0||_l1
     over admissible v.  Conjugate range errors (first component slope
     outside the recession interval) propagate.
     """
     r_value = _dual_value(tau, d, gradient(u0))
-    return r_value, _div_residual_max(tau) <= div_tol
+    return r_value, _div_residual_max(tau) <= DIV_TOL
 
 
 def _dual_value(tau: CellField2, d: DensityPair, g0: CellField2) -> float:
@@ -117,7 +118,6 @@ def duality_gap(
     tau: CellField2,
     d: DensityPair,
     u0: Optional[GridFunction] = None,
-    div_tol: float = 1e-6,
     delta: float = 0.0,
     p_reg: float = 2.0,
 ) -> DualReport:
@@ -138,7 +138,7 @@ def duality_gap(
     j_value = j1 + j2
     r_value = _dual_value(tau, d, g0)
     res_max = _div_residual_max(tau)
-    certified = res_max <= div_tol
+    certified = res_max <= DIV_TOL
     gap_abs = j_value - r_value
     gap_rel = gap_abs / (1.0 + abs(j_value))
     _, t1, t2, x_delta = regularized_stress(d, g.comp1, g.comp2, delta, p_reg)

@@ -191,14 +191,14 @@ class BVCandidate:
     """Piecewise-smooth candidate: a nodal part plus vertical jump segments.
 
     ``trace_left``/``trace_right`` are the candidate's boundary values on
-    x1 = -1 and x1 = +1; by default they accumulate the smooth part and the
-    jump heights of segments crossed on the way to the right edge.
+    x1 = -1 and x1 = +1, derived from the smooth part and the jump heights of
+    segments crossed on the way to the right edge.
     """
 
     smooth_part: GridFunction
     jumps: Sequence[JumpSegment] = field(default_factory=tuple)
-    trace_left: Optional[np.ndarray] = None
-    trace_right: Optional[np.ndarray] = None
+    trace_left: np.ndarray = field(init=False)
+    trace_right: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = self.smooth_part.grid
@@ -213,20 +213,10 @@ class BVCandidate:
                 )
             if not math.isfinite(seg.height):
                 raise CandidateInvariantError("jump height must be finite")
-        if self.trace_left is None:
-            self.trace_left = self.smooth_part.values[0, :].copy()
-        else:
-            self.trace_left = np.asarray(self.trace_left, dtype=np.float64)
-        if self.trace_right is None:
-            acc = self.smooth_part.values[-1, :].copy()
-            for seg in self.jumps:
-                acc[seg.cell_start : seg.cell_end + 1] += seg.height
-            self.trace_right = acc
-        else:
-            self.trace_right = np.asarray(self.trace_right, dtype=np.float64)
-        n2 = g.n2
-        if self.trace_left.shape != (n2 + 1,) or self.trace_right.shape != (n2 + 1,):
-            raise CandidateInvariantError("traces must have one value per edge node")
+        self.trace_left = self.smooth_part.values[0, :].copy()
+        self.trace_right = self.smooth_part.values[-1, :].copy()
+        for seg in self.jumps:
+            self.trace_right[seg.cell_start : seg.cell_end + 1] += seg.height
 
     def edge_values(self, edge: str) -> np.ndarray:
         """Candidate trace along 'top' (x2=1) or 'bottom' (x2=-1), including
@@ -289,7 +279,7 @@ def eval_K(w: BVCandidate, d: DensityPair, u0) -> EnergyBreakdown:
             if abs(cand[i] - ref[i]) > TRACE_TOL * scale:
                 raise CandidateInvariantError(
                     f"{edge} trace mismatches boundary data at node {i}: "
-                    f"{cand[i]!r} vs {ref[i]!r}"
+                    f"{float(cand[i])!r} vs {float(ref[i])!r}"
                 )
 
     j1, j2, _ = _cell_sums(gradient(w.smooth_part), d)

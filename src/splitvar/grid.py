@@ -26,6 +26,7 @@ __all__ = [
     "gradient",
     "divergence_residual",
     "zero_ring",
+    "write_csv",
     "save_csv",
     "load_csv",
     "save_vsgf",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 VSGF_MAGIC = b"VSGF"
+# cells that write_csv formats as floats
+_FLOAT_TYPES = (float, np.floating)
 
 
 @dataclass(frozen=True)
@@ -151,19 +154,31 @@ def zero_ring(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_csv(u: GridFunction, path: str) -> None:
-    """Write nodes as x1,x2,value rows (row-major in the x1 index)."""
-    # plain-float repr: shortest round-trip digits, no numpy tags
-    x1, x2 = (list(map(repr, x.tolist())) for x in u.grid.node_coords())
-    rows = (
-        (a, b, repr(v))
-        for a, row in zip(x1, u.values.tolist())
-        for b, v in zip(x2, row)
-    )
+def write_csv(path: str, header, rows) -> None:
+    """The one CSV writer of the package: a header row, then the rows.
+
+    Floats, numpy scalars included, are written as repr(float(v)), the
+    shortest digits that round-trip, with no numpy tag; any other cell
+    (a label, a count) is written as str(v).  Lines end in CRLF, the csv
+    module's default.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "value"])
-        writer.writerows(rows)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, _FLOAT_TYPES) else v for v in row]
+            for row in rows
+        )
+
+
+def save_csv(u: GridFunction, path: str) -> None:
+    """Write nodes as x1,x2,value rows (row-major in the x1 index)."""
+    # each coordinate formatted once per axis, as write_csv would format it
+    x1, x2 = (list(map(repr, x.tolist())) for x in u.grid.node_coords())
+    rows = (
+        (a, b, v) for a, row in zip(x1, u.values.tolist()) for b, v in zip(x2, row)
+    )
+    write_csv(path, ["x1", "x2", "value"], rows)
 
 
 def load_csv(path: str) -> GridFunction:

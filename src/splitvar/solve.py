@@ -18,18 +18,18 @@ forcing term eta_k is Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput.
 
     eta_k = min(FORCING_MAX, FORCING_GAMMA (||g_k|| / ||g_{k-1}||)^2),
 
-with FORCING_GAMMA = 0.9, raised to FORCING_GAMMA eta_{k-1}^2 whenever that
-exceeds FORCING_SAFEGUARD = 0.1.  Early steps, far from the minimizer, solve
-loosely; near it eta_k shrinks with the square of the residual ratio, which
-keeps the local convergence quadratic.  The floor FORCING_FLOOR tol_grad
-(0.1 tol_grad) ends over-solving on the last step and suffices to converge:
-max|r| <= ||r||_2, so the linear model of the accepted step meets tol_grad
-with a factor of ten to spare.
+with FORCING_GAMMA = 0.9.  EW's safeguard, which raises eta_k to
+FORCING_GAMMA eta_{k-1}^2 whenever that exceeds 0.1, is omitted: with
+eta_{k-1} <= FORCING_MAX = 0.1 it is at most 0.009 and never binds.  Early
+steps, far from the minimizer, solve loosely; near it eta_k shrinks with the
+square of the residual ratio, which keeps the local convergence quadratic.
+The floor FORCING_FLOOR tol_grad (0.1 tol_grad) ends over-solving on the
+last step and suffices to converge: max|r| <= ||r||_2, so the linear model
+of the accepted step meets tol_grad with a factor of ten to spare.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -38,7 +38,6 @@ import numpy as np
 
 from . import _kernels
 from .densities import DensityPair, regularized_stress, regularizer_second_deriv
-from .duality import stress
 from .energy import _cell_sums
 from .grid import (
     CellField2,
@@ -47,6 +46,7 @@ from .grid import (
     _inset_mask,
     divergence_residual,
     gradient,
+    write_csv,
     zero_ring,
 )
 
@@ -73,7 +73,6 @@ CG_MAXITER = 200
 # tolerance as a fraction of tol_grad (see the module docstring)
 FORCING_MAX = 0.1
 FORCING_GAMMA = 0.9
-FORCING_SAFEGUARD = 0.1
 FORCING_FLOOR = 0.1
 # rounding allowance of continuation's contracts, relative to the energies;
 # numpy's pairwise cell sums over 1e6 cells round to below 1e-14 relative
@@ -153,7 +152,6 @@ class DeltaRecord:
 class SolveReport:
     records: list
     u_final: GridFunction
-    stress_final: CellField2
 
     def to_dict(self) -> dict:
         return {
@@ -173,22 +171,13 @@ class SolveReport:
         }
 
     def write_records_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["delta", "j", "j_delta", "delta_term", "euler_residual", "iterations"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [
-                        repr(r.delta),
-                        repr(r.j_value),
-                        repr(r.j_delta_value),
-                        repr(r.delta_term),
-                        repr(r.euler_residual_max),
-                        r.iterations,
-                    ]
-                )
+        header = ["delta", "j", "j_delta", "delta_term", "euler_residual", "iterations"]
+        rows = [
+            (r.delta, r.j_value, r.j_delta_value, r.delta_term, r.euler_residual_max,
+             r.iterations)
+            for r in self.records
+        ]
+        write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +315,13 @@ def _pcg(apply_h, b, precond, tol):
     return x, False
 
 
-def _forcing_term(g_norm, g_norm_prev, eta_prev):
+def _forcing_term(g_norm, g_norm_prev):
     """Eisenstat-Walker choice 2 forcing term of a Newton step from the
     gradient 2-norms of this step and the previous one (None on the first
-    step of a level)."""
+    step of a level), without the safeguard (see the module docstring)."""
     if g_norm_prev is None:
         return FORCING_MAX
-    eta = FORCING_GAMMA * (g_norm / g_norm_prev) ** 2
-    # EW's safeguard against a forcing term that falls too fast; it binds only
-    # for FORCING_MAX above 1/3
-    floor = FORCING_GAMMA * eta_prev**2
-    if floor > FORCING_SAFEGUARD:
-        eta = max(eta, floor)
-    return min(FORCING_MAX, eta)
+    return min(FORCING_MAX, FORCING_GAMMA * (g_norm / g_norm_prev) ** 2)
 
 
 def minimize_J_delta(
@@ -366,7 +349,7 @@ def minimize_J_delta(
     split = prob.split_energy(values)
     energy = split[0] + split[1]
     res_max = math.inf
-    g_norm_prev = eta = None
+    g_norm_prev = None
     while steps < cfg.max_iter:
         _, _, c1, c2 = split
         g = prob.residual(c1, c2)
@@ -374,7 +357,7 @@ def minimize_J_delta(
         if res_max <= cfg.tol_grad:
             break
         g_norm = math.sqrt(float(np.sum(g * g)))
-        eta = _forcing_term(g_norm, g_norm_prev, eta)
+        eta = _forcing_term(g_norm, g_norm_prev)
         g_norm_prev = g_norm
 
         w1, w2 = prob.curvatures(c1, c2)
@@ -500,9 +483,7 @@ def continuation(cfg: SolveConfig) -> SolveReport:
                     f"J - J' = {drop!r} outside [{lo!r}, {hi!r}]"
                 )
         records.append(rec)
-
-    stress_final, _, _ = stress(u, cfg.densities, cfg.delta_schedule[-1], cfg.p_reg)
-    return SolveReport(records=records, u_final=u, stress_final=stress_final)
+    return SolveReport(records=records, u_final=u)
 
 
 def multi_start(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from splitvar.cli import main
+from splitvar.densities import conjugate_scalar
 from splitvar.grid import load_csv, load_vsgf
 
 AFFINE_J = 20.0 - 8.0 * math.sqrt(3.0)
@@ -169,7 +170,6 @@ def test_conjugate_table(tmp_path, capsys):
     argv = [
         "conjugate-table",
         "--density", "power:2",
-        "--slot", "f2",
         "--s-max", "4",
         "--n", "5",
     ]
@@ -188,6 +188,25 @@ def test_conjugate_table(tmp_path, capsys):
     assert path.read_text() == out
 
 
+def test_conjugate_table_nfun_tlog_needs_no_slot(capsys):
+    # like power:2 above, an f2 id tabulates without naming its slot
+    rc, out, err = run(["conjugate-table", "--density", "nfun_tlog", "--n", "9"], capsys)
+    assert rc == 0, err
+    rows = [tuple(map(float, ln.split(","))) for ln in out.strip().splitlines()[1:]]
+    reference = [conjugate_scalar(lambda t: t * np.log1p(t), abs(s)) for s, _ in rows]
+    assert np.allclose([v for _, v in rows], reference, rtol=1e-9, atol=1e-15)
+
+
+def test_relax_gap_jump_without_table_uses_zero_smooth_part(capsys):
+    # as in approx-demo, --jump alone builds a candidate with a zero smooth
+    # part: the unit jump at x1 = 0 costs recession slope 1 times length 2
+    rc, out, err = run(["relax-gap", *STEP_ARGS, "--jump", "8:1.0"], capsys)
+    assert rc == 0, err
+    result = json.loads(out)
+    assert result["k_values"] == [2.0]
+    assert result["contract_ok"] is True
+
+
 def test_relax_gap_default_candidate(capsys):
     rc, out, _ = run(["relax-gap", *STEP_ARGS], capsys)
     assert rc == 0
@@ -204,6 +223,11 @@ def test_removed_strict_flag_is_rejected(capsys):
         ["solve", "--seed", "0"],
         # --store-fields had no effect: no command writes stored fields
         ["solve", "--store-fields"],
+        # the density id fixes its slot
+        ["conjugate-table", "--density", "power:2", "--slot", "f2"],
+        # the certificate tolerance and the sweep window are fixed settings
+        ["dual-report", "--div-tol", "1e-6"],
+        ["sweep", "--chis", "3", "--margin", "0.1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

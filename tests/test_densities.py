@@ -409,7 +409,7 @@ def test_hencky_not_usable_as_f2():
     with pytest.raises(ValueError):
         make_pair(make_phi_nu(1.5), make_hencky(1.0, 1.0))  # type: ignore[arg-type]
     with pytest.raises(ValueError):
-        density_from_id("hencky:1:1", "f2")
+        make_pair(make_phi_nu(1.5), density_from_id("hencky:1:1"))
 
 
 # ---------------------------------------------------------------------------
@@ -532,23 +532,32 @@ def test_power_density2_second_derivative_quadratic(power2):
 
 
 def test_density_ids_resolve():
-    assert isinstance(density_from_id("phi_nu:1.5", "f1"), Density1Spec)
-    assert isinstance(density_from_id("hencky:1:1", "f1"), Density1Spec)
-    assert isinstance(density_from_id("power:2", "f2"), Density2Spec)
-    assert isinstance(density_from_id("nfun_tlog", "f2"), Density2Spec)
+    # the family fixes the spec type, hence the slot
+    assert isinstance(density_from_id("phi_nu:1.5"), Density1Spec)
+    assert isinstance(density_from_id("hencky:1:1"), Density1Spec)
+    assert isinstance(density_from_id("power:2"), Density2Spec)
+    assert isinstance(density_from_id("nfun_tlog"), Density2Spec)
     with pytest.raises(ValueError):
-        density_from_id("power:2", "f1")
+        density_from_id("mystery:3")
     with pytest.raises(ValueError):
-        density_from_id("mystery:3", "f1")
-    with pytest.raises(ValueError):
-        density_from_id("phi_nu:0.9", "f1")
-    with pytest.raises(ValueError):
-        density_from_id("phi_nu:1.5", "slot3")
+        density_from_id("phi_nu:0.9")
 
 
 def test_make_pair_rejects_linear_growth_f2(phi15):
     with pytest.raises(ValueError):
         make_pair(phi15, make_phi_nu(1.2))  # type: ignore[arg-type]
+
+
+def test_make_pair_wrong_slot_messages(phi15, power2):
+    with pytest.raises(ValueError, match="^'power:2' is superlinear; not usable as f1$"):
+        make_pair(power2, power2)  # type: ignore[arg-type]
+    with pytest.raises(ValueError, match="^'phi_nu:1.5' has linear growth; not usable as f2$"):
+        make_pair(phi15, phi15)  # type: ignore[arg-type]
+    # a Density2Spec of linear growth passes the type check and fails the
+    # recession probe
+    linear = dataclasses.replace(power2, eval=phi15.eval, name="linear")
+    with pytest.raises(ValueError, match="linear growth detected"):
+        make_pair(phi15, linear)
 
 
 @settings(max_examples=60, deadline=None)

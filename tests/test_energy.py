@@ -220,13 +220,6 @@ def test_candidate_rejects_nonfinite_height():
         BVCandidate(smooth, jumps=(JumpSegment(2, 0, 4, math.inf),))
 
 
-def test_candidate_rejects_bad_trace_shape():
-    g = Grid(4, 4)
-    smooth = GridFunction(g, np.zeros(g.node_shape))
-    with pytest.raises(CandidateInvariantError):
-        BVCandidate(smooth, trace_left=np.zeros(3))
-
-
 def test_candidate_default_traces():
     w = zero_candidate_with_unit_jump(4)
     assert np.array_equal(w.trace_left, np.zeros(5))
@@ -308,7 +301,8 @@ def test_eval_k_partial_span_prices_by_length(pair_std):
 
 def test_eval_k_trace_violation(pair_std):
     w = zero_candidate_with_unit_jump(8)
-    with pytest.raises(CandidateInvariantError):
+    # plain floats in the message, not numpy reprs
+    with pytest.raises(CandidateInvariantError, match="1.0 vs 0.0"):
         eval_K(w, pair_std, np.zeros(w.smooth_part.grid.node_shape))
 
 

@@ -14,6 +14,7 @@ from splitvar import (
     save_csv,
     save_vsgf,
 )
+from splitvar.grid import write_csv
 
 
 def loop_gradient(u):
@@ -169,6 +170,15 @@ def test_csv_bytes_match_row_by_row_writer(tmp_path):
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "ref.csv").read_bytes()
     assert b"\r\n" in fast and b",-0.0\r\n" in fast and b"e-310" in fast
+
+
+def test_write_csv_numpy_scalars_print_as_plain_floats(tmp_path):
+    xs = [0.1, -0.0, 1e-310, 1e22, 2.0 / 3.0]
+    plain, tagged = tmp_path / "plain.csv", tmp_path / "tagged.csv"
+    write_csv(str(plain), ["x", "kind", "n"], [(x, "label", 3) for x in xs])
+    write_csv(str(tagged), ["x", "kind", "n"], [(np.float64(x), "label", 3) for x in xs])
+    assert tagged.read_bytes() == plain.read_bytes()
+    assert plain.read_bytes().splitlines()[1] == b"0.1,label,3"
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -121,9 +121,10 @@ def test_affine_problem_solved_exactly(pair_std):
     assert np.max(np.abs(report.u_final.values - u0.values)) <= 1e-13
     # final stress carries the regularized slope map at the last delta:
     # f1'(2) plus delta * p * 2 * (1+4)^0 with p_reg = 2
+    sigma, _, _ = stress(report.u_final, pair_std, 1e-3, cfg.p_reg)
     expect = float(pair_std.f1.deriv(2.0)) + 1e-3 * 2.0 * 2.0
-    assert np.allclose(report.stress_final.comp1, expect, atol=1e-12)
-    assert np.allclose(report.stress_final.comp2, float(pair_std.f2.deriv(-1.0)), atol=1e-12)
+    assert np.allclose(sigma.comp1, expect, atol=1e-12)
+    assert np.allclose(sigma.comp2, float(pair_std.f2.deriv(-1.0)), atol=1e-12)
 
 
 def test_bilinear_interpolant_is_stationary(pair_std):
@@ -269,14 +270,10 @@ def test_inexact_newton_matches_exact_newton(pair_std, make_cfg, monkeypatch):
         assert abs(a.j_delta_value - b.j_delta_value) <= 1e-9
 
 
-def test_forcing_term_is_eisenstat_walker_choice_2(monkeypatch):
-    assert solve._forcing_term(3.0, None, None) == solve.FORCING_MAX
-    assert solve._forcing_term(1.0, 10.0, 0.1) == pytest.approx(0.9e-2, rel=1e-15)
-    assert solve._forcing_term(9.0, 10.0, 0.1) == solve.FORCING_MAX
-    # the safeguard binds once 0.9 eta_prev^2 exceeds 0.1
-    monkeypatch.setattr(solve, "FORCING_MAX", 0.9)
-    assert solve._forcing_term(1.0, 10.0, 0.5) == pytest.approx(0.9 * 0.25, rel=1e-15)
-    assert solve._forcing_term(1.0, 10.0, 0.3) == pytest.approx(0.9e-2, rel=1e-15)
+def test_forcing_term_is_eisenstat_walker_choice_2():
+    assert solve._forcing_term(3.0, None) == solve.FORCING_MAX
+    assert solve._forcing_term(1.0, 10.0) == pytest.approx(0.9e-2, rel=1e-15)
+    assert solve._forcing_term(9.0, 10.0) == solve.FORCING_MAX
 
 
 def test_pcg_stops_at_first_iterate_meeting_tolerance(monkeypatch):
@@ -463,7 +460,6 @@ def test_continuation_determinism(pair_std):
     b = continuation(tanh_config(pair_std))
     assert np.array_equal(a.u_final.values, b.u_final.values)
     assert [r.j_value for r in a.records] == [r.j_value for r in b.records]
-    assert np.array_equal(a.stress_final.comp1, b.stress_final.comp1)
 
 
 def test_store_fields_toggle(pair_std):
@@ -525,8 +521,6 @@ def test_solver_matches_certificate_quantities_bitwise(pair_std, p_reg, schedule
         delta = cfg.delta_schedule[-1]
         last = report.records[-1]
         sigma, _, _ = stress(report.u_final, pair_std, delta, cfg.p_reg)
-        assert np.array_equal(report.stress_final.comp1, sigma.comp1)
-        assert np.array_equal(report.stress_final.comp2, sigma.comp2)
         res = divergence_residual(sigma)
         assert float(np.max(np.abs(res))) == last.euler_residual_max
         energy = eval_J_delta(report.u_final, pair_std, delta, cfg.p_reg)
