@@ -53,13 +53,9 @@ def _numpy_scatter_adjoint(t1: np.ndarray, t2: np.ndarray, h1: float, h2: float)
 
 
 def _numpy_scatter_diag(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
-    """Diagonal of scatter_adjoint((w1,w2) * cell_gradient(.)).
-
-    Entries are sums of squared stencil weights times the per-cell
-    curvatures w1, w2 (both >= 0).  The solver no longer uses it (its CG is
-    preconditioned by a fast sine transform); perfbench/tracer.py still
-    looks it up by name.
-    """
+    """Diagonal of scatter_adjoint((w1,w2) * cell_gradient(.)), from the
+    per-cell curvatures w1, w2 >= 0.  The solver does not use it;
+    perfbench/tracer.py looks it up by name."""
     n1, n2 = w1.shape
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.float64)
     c = (0.25 * h2 / h1) * w1 + (0.25 * h1 / h2) * w2

@@ -159,7 +159,7 @@ def test_affine_oracle_from_perturbed_interior(pair_std):
 
 
 # ---------------------------------------------------------------------------
-# fast-sine-transform preconditioner
+# line preconditioner
 # ---------------------------------------------------------------------------
 
 
@@ -167,8 +167,6 @@ def test_dst1_matches_reference_transform():
     sfft = pytest.importorskip("scipy.fft")
     x = np.random.default_rng(0).standard_normal((95, 63))
     assert np.array_equal(solve._dst1(x), sfft.dst(x, type=1))
-    two_d = solve._dst2_transposed(x).T
-    assert np.allclose(two_d, sfft.dstn(x, type=1), rtol=0.0, atol=1e-12)
     # DST-I is its own inverse up to 2n along each axis
     assert np.allclose(solve._dst1(solve._dst1(x)), 2 * 64 * x, rtol=0.0, atol=1e-12)
 
@@ -179,25 +177,44 @@ def _interior_random(grid, rng):
     return v
 
 
-@pytest.mark.parametrize("w2_value", [0.3, 0.0])
-def test_fst_preconditioner_inverts_constant_hessian(w2_value):
-    g = Grid(24, 10)
-    w1 = np.full((g.n1, g.n2), 1.7)
-    w2 = np.full((g.n1, g.n2), w2_value)
-    precond = solve._fst_preconditioner(w1, w2, g.h1, g.h2)
-    v = _interior_random(g, np.random.default_rng(7))
+def _x1_only_curvatures(grid, case, rng):
+    if case == "power3":
+        # the solver's own curvatures for x1-only data: f2 = power:3 has zero
+        # curvature at d2 u = 0, so w2 vanishes identically
+        pair = splitvar.make_pair(splitvar.make_phi_nu(1.5), splitvar.power_density2(3.0))
+        u = GridFunction.from_callable(grid, lambda x, y: np.tanh(3.0 * x) + 0.0 * y)
+        c1, c2 = _kernels.cell_gradient(u.values, grid.h1, grid.h2)
+        w1, w2 = solve._DeltaProblem(grid, pair, 1e-3, 3.0).curvatures(c1, c2)
+        assert not np.any(w2)
+        return w1, w2
+    a = rng.uniform(1e-4, 5.0, grid.n1)
+    b = rng.uniform(0.0, 2.0, grid.n1)
+    return np.repeat(a[:, None], grid.n2, 1), np.repeat(b[:, None], grid.n2, 1)
+
+
+@pytest.mark.parametrize(
+    "shape, case",
+    [((24, 10), "random"), ((10, 24), "power3"), ((2, 9), "random"), ((9, 2), "power3")],
+    ids=["24x10-random", "10x24-power3", "2x9-random", "9x2-power3"],
+)
+def test_line_preconditioner_inverts_x1_only_hessian(shape, case):
+    g = Grid(*shape)
+    rng = np.random.default_rng(7)
+    w1, w2 = _x1_only_curvatures(g, case, rng)
+    precond = solve._line_preconditioner(w1, w2, g.h1, g.h2)
+    v = _interior_random(g, rng)
     r = zero_ring(_kernels.hessvec(v, w1, w2, g.h1, g.h2))
     z = precond(r)
     assert np.max(np.abs(z - v)) <= 1e-12 * np.max(np.abs(v))
     assert np.array_equal(zero_ring(z.copy()), z)
 
 
-def test_fst_preconditioner_symmetric_positive():
+def test_line_preconditioner_symmetric_positive():
     g = Grid(20, 13)
     rng = np.random.default_rng(11)
     w1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
     w2 = np.where(rng.uniform(size=(g.n1, g.n2)) < 0.5, 0.0, 2.0)
-    precond = solve._fst_preconditioner(w1, w2, g.h1, g.h2)
+    precond = solve._line_preconditioner(w1, w2, g.h1, g.h2)
     for _ in range(5):
         x = _interior_random(g, rng)
         y = _interior_random(g, rng)
@@ -206,9 +223,7 @@ def test_fst_preconditioner_symmetric_positive():
         assert float(np.sum(x * mx)) > 0.0
 
 
-def test_hessian_products_per_newton_step_bounded(pair_std, monkeypatch):
-    # Jacobi needed about 150 products per step here; a silent fallback to a
-    # diagonal-like preconditioner would blow this bound
+def count_hessian_products(monkeypatch):
     calls = []
     original = _kernels.hessvec
 
@@ -217,11 +232,19 @@ def test_hessian_products_per_newton_step_bounded(pair_std, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(_kernels, "hessvec", counted)
+    return calls
+
+
+def test_hessian_products_per_newton_step_bounded(pair_std, monkeypatch):
+    # the line preconditioner makes 22 products in 9 steps here, the
+    # constant-coefficient sine-transform one 57 in 10 and Jacobi about 150
+    # per step; a fallback to either would blow this bound
+    calls = count_hessian_products(monkeypatch)
     report = continuation(tanh_config(pair_std, n=64))
     steps = sum(r.iterations for r in report.records)
     assert all(r.converged and r.flags == () for r in report.records)
     assert steps > 0
-    assert len(calls) <= 40 * steps
+    assert len(calls) <= 4 * steps
 
 
 def step_config(pair, n, schedule):
@@ -232,17 +255,30 @@ def step_config(pair, n, schedule):
     return SolveConfig(grid=g, densities=pair, u0=u0, delta_schedule=schedule)
 
 
+@pytest.mark.parametrize(
+    "make_cfg, bound",
+    [
+        # 21 products with the line preconditioner, 59 with the
+        # constant-coefficient sine-transform one
+        (lambda pair: tanh_config(pair, n=96), 30),
+        # 81 against 133
+        (lambda pair: step_config(pair, 64, [1e-1, 1e-2, 1e-3, 1e-4]), 100),
+    ],
+    ids=["tanh-96", "step-64"],
+)
+def test_line_preconditioner_bounds_hessian_products(pair_std, make_cfg, bound, monkeypatch):
+    # the x1 profile of the curvatures, which a constant-coefficient
+    # preconditioner discards, is what brings these solves under the bound
+    calls = count_hessian_products(monkeypatch)
+    report = continuation(make_cfg(pair_std))
+    assert all(r.converged and r.flags == () for r in report.records)
+    assert len(calls) <= bound
+
+
 def test_forcing_terms_cut_hessian_products(pair_std, monkeypatch):
     # CG to a fixed 1e-8 relative residual made 126 products here; the
     # Eisenstat-Walker forcing terms stop each solve once it is accurate enough
-    calls = []
-    original = _kernels.hessvec
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(_kernels, "hessvec", counted)
+    calls = count_hessian_products(monkeypatch)
     report = continuation(tanh_config(pair_std, n=64))
     assert all(r.converged and r.flags == () for r in report.records)
     assert len(calls) <= 80
@@ -281,7 +317,7 @@ def test_pcg_stops_at_first_iterate_meeting_tolerance(monkeypatch):
     rng = np.random.default_rng(4)
     w1 = rng.uniform(0.1, 5.0, (g.n1, g.n2))
     w2 = rng.uniform(0.0, 2.0, (g.n1, g.n2))
-    precond = solve._fst_preconditioner(w1, w2, g.h1, g.h2)
+    precond = solve._line_preconditioner(w1, w2, g.h1, g.h2)
     calls = []
 
     def apply_h(v):
@@ -327,6 +363,40 @@ def test_offset_step_data_converges_at_small_delta(pair_std):
         u, rec = minimize_J_delta(cfg, delta, warm_start=u)
         assert rec.converged and rec.flags == ()
         assert rec.iterations <= 10
+
+
+def test_rounding_level_trials_ranked_by_gradient_norm(pair_std, monkeypatch):
+    # restarts from the converged delta = 1e-4 iterate, perturbed so that
+    # max|g| is 1.2 to 2.5 tol_grad: every Newton step then changes J_delta
+    # by rounding only, and the Armijo test alone ranks its trials by noise
+    cfg = step_config(pair_std, 32, [1e-1, 1e-2, 1e-3, 1e-4])
+    u = continuation(cfg).u_final
+    capped = dataclasses.replace(cfg, max_iter=30)
+    prob = solve._DeltaProblem(cfg.grid, pair_std, 1e-4, cfg.p_reg)
+    c1, c2 = _kernels.cell_gradient(u.values, cfg.grid.h1, cfg.grid.h2)
+    w1, w2 = prob.curvatures(c1, c2)
+    starts = []
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        phi = _interior_random(cfg.grid, rng)
+        hphi = _kernels.hessvec(phi, w1, w2, cfg.grid.h1, cfg.grid.h2)
+        scale = rng.uniform(1.2, 2.5) * cfg.tol_grad / np.max(np.abs(zero_ring(hphi)))
+        starts.append(GridFunction(cfg.grid, u.values + scale * phi))
+        c1, c2 = _kernels.cell_gradient(starts[-1].values, cfg.grid.h1, cfg.grid.h2)
+        assert 1.1 <= np.max(np.abs(prob.residual(c1, c2))) / cfg.tol_grad <= 2.6
+
+    def stalled():
+        return [
+            seed
+            for seed, start in enumerate(starts)
+            if not minimize_J_delta(capped, 1e-4, warm_start=start)[1].converged
+        ]
+
+    assert stalled() == []
+    # with no rounding allowance only the Armijo test decides, and some
+    # starts run to the cap just above tol_grad
+    monkeypatch.setattr(solve, "ROUNDING_REL", 0.0)
+    assert len(stalled()) >= 1
 
 
 # ---------------------------------------------------------------------------
