@@ -64,18 +64,17 @@ class SweepTable:
         }
 
     def write_csv(self, path: str) -> None:
+        rows = [
+            (delta, kind, expo, val, flags[expo])
+            for kind, table, flags in (
+                ("second_component", self.chi_integrals, self.chi_flags),
+                ("full_gradient", self.kappa_integrals, self.kappa_flags),
+            )
+            for expo, vals in table.items()
+            for delta, val in zip(self.deltas, vals)
+        ]
         write_csv(
-            path,
-            ["delta", "kind", "exponent", "integral", "flag"],
-            (
-                (delta, kind, expo, val, flags[expo])
-                for kind, table, flags in (
-                    ("second_component", self.chi_integrals, self.chi_flags),
-                    ("full_gradient", self.kappa_integrals, self.kappa_flags),
-                )
-                for expo, vals in table.items()
-                for delta, val in zip(self.deltas, vals)
-            ),
+            path, ["delta", "kind", "exponent", "integral", "flag"], list(zip(*rows))
         )
 
 
@@ -148,13 +147,16 @@ def _kernel(u: np.ndarray) -> np.ndarray:
     return np.where(inside, 1.5 * (1.0 - 4.0 * u * u), 0.0)
 
 
-def _gauss_panels(a: float, b: float, n_panels: int = 8, n_nodes: int = 16):
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+# 16-point Gauss-Legendre rule on [-1, 1], computed once at import
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_panels(a: float, b: float, n_panels: int = 8):
     edges = np.linspace(a, b, n_panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
+    xs = (mids[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
+    ws = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
     return xs, ws
 
 
@@ -187,7 +189,7 @@ class ApproximationTable:
         write_csv(
             path,
             ["width", "l1_distance", "area_integral", "f2_energy", "j"],
-            zip(self.widths, self.l1_distance, self.area_integral, self.f2_energy, self.j_value),
+            [self.widths, self.l1_distance, self.area_integral, self.f2_energy, self.j_value],
         )
 
 

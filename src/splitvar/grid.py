@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +37,10 @@ __all__ = [
 VSGF_MAGIC = b"VSGF"
 # cells that write_csv formats as floats
 _FLOAT_TYPES = (float, np.floating)
+# rows that write_csv formats and writes at a time, so its memory is bounded
+_CSV_BLOCK_ROWS = 1024
+# how far load_csv lets a coordinate lie from its node, in spacings
+_NODE_TOL = 0.25
 
 
 @dataclass(frozen=True)
@@ -154,57 +159,91 @@ def zero_ring(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_csv(path: str, header, rows) -> None:
-    """The one CSV writer of the package: a header row, then the rows.
+def _format_column(col) -> list:
+    """write_csv's cells for one column (or a block of one)."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        # tolist gives Python floats, so this is repr(float(v)) per cell
+        return list(map(repr, col.tolist()))
+    return [repr(float(v)) if isinstance(v, _FLOAT_TYPES) else v for v in col]
 
-    Floats, numpy scalars included, are written as repr(float(v)), the
-    shortest digits that round-trip, with no numpy tag; any other cell
-    (a label, a count) is written as str(v).  Lines end in CRLF, the csv
-    module's default.
+
+def write_csv(path: str, header, columns) -> None:
+    """The one CSV writer of the package: a header row, then the columns.
+
+    Each column is a sequence of equal length and is formatted once, block by
+    block.  Floats, numpy scalars included, are written as repr(float(v)),
+    the shortest digits that round-trip, with no numpy tag; a float64
+    ndarray column gets one repr pass over its ``tolist()``.  Any other cell (a
+    label, a count, a preformatted string) is written as str(v).  Lines end
+    in CRLF, the csv module's default.
     """
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError("CSV columns differ in length")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(
-            [repr(float(v)) if isinstance(v, _FLOAT_TYPES) else v for v in row]
-            for row in rows
-        )
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            writer.writerows(zip(*(_format_column(col[block]) for col in columns)))
 
 
 def save_csv(u: GridFunction, path: str) -> None:
     """Write nodes as x1,x2,value rows (row-major in the x1 index)."""
     # each coordinate formatted once per axis, as write_csv would format it
     x1, x2 = (list(map(repr, x.tolist())) for x in u.grid.node_coords())
-    rows = (
-        (a, b, v) for a, row in zip(x1, u.values.tolist()) for b, v in zip(x2, row)
-    )
-    write_csv(path, ["x1", "x2", "value"], rows)
+    col1 = [a for a in x1 for _ in x2]
+    write_csv(path, ["x1", "x2", "value"], [col1, x2 * len(x1), u.values.ravel()])
 
 
 def load_csv(path: str) -> GridFunction:
-    """Inverse of save_csv; the grid is inferred from the coordinate columns."""
-    xs1, xs2, vals = [], [], []
+    """Inverse of save_csv; the grid is inferred from the coordinate columns.
+
+    The header must read x1,x2,value (spaces around a name are ignored).
+    Each later line needs at least three numeric cells; LF or CRLF line
+    ends, spaces around a cell, double-quoted cells, further columns, rows
+    in any order and blank lines are accepted.  The n1+1 distinct x1 values
+    and n2+1 distinct x2 values give the grid, and each row is placed at
+    the uniform node nearest to its coordinates.
+
+    A ValueError is raised for a short row, a cell that is not a float, a
+    row count other than (n1+1)(n2+1), a coordinate farther than h/4 from
+    its nearest node, or a repeated node.  The tolerance h/4 is under h/2,
+    so the windows of neighbouring nodes are h/2 apart and a coordinate off
+    the grid cannot pass as a node.  It still admits coordinates rounded by
+    another writer: rounding to d significant digits moves a coordinate in
+    [-1, 1] by at most 5·10^-d, which is under h/4 = 1/(2n) while
+    n < 10^(d-1).  save_csv writes the nodes exactly.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader(fh), [])
         if [c.strip() for c in header] != ["x1", "x2", "value"]:
             raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            xs1.append(float(row[0]))
-            xs2.append(float(row[1]))
-            vals.append(float(row[2]))
-    u1 = sorted(set(xs1))
-    u2 = sorted(set(xs2))
-    n1, n2 = len(u1) - 1, len(u2) - 1
-    if (n1 + 1) * (n2 + 1) != len(vals):
+        with warnings.catch_warnings():
+            # a header alone is rejected below, as an incomplete grid
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(
+                fh, delimiter=",", usecols=(0, 1, 2), ndmin=2, quotechar='"',
+                comments=None,
+            )
+    n1, n2 = (len(set(body[:, k].tolist())) - 1 for k in (0, 1))
+    if n1 < 2 or n2 < 2 or (n1 + 1) * (n2 + 1) != len(body):
         raise ValueError("CSV rows do not form a complete tensor grid")
     grid = Grid(n1, n2)
-    values = np.empty(grid.node_shape)
-    idx1 = {x: i for i, x in enumerate(u1)}
-    idx2 = {x: j for j, x in enumerate(u2)}
-    for a, b, v in zip(xs1, xs2, vals):
-        values[idx1[a], idx2[b]] = v
-    return GridFunction(grid, values)
+    index = []
+    for k, (nodes, h) in enumerate(zip(grid.node_coords(), (grid.h1, grid.h2))):
+        # the nearest uniform node, then its distance
+        i = np.clip(np.rint((body[:, k] + 1.0) / h), 0, len(nodes) - 1).astype(np.intp)
+        if not np.all(np.abs(body[:, k] - nodes[i]) <= _NODE_TOL * h):
+            raise ValueError(f"x{k + 1} coordinates do not lie on a uniform grid")
+        index.append(i)
+    flat = index[0] * (n2 + 1) + index[1]
+    if np.bincount(flat, minlength=len(body)).max() > 1:
+        raise ValueError("CSV repeats a node")
+    values = np.empty(len(body))
+    values[flat] = body[:, 2]
+    return GridFunction(grid, values.reshape(grid.node_shape))
 
 
 def save_vsgf(u: GridFunction, path: str) -> None:

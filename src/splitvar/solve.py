@@ -184,7 +184,7 @@ class SolveReport:
              r.iterations)
             for r in self.records
         ]
-        write_csv(path, header, rows)
+        write_csv(path, header, list(zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,22 @@ def test_exit_2_custom_table_grid_mismatch(tmp_path, capsys):
     assert "does not match" in last_json(err)["error"]["message"]
 
 
+def test_exit_2_custom_table_short_row(tmp_path, capsys):
+    rc, _, _ = run(
+        ["solve", "--grid", "4x4", "--u0", "zero", "--deltas", "1e-1",
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert rc == 0
+    table = tmp_path / "u_final.csv"
+    lines = table.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:2])
+    table.write_text("\n".join(lines) + "\n")
+    rc, _, err = run(["solve", "--grid", "4x4", "--u0", f"custom-table:{table}"], capsys)
+    assert rc == 2
+    assert last_json(err)["error"]["type"] == "ValueError"
+
+
 def test_exit_2_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

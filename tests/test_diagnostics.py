@@ -144,6 +144,28 @@ def test_approx_unit_jump_frozen_values(pair_std):
     assert all(a <= 6.0 + 1e-12 for a in table.area_integral)
 
 
+def test_approx_table_bitwise_frozen(pair_std):
+    # values of the implementation that called leggauss once per cell
+    g = Grid(16, 12)
+    smooth = GridFunction.from_callable(g, lambda x1, x2: np.tanh(3 * x1) + 0.2 * x2)
+    w = BVCandidate(smooth, jumps=(JumpSegment(9, 0, 12, 0.8),))
+    table = approximation_experiment(w, pair_std, widths=[0.2, 0.05, 1e-3, 1e-5])
+    assert table.area_integral == [
+        7.884094721701767, 7.912740197071848, 7.928540165232661, 7.928932445845518
+    ]
+    assert table.j_value == [
+        2.0915850942692042, 2.2775840536670837, 2.6650434694772405, 2.755858582461696
+    ]
+    assert table.f2_energy == [0.16000000000000003] * 4
+    assert table.l1_distance == [
+        0.06000000000000001, 0.015000000000000003, 0.00030000000000000003,
+        3.0000000000000005e-06,
+    ]
+    assert table.area_reference == 7.928936440747158
+    assert table.k_reference == 2.766666531078101
+    assert table.terminal_j_deviation == 0.010807948616404772
+
+
 def test_approx_jump_free_rows_equal_base(pair_std):
     g = Grid(8, 8)
     w = lift_to_candidate(affine_field(g, 1.5, -0.5))
@@ -201,6 +223,53 @@ def test_approx_csv_layout(pair_std, tmp_path):
     assert lines[0] == "width,l1_distance,area_integral,f2_energy,j"
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == 0.1
+
+
+def row_wise_write_csv(path, header, rows):
+    """Reference writer: the per-cell rule, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
+
+
+def test_table_csv_bytes_match_row_wise_writer(affine_sweep_report, pair_std, tmp_path):
+    report = affine_sweep_report
+    report.write_records_csv(str(tmp_path / "records.csv"))
+    row_wise_write_csv(
+        str(tmp_path / "records_ref.csv"),
+        ["delta", "j", "j_delta", "delta_term", "euler_residual", "iterations"],
+        [(r.delta, r.j_value, r.j_delta_value, r.delta_term, r.euler_residual_max,
+          r.iterations) for r in report.records],
+    )
+    sweep = integrability_sweep(report, chis=[3.0, 4.0], kappas=[4.0], margin=0.1)
+    sweep.write_csv(str(tmp_path / "sweep.csv"))
+    row_wise_write_csv(
+        str(tmp_path / "sweep_ref.csv"),
+        ["delta", "kind", "exponent", "integral", "flag"],
+        [(delta, kind, expo, val, flags[expo])
+         for kind, table, flags in (
+             ("second_component", sweep.chi_integrals, sweep.chi_flags),
+             ("full_gradient", sweep.kappa_integrals, sweep.kappa_flags),
+         )
+         for expo, vals in table.items()
+         for delta, val in zip(sweep.deltas, vals)],
+    )
+    approx = approximation_experiment(unit_jump_candidate(), pair_std, widths=[1e-1, 1e-3])
+    approx.write_csv(str(tmp_path / "approx.csv"))
+    row_wise_write_csv(
+        str(tmp_path / "approx_ref.csv"),
+        ["width", "l1_distance", "area_integral", "f2_energy", "j"],
+        zip(approx.widths, approx.l1_distance, approx.area_integral, approx.f2_energy,
+            approx.j_value),
+    )
+    for name in ("records", "sweep", "approx"):
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+        assert written.count(b"\r\n") > 2
 
 
 # ---------------------------------------------------------------------------

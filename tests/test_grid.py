@@ -14,6 +14,7 @@ from splitvar import (
     save_csv,
     save_vsgf,
 )
+import splitvar.grid as grid_module
 from splitvar.grid import write_csv
 
 
@@ -172,13 +173,45 @@ def test_csv_bytes_match_row_by_row_writer(tmp_path):
     assert b"\r\n" in fast and b",-0.0\r\n" in fast and b"e-310" in fast
 
 
+def test_csv_bytes_match_row_by_row_writer_non_square(tmp_path, monkeypatch):
+    g = Grid(64, 33)
+    values = np.random.default_rng(8).standard_normal(g.node_shape)
+    special = [-0.0, 5e-324, 1e300, 1e22, 1e-100, -1e-300, 2.0 / 3.0]
+    values.flat[: len(special)] = special
+    values[-1, -len(special):] = special
+    u = GridFunction(g, values)
+    row_by_row_csv(u, str(tmp_path / "ref.csv"))
+    ref = (tmp_path / "ref.csv").read_bytes()
+    save_csv(u, str(tmp_path / "fast.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == ref
+    # blocks that split the rows unevenly write the same bytes
+    monkeypatch.setattr(grid_module, "_CSV_BLOCK_ROWS", 7)
+    save_csv(u, str(tmp_path / "blocked.csv"))
+    assert (tmp_path / "blocked.csv").read_bytes() == ref
+    assert b",5e-324\r\n" in ref and b",1e+22\r\n" in ref
+
+
 def test_write_csv_numpy_scalars_print_as_plain_floats(tmp_path):
     xs = [0.1, -0.0, 1e-310, 1e22, 2.0 / 3.0]
+    labels, counts = ["label"] * len(xs), [3] * len(xs)
     plain, tagged = tmp_path / "plain.csv", tmp_path / "tagged.csv"
-    write_csv(str(plain), ["x", "kind", "n"], [(x, "label", 3) for x in xs])
-    write_csv(str(tagged), ["x", "kind", "n"], [(np.float64(x), "label", 3) for x in xs])
+    write_csv(str(plain), ["x", "kind", "n"], [xs, labels, counts])
+    write_csv(str(tagged), ["x", "kind", "n"], [[np.float64(x) for x in xs], labels, counts])
     assert tagged.read_bytes() == plain.read_bytes()
     assert plain.read_bytes().splitlines()[1] == b"0.1,label,3"
+    # a float ndarray column, formatted in one pass, prints the same cells
+    array = tmp_path / "array.csv"
+    write_csv(str(array), ["x", "kind", "n"], [np.array(xs), labels, counts])
+    assert array.read_bytes() == plain.read_bytes()
+    # other float dtypes keep the per-cell rule
+    wide = tmp_path / "wide.csv"
+    write_csv(str(wide), ["x", "kind", "n"], [np.array(xs, dtype=np.longdouble), labels, counts])
+    assert wide.read_bytes() == plain.read_bytes()
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -191,6 +224,145 @@ def test_csv_rejects_bad_header(tmp_path):
 def test_csv_rejects_incomplete_grid(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("x1,x2,value\n-1.0,-1.0,0.0\n-1.0,1.0,0.0\n1.0,-1.0,0.0\n")
+    with pytest.raises(ValueError):
+        load_csv(str(path))
+
+
+def dict_loop_load_csv(path):
+    """Reference reader: the per-row csv.reader and dict placement that
+    load_csv replaced.  It fills a repeated node's missing partner with
+    uninitialized memory and accepts off-grid coordinates."""
+    xs1, xs2, vals = [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if [c.strip() for c in header] != ["x1", "x2", "value"]:
+            raise ValueError(f"unexpected CSV header {header!r}")
+        for row in reader:
+            xs1.append(float(row[0]))
+            xs2.append(float(row[1]))
+            vals.append(float(row[2]))
+    u1 = sorted(set(xs1))
+    u2 = sorted(set(xs2))
+    n1, n2 = len(u1) - 1, len(u2) - 1
+    if (n1 + 1) * (n2 + 1) != len(vals):
+        raise ValueError("CSV rows do not form a complete tensor grid")
+    grid = Grid(n1, n2)
+    values = np.empty(grid.node_shape)
+    idx1 = {x: i for i, x in enumerate(u1)}
+    idx2 = {x: j for j, x in enumerate(u2)}
+    for a, b, v in zip(xs1, xs2, vals):
+        values[idx1[a], idx2[b]] = v
+    return GridFunction(grid, values)
+
+
+def table_rows(u):
+    """save_csv's rows as cell strings, without the header."""
+    x1, x2 = u.grid.node_coords()
+    return [
+        [repr(float(a)), repr(float(b)), repr(float(v))]
+        for a, row in zip(x1, u.values) for b, v in zip(x2, row)
+    ]
+
+
+def write_table(path, rows, header="x1,x2,value", end="\n"):
+    path.write_bytes((end.join([header] + [",".join(r) for r in rows]) + end).encode())
+
+
+def small_table():
+    g = Grid(4, 3)
+    values = np.random.default_rng(3).standard_normal(g.node_shape)
+    values.flat[:3] = [-0.0, 5e-324, 1e300]
+    return GridFunction(g, values)
+
+
+ACCEPTED = {
+    "lf": lambda rows: (rows, {}),
+    "crlf": lambda rows: (rows, {"end": "\r\n"}),
+    "spaces": lambda rows: ([[f" {c} " for c in r] for r in rows], {"header": " x1 , x2,value "}),
+    "quoted": lambda rows: ([[f'"{c}"' for c in r] for r in rows], {}),
+    "extra_columns": lambda rows: ([r + ["note", "7"] for r in rows], {}),
+    "shuffled": lambda rows: ([rows[k] for k in np.random.default_rng(4).permutation(len(rows))], {}),
+    "rounded_coords": lambda rows: ([[f"{float(r[0]):.12g}", f"{float(r[1]):.12g}", r[2]] for r in rows], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_load_csv_accepts_what_the_dict_loop_reader_accepted(tmp_path, case):
+    u = small_table()
+    rows, fmt = ACCEPTED[case](table_rows(u))
+    path = tmp_path / "t.csv"
+    write_table(path, rows, **fmt)
+    back, ref = load_csv(str(path)), dict_loop_load_csv(str(path))
+    assert back.grid == ref.grid == u.grid
+    assert back.values.tobytes() == ref.values.tobytes() == u.values.tobytes()
+
+
+def test_load_csv_accepts_a_trailing_blank_line(tmp_path):
+    # the dict-loop reader crashed on it with an IndexError
+    u = small_table()
+    path, plain = tmp_path / "blank.csv", tmp_path / "plain.csv"
+    write_table(plain, table_rows(u))
+    path.write_bytes(plain.read_bytes() + b"\n")
+    with pytest.raises(IndexError):
+        dict_loop_load_csv(str(path))
+    back = load_csv(str(path))
+    assert back.grid == u.grid
+    assert back.values.tobytes() == dict_loop_load_csv(str(plain)).values.tobytes()
+
+
+def test_load_csv_round_trip_matches_dict_loop_reader(tmp_path):
+    g = Grid(64, 33)
+    u = GridFunction(g, np.random.default_rng(9).standard_normal(g.node_shape))
+    path = tmp_path / "u.csv"
+    save_csv(u, str(path))
+    back = load_csv(str(path))
+    assert back.values.tobytes() == dict_loop_load_csv(str(path)).values.tobytes()
+    assert back.values.tobytes() == u.values.tobytes()
+
+
+def test_load_csv_rejects_a_repeated_node(tmp_path):
+    g = Grid(2, 2)
+    u = GridFunction(g, np.arange(9.0).reshape(g.node_shape))
+    rows = table_rows(u)
+    rows[1][:2] = rows[0][:2]  # node (0, 1) overwritten by node (0, 0)
+    path = tmp_path / "dup.csv"
+    write_table(path, rows)
+    dict_loop_load_csv(str(path))  # passed the row-count check
+    with pytest.raises(ValueError, match="repeats a node"):
+        load_csv(str(path))
+
+
+def test_load_csv_rejects_off_grid_coordinates(tmp_path):
+    rows = [[a, b, "0.0"] for a in ("0", "3", "7") for b in ("-1", "0", "1")]
+    path = tmp_path / "off.csv"
+    write_table(path, rows)
+    assert dict_loop_load_csv(str(path)).grid == Grid(2, 2)
+    with pytest.raises(ValueError, match="x1 coordinates"):
+        load_csv(str(path))
+
+
+def test_load_csv_rejects_coordinates_beyond_a_quarter_spacing(tmp_path):
+    g = Grid(4, 4)
+    rows = table_rows(GridFunction(g, np.zeros(g.node_shape)))
+    inside, outside = tmp_path / "inside.csv", tmp_path / "outside.csv"
+    for path, shift in ((inside, 0.24), (outside, 0.26)):
+        moved = [[r[0], repr(float(r[1]) + shift * g.h2) if float(r[1]) == 0.0 else r[1], r[2]]
+                 for r in rows]
+        write_table(path, moved)
+    assert load_csv(str(inside)).grid == g
+    with pytest.raises(ValueError, match="x2 coordinates"):
+        load_csv(str(outside))
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["-1,-1,0\n-1,0\n", "", "-1,-1,zero\n"],
+    ids=["short_row", "header_only", "not_a_float"],
+)
+def test_load_csv_rejects_malformed_rows(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,value\n" + body)
     with pytest.raises(ValueError):
         load_csv(str(path))
 

@@ -599,9 +599,10 @@ def test_solver_matches_certificate_quantities_bitwise(pair_std, p_reg, schedule
         assert energy.j_total == last.j_delta_value
 
 
-def test_continuation_loads_no_package_beyond_numpy():
-    # a continuation and the conjugates without a closed form (the nfun_tlog
-    # certificate, the dual-4 fit) need numpy alone; scipy is a test-only
+def test_continuation_loads_no_package_beyond_numpy(tmp_path):
+    # a continuation, the conjugates without a closed form (the nfun_tlog
+    # certificate, the dual-4 fit), the node CSV round trip and the
+    # approximation experiment need numpy alone; scipy is a test-only
     # dependency (scipy.fft alone adds about 24 MiB of resident memory)
     code = (
         "import sys, numpy as np\n"
@@ -616,6 +617,10 @@ def test_continuation_loads_no_package_beyond_numpy():
         "sigma, _, _ = s.stress(u0, tlog, 1e-2, 2.0)\n"
         "s.duality_gap(u0, sigma, tlog, delta=1e-2)\n"
         "s.check_condition_dual4(s.tlog_nfunction(), np.linspace(0.0, 50.0, 40))\n"
+        "s.save_csv(u0, 'u.csv')\n"
+        "assert s.load_csv('u.csv').values.tobytes() == u0.values.tobytes()\n"
+        "w = s.BVCandidate(u0, (s.JumpSegment(8, 0, 16, 1.0),))\n"
+        "s.approximation_experiment(w, pair, [1e-1, 1e-2])\n"
         "print(sorted(top() - before - set(sys.stdlib_module_names)))\n"
         "print('scipy' in sys.modules)\n"
     )
@@ -623,7 +628,8 @@ def test_continuation_loads_no_package_beyond_numpy():
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        cwd=tmp_path,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["['splitvar']", "False"]
