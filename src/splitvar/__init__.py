@@ -28,12 +28,8 @@ from .densities import (
     power_nfunction,
     predict_integrability,
     recession,
-    smooth_power_density2,
     tlog_density2,
     tlog_nfunction,
-    validate_density1,
-    validate_density2,
-    validate_nfunction,
     young_residual,
 )
 from .diagnostics import (
@@ -50,13 +46,10 @@ from .energy import (
     EnergyBreakdown,
     EnergyOverflowError,
     JumpSegment,
-    LuxemburgBracketError,
-    eval_E,
     eval_J,
     eval_J_delta,
     eval_K,
     lift_to_candidate,
-    luxemburg_norm,
 )
 from .grid import (
     CellField2,
@@ -105,12 +98,8 @@ __all__ = [
     "power_nfunction",
     "predict_integrability",
     "recession",
-    "smooth_power_density2",
     "tlog_density2",
     "tlog_nfunction",
-    "validate_density1",
-    "validate_density2",
-    "validate_nfunction",
     "young_residual",
     # grid
     "CellField2",
@@ -128,13 +117,10 @@ __all__ = [
     "EnergyBreakdown",
     "EnergyOverflowError",
     "JumpSegment",
-    "LuxemburgBracketError",
-    "eval_E",
     "eval_J",
     "eval_J_delta",
     "eval_K",
     "lift_to_candidate",
-    "luxemburg_norm",
     # solve
     "ContinuationContractError",
     "DeltaRecord",

@@ -3,10 +3,10 @@
 The variational integrand splits as f(xi) = f1(xi_1) + f2(xi_2) where f1 is
 convex of linear growth and f2 grows superlinearly, bounded below by an
 N-function.  This module provides the built-in density families, their
-convex conjugates, recession slopes, a Fenchel-Young verification kit, the
-delta-regularizer with its stress, and the exponent bookkeeping that
-predicts how much integrability of the second gradient component the
-a-priori machinery yields.
+convex conjugates, recession slopes, the Fenchel-Young residual and the
+conjugate-growth fit, the delta-regularizer with its stress, and the exponent
+bookkeeping that predicts how much integrability of the second gradient
+component the a-priori machinery yields.
 
 All ``eval``/``deriv``/``second_deriv`` maps are numpy ufunc style: they
 accept floats or arrays and broadcast, and a float in gives a float out.
@@ -41,7 +41,6 @@ __all__ = [
     "power_nfunction",
     "tlog_nfunction",
     "power_density2",
-    "smooth_power_density2",
     "tlog_density2",
     "regularizer",
     "regularizer_deriv",
@@ -55,15 +54,9 @@ __all__ = [
     "check_condition_dual4",
     "recession",
     "predict_integrability",
-    "validate_nfunction",
-    "validate_density1",
-    "validate_density2",
 ]
 
 ScalarMap = Callable[[np.ndarray], np.ndarray]
-
-# fitted-constant sample grid: zero plus a log-spaced sweep up to 1e4
-_FIT_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 199)])
 
 # slope inversion reports an infinite conjugate once a bracket passes |t| = 1e12
 _T_CAP = 1e12
@@ -92,19 +85,11 @@ class ConjugateBoundaryWarning(UserWarning):
 
 @dataclass(frozen=True)
 class NFunctionSpec:
-    """A scalar N-function: continuous, strictly increasing, convex on [0, inf).
-
-    ``A(t)/t`` vanishes at zero and diverges at infinity; the doubling
-    constant ``delta2_k`` with threshold ``delta2_t0`` witnesses
-    A(2t) <= delta2_k * A(t) for t >= delta2_t0, and ``growth_p`` is a lower
-    power-growth exponent (c*t**growth_p <= A(t) for large t).
-    """
+    """A scalar N-function: continuous, strictly increasing, convex on [0, inf),
+    with ``A(t)/t`` vanishing at zero and diverging at infinity."""
 
     eval: ScalarMap
     deriv: ScalarMap
-    delta2_k: float
-    delta2_t0: float
-    growth_p: float
     name: str = "nfunction"
     conjugate_closed: Optional[ScalarMap] = None
 
@@ -117,22 +102,12 @@ class NFunctionSpec:
 class Density1Spec:
     """Convex density of linear growth acting on the first gradient component.
 
-    ``a1*|t| - a2 <= eval(t) <= a3*|t| + a4`` is the linear-growth sandwich;
-    ``mu`` is the ellipticity exponent in
-    c1*(1+|t|)**(-mu) <= second_deriv(t) <= cbar1*(1+|t|)**gamma (``mu`` is
-    None for densities, like the Hencky one, whose curvature degenerates);
     ``recession_plus``/``recession_minus`` are the slopes at +/- infinity.
     """
 
     eval: ScalarMap
     deriv: ScalarMap
     second_deriv: ScalarMap
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    mu: Optional[float]
-    gamma: float
     recession_plus: float
     recession_minus: float
     name: str = "density1"
@@ -164,22 +139,14 @@ class Density1Spec:
 class Density2Spec:
     """Superlinear density acting on the second gradient component.
 
-    Bounded below by an N-function: b1*A(|t|) - b2 <= eval(t), with
-    b3/b4 the analogous upper sandwich constants.  ``p`` is the power-growth
-    exponent (1 for nearly-linear N-functions such as t*log(1+t)), ``c3``
-    the triangle constant in f2(t + s) <= c3*(f2(t) + f2(s)).
+    ``p`` is the power-growth exponent (1 for nearly-linear N-functions such
+    as t*log(1+t)); the solver's default regularizer exponent reads it.
     """
 
     eval: ScalarMap
     deriv: ScalarMap
     second_deriv: ScalarMap
-    b1: float
-    b2: float
-    b3: float
-    b4: float
     p: float
-    c3: float
-    nfunction: Optional[NFunctionSpec] = None
     name: str = "density2"
     conjugate_closed: Optional[ScalarMap] = None
 
@@ -424,21 +391,10 @@ def make_phi_nu(nu: float) -> Density1Spec:
         beta = 1.0 - s
         return beta**expo * (nu - 1.0) / a + beta - 1.0 / a
 
-    ev = _of_abs(lambda s: s - ((1.0 + s) ** a - 1.0) / a)
-    # a1 = 1/2 lower sandwich: the worst deficit of ev(t) - t/2 sits where
-    # the slope equals 1/2
-    t_half = 2.0 ** (1.0 / (nu - 1.0)) - 1.0
-    a2 = max(0.0, 0.5 * t_half - ev(t_half))
     return Density1Spec(
-        eval=ev,
+        eval=_of_abs(lambda s: s - ((1.0 + s) ** a - 1.0) / a),
         deriv=_odd(lambda s: 1.0 - (1.0 + s) ** (1.0 - nu)),
         second_deriv=_of_abs(lambda s: (nu - 1.0) * (1.0 + s) ** (-nu)),
-        a1=0.5,
-        a2=a2,
-        a3=1.0,
-        a4=0.0,
-        mu=nu,
-        gamma=0.0,
         recession_plus=1.0,
         recession_minus=1.0,
         name=f"phi_nu:{nu:g}",
@@ -452,7 +408,7 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
 
     C1 across the branch point, linear growth with recession sqrt(2)*k.
     Its curvature vanishes beyond s0, so it carries no ellipticity exponent
-    (mu is None) and is suitable only as an f1.
+    and is suitable only as an f1.
     """
     if k <= 0.0 or nu <= 0.0:
         raise ValueError(f"k and nu must be positive, got k={k}, nu={nu}")
@@ -472,12 +428,6 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
         ),
         deriv=_odd(lambda s: np.where(s <= s0, 2.0 * nu * s, sl)),
         second_deriv=_of_abs(lambda s: np.where(s <= s0, 2.0 * nu, 0.0)),
-        a1=sl,
-        a2=k * k / (2.0 * nu),
-        a3=sl,
-        a4=0.0,
-        mu=None,
-        gamma=0.0,
         recession_plus=sl,
         recession_minus=sl,
         name=f"hencky:{k:g}:{nu:g}",
@@ -495,9 +445,6 @@ def power_nfunction(p: float, coef: float = 1.0) -> NFunctionSpec:
     return NFunctionSpec(
         eval=_of_abs(lambda s: coef * s**p),
         deriv=_of_abs(lambda s: coef * p * s ** (p - 1.0)),
-        delta2_k=2.0**p,
-        delta2_t0=1.0,
-        growth_p=p,
         name=f"power:{p:g}" + ("" if coef == 1.0 else f":{coef:g}"),
         # sup_t s*t - coef*t**p attained at t = (s/(coef*p))**(1/(p-1))
         conjugate_closed=_of_abs(lambda s: (p - 1.0) * coef * (s / (coef * p)) ** q),
@@ -509,15 +456,12 @@ def tlog_nfunction() -> NFunctionSpec:
     return NFunctionSpec(
         eval=_of_abs(lambda s: s * np.log1p(s)),
         deriv=_of_abs(lambda s: np.log1p(s) + s / (1.0 + s)),
-        delta2_k=4.0,
-        delta2_t0=1.0,
-        growth_p=1.0,
         name="nfun_tlog",
     )
 
 
 def power_density2(p: float) -> Density2Spec:
-    """Superlinear density f2(t) = |t|**p with attached N-function."""
+    """Superlinear density f2(t) = |t|**p, the power N-function evenly extended."""
     a = power_nfunction(p)
 
     def d2(s):
@@ -528,40 +472,9 @@ def power_density2(p: float) -> Density2Spec:
         eval=a.eval,
         deriv=_odd(a.deriv),
         second_deriv=_of_abs(d2),
-        b1=1.0,
-        b2=0.0,
-        b3=1.0,
-        b4=0.0,
         p=p,
-        c3=2.0 ** (p - 1.0),
-        nfunction=a,
         name=f"power:{p:g}",
         conjugate_closed=a.conjugate_closed,
-    )
-
-
-def smooth_power_density2(p: float) -> Density2Spec:
-    """f2(t) = (1+t**2)**(p/2) - 1 = rho_p(t) - 1, the regularizer shifted to
-    vanish at zero: two-sided curvature comparable to (1+|t|)**(p-2).
-
-    The value is computed as expm1(p/2 * log1p(t**2)), which keeps full
-    relative accuracy at small t where rho_p(t) - 1 cancels.
-    """
-    if p < 2.0:
-        raise ValueError("smooth power density defined for p >= 2")
-    return Density2Spec(
-        eval=_pointwise(lambda t: np.expm1(0.5 * p * np.log1p(t * t))),
-        deriv=_pointwise(lambda t: regularizer_deriv(t, p)),
-        second_deriv=_pointwise(lambda t: regularizer_second_deriv(t, p)),
-        b1=1.0,
-        b2=1.0,
-        # (1+t^2)^(p/2) <= 2^(p/2) max(1, t^p): constant part absorbed by b4
-        b3=2.0 ** (p / 2.0),
-        b4=2.0 ** (p / 2.0),
-        p=p,
-        c3=2.0 ** (p - 1.0),
-        nfunction=power_nfunction(p),
-        name=f"smooth_power:{p:g}",
     )
 
 
@@ -572,13 +485,7 @@ def tlog_density2() -> Density2Spec:
         eval=a.eval,
         deriv=_odd(a.deriv),
         second_deriv=_of_abs(lambda s: (2.0 + s) / (1.0 + s) ** 2),
-        b1=1.0,
-        b2=0.0,
-        b3=1.0,
-        b4=0.0,
         p=1.0,
-        c3=4.0,
-        nfunction=a,
         name="nfun_tlog",
     )
 
@@ -691,120 +598,6 @@ def regularized_stress(d: DensityPair, c1, c2, delta: float, p: float):
     tau1 = np.asarray(d.f1.deriv(c1), dtype=np.float64)
     tau2 = np.asarray(d.f2.deriv(c2), dtype=np.float64)
     return tau1 + delta * x, tau1, tau2, x
-
-
-# ---------------------------------------------------------------------------
-# validators (fitted-constant reports)
-# ---------------------------------------------------------------------------
-
-
-def validate_nfunction(a: NFunctionSpec) -> dict:
-    """Sampled check of the N-function axioms and the doubling bound."""
-    vals = np.asarray(a.eval(_FIT_GRID))
-    report = {}
-    report["nonnegative"] = bool(np.all(vals >= -1e-15))
-    report["strictly_increasing"] = bool(np.all(np.diff(vals[_FIT_GRID > 0]) > 0.0))
-    # convexity via slopes of secants on the sorted grid
-    sec = np.diff(vals) / np.diff(_FIT_GRID)
-    report["convex"] = bool(np.all(np.diff(sec) >= -1e-10 * max(1.0, sec.max())))
-    report["zero_limit"] = float(a.eval(1e-8) / 1e-8)
-    report["infinity_limit"] = float(a.eval(1e8) / 1e8)
-    report["small_slope_ok"] = report["zero_limit"] < 1e-3
-    # the secant slope must keep growing; a fixed cutoff would reject the
-    # nearly linear built-ins where A(t)/t diverges only logarithmically
-    mid_slope = float(a.eval(1e4)) / 1e4
-    report["superlinear_ok"] = report["infinity_limit"] > 1.5 * mid_slope
-    ts_d = _FIT_GRID[_FIT_GRID >= a.delta2_t0]
-    if ts_d.size:
-        lhs = np.asarray(a.eval(2.0 * ts_d))
-        rhs = a.delta2_k * np.asarray(a.eval(ts_d))
-        report["doubling_ok"] = bool(np.all(lhs <= rhs * (1.0 + 1e-12)))
-    else:
-        report["doubling_ok"] = True
-    lower = np.asarray(a.eval(ts_d)) / np.maximum(ts_d**a.growth_p, 1e-300)
-    report["growth_constant"] = float(lower.min()) if ts_d.size else math.inf
-    report["growth_ok"] = report["growth_constant"] > 0.0
-    report["ok"] = all(
-        report[k]
-        for k in (
-            "nonnegative",
-            "strictly_increasing",
-            "convex",
-            "small_slope_ok",
-            "superlinear_ok",
-            "doubling_ok",
-            "growth_ok",
-        )
-    )
-    return report
-
-
-def validate_density1(f1: Density1Spec) -> dict:
-    """Linear-growth sandwich and curvature envelope fit for an f1 density."""
-    signed = np.concatenate([-_FIT_GRID[::-1], _FIT_GRID])
-    vals = np.asarray(f1.eval(signed))
-    sandwich_lo = f1.a1 * np.abs(signed) - f1.a2
-    sandwich_hi = f1.a3 * np.abs(signed) + f1.a4
-    report = {
-        "sandwich_ok": bool(
-            np.all(vals >= sandwich_lo - 1e-9) and np.all(vals <= sandwich_hi + 1e-9)
-        )
-    }
-    curv = np.asarray(f1.second_deriv(signed))
-    report["convex_ok"] = bool(np.all(curv >= -1e-12))
-    if f1.mu is not None:
-        report["c1_fit"] = float(np.min(curv * (1.0 + np.abs(signed)) ** f1.mu))
-        report["cbar1_fit"] = float(
-            np.max(curv / (1.0 + np.abs(signed)) ** f1.gamma)
-        )
-        report["elliptic_ok"] = report["c1_fit"] > 0.0
-    else:
-        report["c1_fit"] = None
-        report["cbar1_fit"] = float(np.max(curv))
-        report["elliptic_ok"] = True  # degenerate curvature allowed for f1
-    rec_p = recession(f1.eval, +1)
-    rec_m = recession(f1.eval, -1)
-    report["recession_ok"] = (
-        abs(rec_p - f1.recession_plus) <= 1e-4 * max(1.0, abs(rec_p))
-        and abs(rec_m - f1.recession_minus) <= 1e-4 * max(1.0, abs(rec_m))
-    )
-    report["ok"] = all(
-        report[k] for k in ("sandwich_ok", "convex_ok", "elliptic_ok", "recession_ok")
-    )
-    return report
-
-
-def validate_density2(f2: Density2Spec) -> dict:
-    """N-function sandwich, model-case curvature fit, and triangle constant."""
-    signed = np.concatenate([-_FIT_GRID[::-1], _FIT_GRID])
-    vals = np.asarray(f2.eval(signed))
-    report = {"convex_ok": None, "sandwich_ok": True}
-    if f2.nfunction is not None:
-        a_vals = np.asarray(f2.nfunction.eval(np.abs(signed)))
-        report["sandwich_ok"] = bool(
-            np.all(vals >= f2.b1 * a_vals - f2.b2 - 1e-9)
-            and np.all(vals <= f2.b3 * a_vals + f2.b4 + 1e-9)
-        )
-    pos = signed[np.abs(signed) > 1e-12]
-    curv = np.asarray(f2.second_deriv(pos))
-    report["convex_ok"] = bool(np.all(curv >= -1e-12))
-    base = (1.0 + np.abs(pos)) ** (f2.p - 2.0)
-    report["c2_fit"] = float(np.min(curv / base))
-    report["cbar2_fit"] = float(np.max(curv / base))
-    report["model_case_ok"] = report["c2_fit"] > 0.0 and math.isfinite(
-        report["cbar2_fit"]
-    )
-    tt = np.linspace(-50.0, 50.0, 41)
-    t_a, t_b = np.meshgrid(tt, tt)
-    num = np.asarray(f2.eval(t_a + t_b))
-    den = np.asarray(f2.eval(t_a)) + np.asarray(f2.eval(t_b))
-    mask = den > 1e-12
-    report["c3_fit"] = float(np.max(num[mask] / den[mask]))
-    report["triangle_ok"] = report["c3_fit"] <= f2.c3 * (1.0 + 1e-9)
-    report["ok"] = all(
-        report[k] for k in ("sandwich_ok", "convex_ok", "triangle_ok")
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Discrete energies: the split functional, its regularization, the relaxed
-functional on jump candidates, and the Luxemburg norm.
+"""Discrete energies: the split functional, its regularization and the relaxed
+functional on jump candidates.
 
 All area integrals use midpoint quadrature on cell-centered gradient values
 with weight h1*h2.  The relaxed functional prices interior jumps along
@@ -15,22 +15,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densities import DensityPair, NFunctionSpec, regularizer
+from .densities import DensityPair, regularizer
 from .grid import CellField2, Grid, GridFunction, gradient
 
 __all__ = [
     "EnergyOverflowError",
     "CandidateInvariantError",
-    "LuxemburgBracketError",
     "EnergyBreakdown",
     "JumpSegment",
     "BVCandidate",
     "lift_to_candidate",
     "eval_J",
     "eval_J_delta",
-    "eval_E",
     "eval_K",
-    "luxemburg_norm",
 ]
 
 
@@ -44,10 +41,6 @@ class EnergyOverflowError(ArithmeticError):
 
 class CandidateInvariantError(ValueError):
     """A jump candidate violates its structural or trace constraints."""
-
-
-class LuxemburgBracketError(ArithmeticError):
-    """Luxemburg bisection bracket [1e-12, 1e12] failed to contain the norm."""
 
 
 @dataclass(frozen=True)
@@ -127,47 +120,6 @@ def eval_J_delta(
         raise ValueError(f"p_reg must be >= 2, got {p_reg}")
     j1, j2, i_reg = _cell_sums(gradient(u), d, p_reg)
     return EnergyBreakdown(j_f1=j1, j_f2=j2, delta_term=delta * i_reg)
-
-
-def eval_E(v_cells: np.ndarray, f2) -> float:
-    """Superlinear penalty of a cell field over the full domain (area 4)."""
-    v = np.asarray(v_cells, dtype=np.float64)
-    weight = 4.0 / v.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(f2.eval(v), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        raise EnergyOverflowError("non-finite cell energy")
-    return weight * float(np.sum(vals))
-
-
-def luxemburg_norm(v_cells: np.ndarray, a: NFunctionSpec) -> float:
-    """Luxemburg norm inf{l > 0 : integral of A(|v|/l) <= 1} of a cell field.
-
-    Bisection over l in [1e-12, 1e12] to relative width 1e-10; a gauge
-    exceeding the bracket raises LuxemburgBracketError.
-    """
-    v = np.abs(np.asarray(v_cells, dtype=np.float64))
-    if v.size == 0 or np.all(v == 0.0):
-        return 0.0
-    weight = 4.0 / v.size
-
-    def excess(l: float) -> float:
-        with np.errstate(over="ignore"):
-            total = weight * float(np.sum(np.asarray(a.eval(v / l))))
-        return total - 1.0
-
-    lo, hi = 1e-12, 1e12
-    if excess(hi) > 0.0:
-        raise LuxemburgBracketError("norm exceeds the bracket cap 1e12")
-    if excess(lo) <= 0.0:
-        return lo
-    while (hi - lo) > 1e-10 * hi:
-        mid = math.sqrt(lo * hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------

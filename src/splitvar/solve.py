@@ -124,7 +124,7 @@ class SolveConfig:
             raise ValueError(f"schedule must be strictly decreasing: {sched}")
         self.delta_schedule = sched
         if self.p_reg is None:
-            p = getattr(self.densities.f2, "p", 2.0)
+            p = self.densities.f2.p
             self.p_reg = float(p) if p >= 2.0 else 2.0
         if self.p_reg < 2.0:
             raise ValueError(f"p_reg must be >= 2, got {self.p_reg}")
@@ -293,6 +293,13 @@ def _pcg(apply_h, b, precond, tol):
     ``precond`` maps a residual r to z = M^-1 r with M symmetric positive
     definite and the ring of z zero (here ``_line_preconditioner``).  Returns
     (x, converged); raises NonConvexDetected on negative curvature.
+
+    The curvature floor is needed: H = G^T W G is positive semidefinite only
+    where W >= 0 at every cell gradient.  The built-in densities have
+    W >= 0 by their closed-form curvatures, but a spec passed in through the
+    Python API need not: ``SolveConfig`` spot-checks curvature at 41 points
+    of [-100, 100] only, so a density that is non-convex between them
+    reaches this solve.
     """
     x = np.zeros_like(b)
     r = b.copy()

@@ -25,20 +25,33 @@ from splitvar import (
     power_nfunction,
     predict_integrability,
     recession,
-    smooth_power_density2,
     tlog_density2,
     tlog_nfunction,
-    validate_density1,
-    validate_density2,
-    validate_nfunction,
     young_residual,
 )
 from splitvar.densities import (
     _invert_slope,
+    _pointwise,
     regularizer,
     regularizer_deriv,
     regularizer_second_deriv,
 )
+
+# zero plus a log-spaced sweep, where the hypothesis constants are checked
+FIT_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 199)])
+SIGNED_GRID = np.concatenate([-FIT_GRID[:0:-1], FIT_GRID])
+
+
+def smooth_power3():
+    """f2(t) = rho_3(t) - 1, an f2 with no closed-form conjugate; the value is
+    expm1(3/2 log1p(t**2)), which keeps full relative accuracy at small t."""
+    return Density2Spec(
+        eval=_pointwise(lambda t: np.expm1(1.5 * np.log1p(t * t))),
+        deriv=_pointwise(lambda t: regularizer_deriv(t, 3.0)),
+        second_deriv=_pointwise(lambda t: regularizer_second_deriv(t, 3.0)),
+        p=3.0,
+        name="smooth_power:3",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +156,7 @@ def test_slope_inversion_matches_closed_forms(phi15):
     "deriv,lo,s_lo,s_hi",
     [
         (tlog_nfunction().deriv, 0.0, 1e-3, 25.0),
-        (smooth_power_density2(3.0).deriv, 0.0, 1e-3, 1e4),
+        (smooth_power3().deriv, 0.0, 1e-3, 1e4),
         (make_phi_nu(1.5).deriv, -1.0, -0.999, 0.999),
         (make_hencky(1.0, 0.3).deriv, -1.0, -1.41, 1.41),
     ],
@@ -180,7 +193,7 @@ def test_signed_inversion_matches_closed_forms():
 
 @pytest.mark.parametrize(
     "spec",
-    [tlog_nfunction(), tlog_density2(), smooth_power_density2(3.0)],
+    [tlog_nfunction(), tlog_density2(), smooth_power3()],
     ids=["tlog_nfunction", "tlog_density2", "smooth_power_3"],
 )
 def test_inversion_fenchel_young_equality_on_arrays(spec):
@@ -300,7 +313,6 @@ def test_phi_nu_values(phi15):
     assert phi15.second_deriv(0.0) == pytest.approx(0.5, abs=1e-15)
     assert phi15.eval(1e6) / 1e6 == pytest.approx(1.0, abs=2e-3)
     assert phi15.recession_plus == 1.0 and phi15.recession_minus == 1.0
-    assert phi15.mu == 1.5 and phi15.gamma == 0.0
 
 
 @pytest.mark.parametrize("nu", [1.0, 2.0, 0.5, 2.5])
@@ -326,10 +338,27 @@ def test_phi_second_derivative_vs_finite_differences(nu):
 
 @pytest.mark.parametrize("nu", [1.2, 1.5, 1.9])
 def test_phi_curvature_normalization(nu):
+    # curvature (nu-1)(1+|t|)^(-nu): ellipticity exponent mu = nu, and the
+    # curvature is largest at t = 0, so the upper exponent gamma is 0
     f = make_phi_nu(nu)
-    ts = np.linspace(0.0, 100.0, 201)
-    vals = np.asarray(f.second_deriv(ts)) * (1.0 + ts) ** nu
-    assert np.allclose(vals, nu - 1.0, atol=1e-10)
+    curv = np.asarray(f.second_deriv(SIGNED_GRID))
+    vals = curv * (1.0 + np.abs(SIGNED_GRID)) ** nu
+    assert np.allclose(vals, nu - 1.0, rtol=1e-12, atol=0.0)
+    assert np.max(curv) == pytest.approx(nu - 1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("nu", [1.2, 1.5, 1.9])
+def test_phi_linear_growth_sandwich(nu):
+    # t/2 - a2 <= phi_nu(t) <= |t|, with a2 the deficit of phi_nu(t) - |t|/2
+    # where the slope is 1/2: t_half = 2^(1/(nu-1)) - 1
+    f = make_phi_nu(nu)
+    t_half = 2.0 ** (1.0 / (nu - 1.0)) - 1.0
+    a2 = (2.0 ** ((2.0 - nu) / (nu - 1.0)) - 1.0) / (2.0 - nu) - 0.5 * t_half
+    assert 0.5 * t_half - f.eval(t_half) == pytest.approx(a2, rel=1e-12)
+    t = np.abs(SIGNED_GRID)
+    vals = np.asarray(f.eval(SIGNED_GRID))
+    assert np.all(vals >= 0.5 * t - a2 - 1e-12 * (1.0 + t))
+    assert np.all(vals <= t)
 
 
 def test_phi_conjugate_range(phi15):
@@ -399,6 +428,25 @@ def test_hencky_conjugate():
         h.conjugate(1.5)  # beyond the recession slope sqrt(2)
 
 
+@pytest.mark.parametrize("k,nu", [(1.0, 1.0), (1.0, 0.3)])
+def test_hencky_sandwich_and_curvature(k, nu):
+    # sqrt(2) k |t| - k^2/(2 nu) <= f <= sqrt(2) k |t|, equal to the lower
+    # bound on the linear branch; the curvature is 2 nu or 0, so no
+    # ellipticity exponent exists
+    h = make_hencky(k, nu)
+    t = np.abs(SIGNED_GRID)
+    sl = math.sqrt(2.0) * k
+    vals = np.asarray(h.eval(SIGNED_GRID))
+    assert np.all(vals >= sl * t - k * k / (2.0 * nu) - 1e-12 * (1.0 + t))
+    assert np.all(vals <= sl * t)
+    linear = t > k / (math.sqrt(2.0) * nu)
+    assert np.allclose(vals[linear], sl * t[linear] - k * k / (2.0 * nu), rtol=1e-14)
+    curv = np.asarray(h.second_deriv(SIGNED_GRID))
+    assert set(np.unique(curv)) == {0.0, 2.0 * nu}
+    for sign in (+1, -1):
+        assert recession(h.eval, sign) == pytest.approx(sl, rel=1e-4)
+
+
 @pytest.mark.parametrize("k,nu", [(0.0, 1.0), (1.0, -2.0)])
 def test_hencky_domain(k, nu):
     with pytest.raises(ValueError):
@@ -417,37 +465,49 @@ def test_hencky_not_usable_as_f2():
 # ---------------------------------------------------------------------------
 
 
-def test_validate_power_nfunction():
-    report = validate_nfunction(power_nfunction(2.0))
-    assert report["ok"], report
+NFUNCTIONS = {
+    # (A, doubling constant on t >= 1, lower growth A(t) >= c t^q on t >= 1 as (c, q))
+    "power:1.5": (power_nfunction(1.5), 2.0**1.5, (1.0, 1.5)),
+    "power:2": (power_nfunction(2.0), 4.0, (1.0, 2.0)),
+    "power:3": (power_nfunction(3.0), 8.0, (1.0, 3.0)),
+    # (1+2t) <= (1+t)^2 gives A(2t) <= 4 A(t); A(t)/t = log(1+t) >= log 2
+    "nfun_tlog": (tlog_nfunction(), 4.0, (math.log(2.0), 1.0)),
+}
 
 
-def test_validate_tlog_nfunction():
-    a = tlog_nfunction()
-    report = validate_nfunction(a)
-    assert report["ok"], report
-    # doubling constant explicitly: (1+2t) <= (1+t)^2 gives k = 4 past t0 = 1
-    assert a.delta2_k == 4.0 and a.delta2_t0 == 1.0
-    assert a.growth_p == 1.0
+@pytest.mark.parametrize("name", sorted(NFUNCTIONS))
+def test_nfunction_axioms_doubling_and_growth(name):
+    a, k, (c, q) = NFUNCTIONS[name]
+    vals = np.asarray(a.eval(FIT_GRID))
+    assert vals[0] == 0.0 and np.all(np.diff(vals) > 0.0)
+    secants = np.diff(vals) / np.diff(FIT_GRID)
+    assert np.all(np.diff(secants) >= -1e-10 * secants.max())
+    # A(t)/t vanishes at zero and keeps growing at infinity
+    assert a.eval(1e-8) / 1e-8 < 1e-3
+    assert a.eval(1e8) / 1e8 > 1.5 * a.eval(1e4) / 1e4
+    t = FIT_GRID[FIT_GRID >= 1.0]
+    assert np.all(a.eval(2.0 * t) <= k * a.eval(t) * (1.0 + 1e-12))
+    assert np.all(a.eval(t) >= c * t**q * (1.0 - 1e-12))
 
 
-def test_validate_density1_reports(phi15):
-    report = validate_density1(phi15)
-    assert report["ok"], report
-    assert report["c1_fit"] > 0.0
-    hencky_report = validate_density1(make_hencky(1.0, 1.0))
-    assert hencky_report["ok"], hencky_report
-    assert hencky_report["c1_fit"] is None  # curvature vanishes past the branch
-
-
-def test_validate_density2_reports(power2):
-    report = validate_density2(power2)
-    assert report["ok"], report
-    assert report["c3_fit"] == pytest.approx(2.0, rel=1e-6)
-    tlog_report = validate_density2(tlog_density2())
-    assert tlog_report["ok"], tlog_report
-    smooth_report = validate_density2(smooth_power_density2(3.0))
-    assert smooth_report["ok"], smooth_report
+@pytest.mark.parametrize(
+    "f2,nfun,c3",
+    [
+        (power_density2(2.0), power_nfunction(2.0), 2.0),
+        (power_density2(3.0), power_nfunction(3.0), 4.0),
+        (tlog_density2(), tlog_nfunction(), 4.0),
+    ],
+    ids=["power:2", "power:3", "nfun_tlog"],
+)
+def test_density2_nfunction_and_triangle_constant(f2, nfun, c3):
+    # f2 is its N-function evenly extended, and f2(t + s) <= c3 (f2(t) + f2(s))
+    # with c3 = 2^(p-1) for |t|^p and 4 for |t| log(1+|t|)
+    assert np.array_equal(f2.eval(SIGNED_GRID), nfun.eval(np.abs(SIGNED_GRID)))
+    assert np.all(np.asarray(f2.second_deriv(SIGNED_GRID[SIGNED_GRID != 0.0])) > 0.0)
+    t, s = np.meshgrid(SIGNED_GRID, SIGNED_GRID)
+    den = f2.eval(t) + f2.eval(s)
+    mask = den > 0.0
+    assert np.max(f2.eval(t + s)[mask] / den[mask]) <= c3 * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
@@ -460,23 +520,6 @@ def test_regularizer_derivatives_match_central_differences(p):
     fd2 = (regularizer(t + h, p) - 2.0 * regularizer(t, p) + regularizer(t - h, p))
     fd2 /= h**2
     assert np.allclose(regularizer_second_deriv(t, p), fd2, rtol=1e-5, atol=1e-5)
-    # the smooth power density is the regularizer shifted to vanish at zero;
-    # rho_p - 1 cancels near t = 0 (1e-14 relative at t = 0.1, p = 4.5), so
-    # the two forms agree to rounding on the scale of rho_p
-    f2 = smooth_power_density2(p)
-    rho = regularizer(t, p)
-    assert np.all(np.abs(f2.eval(t) - (rho - 1.0)) <= 1e-14 * rho)
-    assert np.array_equal(f2.deriv(t), regularizer_deriv(t, p))
-    assert np.array_equal(f2.second_deriv(t), regularizer_second_deriv(t, p))
-
-
-
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
-def test_smooth_power_density_small_t_relative_accuracy(p):
-    # (1+t^2)^(p/2) - 1 = p/2 t^2 (1 + (p-2)/4 t^2) + O(t^6)
-    t = np.array([1e-8, 1e-6, 1e-4])
-    series = 0.5 * p * t * t * (1.0 + 0.25 * (p - 2.0) * t * t)
-    assert np.allclose(smooth_power_density2(p).eval(t), series, rtol=1e-14, atol=0.0)
 
 
 EVEN_SPECS = {
@@ -485,7 +528,7 @@ EVEN_SPECS = {
     "power:2": power_density2(2.0),
     "power:3": power_density2(3.0),
     "nfun_tlog": tlog_density2(),
-    "smooth_power:3": smooth_power_density2(3.0),
+    "smooth_power:3": smooth_power3(),
     "A power:3": power_nfunction(3.0),
     "A nfun_tlog": tlog_nfunction(),
 }
@@ -528,7 +571,7 @@ def test_density_pair_split_additivity(pair_std):
 def test_power_density2_second_derivative_quadratic(power2):
     ts = np.linspace(-5.0, 5.0, 11)
     assert np.allclose(power2.second_deriv(ts), 2.0)
-    assert power2.c3 == 2.0 and power2.p == 2.0
+    assert power2.p == 2.0
 
 
 def test_density_ids_resolve():

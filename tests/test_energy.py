@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from splitvar import (
     BVCandidate,
@@ -12,19 +10,15 @@ from splitvar import (
     Grid,
     GridFunction,
     JumpSegment,
-    LuxemburgBracketError,
-    eval_E,
     eval_J,
     eval_J_delta,
     eval_K,
     gradient,
     lift_to_candidate,
-    luxemburg_norm,
     make_hencky,
     make_pair,
     make_phi_nu,
     power_density2,
-    power_nfunction,
 )
 from tests.conftest import affine_field
 
@@ -125,60 +119,6 @@ def test_eval_j_delta_validation(pair_std):
             eval_J_delta(u, pair_std, bad_delta, 2.0)
     with pytest.raises(ValueError):
         eval_J_delta(u, pair_std, 0.1, 1.5)
-
-
-def test_eval_e_values(power2):
-    assert eval_E(np.zeros((4, 4)), power2) == 0.0
-    assert eval_E(np.full((8, 3), 1.5), power2) == pytest.approx(4.0 * 2.25, rel=1e-14)
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal((4, 4))
-    ref = sum(float(power2.eval(x)) for x in v.ravel()) * (4.0 / 16.0)
-    assert eval_E(v, power2) == pytest.approx(ref, rel=1e-13)
-
-
-def test_eval_e_overflow(power2):
-    with pytest.raises(EnergyOverflowError):
-        eval_E(np.full((2, 2), 1e200), power2)
-
-
-# ---------------------------------------------------------------------------
-# Luxemburg norm
-# ---------------------------------------------------------------------------
-
-
-def test_luxemburg_zero_field():
-    assert luxemburg_norm(np.zeros((5, 5)), power_nfunction(2.0)) == 0.0
-
-
-def test_luxemburg_constant_quadratic():
-    # A(t)=t^2: the gauge solves 4*(c/l)^2 = 1, so l = 2c
-    a = power_nfunction(2.0)
-    for c in (0.25, 1.0, 7.0):
-        got = luxemburg_norm(np.full((6, 6), c), a)
-        assert got == pytest.approx(2.0 * c, rel=1e-9)
-
-
-def test_luxemburg_unit_ball():
-    a = power_nfunction(1.5)
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal((8, 8)) * 3.0
-    norm = luxemburg_norm(v, a)
-    mean = (4.0 / v.size) * float(np.sum(np.asarray(a.eval(np.abs(v) / norm))))
-    assert mean <= 1.0 + 1e-9
-
-
-def test_luxemburg_bracket_overflow():
-    with pytest.raises(LuxemburgBracketError):
-        luxemburg_norm(np.full((2, 2), 3e12), power_nfunction(2.0))
-
-
-@settings(max_examples=30, deadline=None)
-@given(scale=st.floats(min_value=1e-3, max_value=1e3))
-def test_luxemburg_homogeneous(scale):
-    a = power_nfunction(2.0)
-    v = np.array([[0.3, -1.2], [0.0, 2.5]])
-    base = luxemburg_norm(v, a)
-    assert luxemburg_norm(scale * v, a) == pytest.approx(scale * base, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from splitvar import (
     ContinuationContractError,
     Grid,
     GridFunction,
+    NonConvexDetected,
     SolveConfig,
     continuation,
     divergence_residual,
@@ -99,6 +100,29 @@ def test_config_rejects_nonconvex_density(pair_std):
             u0=affine_field(g, 1.0, 0.0),
             delta_schedule=[1e-1],
         )
+
+
+def test_nonconvexity_between_probe_points_reaches_cg(pair_std):
+    # the curvature dips below zero on 0.2 < |t| < 0.3, between the config's
+    # probe points 5 apart, so only CG's curvature floor can catch it
+    phi = pair_std.f1
+    dipped = dataclasses.replace(
+        phi,
+        second_deriv=lambda t: phi.second_deriv(t)
+        - 20.0 * ((np.abs(t) > 0.2) & (np.abs(t) < 0.3)),
+    )
+    g = Grid(16, 16)
+    u0 = GridFunction.from_callable(
+        g, lambda x1, x2: 0.25 * x1 + 0.05 * np.sin(3.0 * x1) * np.cos(x2)
+    )
+    cfg = SolveConfig(
+        grid=g,
+        densities=dataclasses.replace(pair_std, f1=dipped),
+        u0=u0,
+        delta_schedule=[1e-1],
+    )
+    with pytest.raises(NonConvexDetected, match="negative curvature"):
+        continuation(cfg)
 
 
 # ---------------------------------------------------------------------------
