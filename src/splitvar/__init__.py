@@ -14,10 +14,8 @@ from .densities import (
     Density2Spec,
     DensityPair,
     IntegrabilityPrediction,
-    NFunctionSpec,
     NonConcaveObjectiveError,
     NonLinearGrowthError,
-    check_condition_dual4,
     conjugate_scalar,
     conjugate_via_slope_inversion,
     density_from_id,
@@ -25,11 +23,9 @@ from .densities import (
     make_pair,
     make_phi_nu,
     power_density2,
-    power_nfunction,
     predict_integrability,
     recession,
     tlog_density2,
-    tlog_nfunction,
     young_residual,
 )
 from .diagnostics import (
@@ -39,7 +35,7 @@ from .diagnostics import (
     integrability_sweep,
     relaxation_gap,
 )
-from .duality import DualReport, duality_gap, eval_R, extremality_check, stress
+from .duality import DualReport, duality_gap, stress
 from .energy import (
     BVCandidate,
     CandidateInvariantError,
@@ -84,10 +80,8 @@ __all__ = [
     "Density2Spec",
     "DensityPair",
     "IntegrabilityPrediction",
-    "NFunctionSpec",
     "NonConcaveObjectiveError",
     "NonLinearGrowthError",
-    "check_condition_dual4",
     "conjugate_scalar",
     "conjugate_via_slope_inversion",
     "density_from_id",
@@ -95,11 +89,9 @@ __all__ = [
     "make_pair",
     "make_phi_nu",
     "power_density2",
-    "power_nfunction",
     "predict_integrability",
     "recession",
     "tlog_density2",
-    "tlog_nfunction",
     "young_residual",
     # grid
     "CellField2",
@@ -133,8 +125,6 @@ __all__ = [
     # duality
     "DualReport",
     "duality_gap",
-    "eval_R",
-    "extremality_check",
     "stress",
     # diagnostics
     "ApproximationTable",

@@ -1,12 +1,13 @@
-"""Scalar energy densities, N-functions, and convex conjugation utilities.
+"""Scalar energy densities and convex conjugation utilities.
 
 The variational integrand splits as f(xi) = f1(xi_1) + f2(xi_2) where f1 is
-convex of linear growth and f2 grows superlinearly, bounded below by an
-N-function.  This module provides the built-in density families, their
-convex conjugates, recession slopes, the Fenchel-Young residual and the
-conjugate-growth fit, the delta-regularizer with its stress, and the exponent
-bookkeeping that predicts how much integrability of the second gradient
-component the a-priori machinery yields.
+convex of linear growth and f2 grows superlinearly.  The paper takes f2
+given by, or bounded below by, an N-function A; every built-in f2 is
+f2(t) = A(|t|), so one spec type, ``Density2Spec``, carries it.  This module
+provides the built-in density families, their convex conjugates, recession
+slopes, the Fenchel-Young residual, the delta-regularizer with its stress,
+and the exponent bookkeeping that predicts how much integrability of the
+second gradient component the a-priori machinery yields.
 
 All ``eval``/``deriv``/``second_deriv`` maps are numpy ufunc style: they
 accept floats or arrays and broadcast, and a float in gives a float out.
@@ -14,7 +15,6 @@ Every built-in density is even, so each family is written once, as a
 profile g on [0, inf) with its slope g', curvature g'' and, where one
 exists, closed conjugate g*; the public maps are the even extension
 t -> g(|t|), the odd slope t -> sign(t) g'(|t|), and s -> g*(|s|).
-N-functions are evaluated at |t| too.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ __all__ = [
     "NonLinearGrowthError",
     "NonConcaveObjectiveError",
     "ConjugateBoundaryWarning",
-    "NFunctionSpec",
     "Density1Spec",
     "Density2Spec",
     "DensityPair",
     "IntegrabilityPrediction",
     "make_phi_nu",
     "make_hencky",
-    "power_nfunction",
-    "tlog_nfunction",
     "power_density2",
     "tlog_density2",
     "regularizer",
@@ -51,7 +48,6 @@ __all__ = [
     "conjugate_scalar",
     "conjugate_via_slope_inversion",
     "young_residual",
-    "check_condition_dual4",
     "recession",
     "predict_integrability",
 ]
@@ -81,21 +77,6 @@ class ConjugateBoundaryWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # spec containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NFunctionSpec:
-    """A scalar N-function: continuous, strictly increasing, convex on [0, inf),
-    with ``A(t)/t`` vanishing at zero and diverging at infinity."""
-
-    eval: ScalarMap
-    deriv: ScalarMap
-    name: str = "nfunction"
-    conjugate_closed: Optional[ScalarMap] = None
-
-    def conjugate(self, s):
-        """Convex conjugate A*(|s|) of the even extension t -> A(|t|)."""
-        return _even_conjugate(self.eval, self.deriv, self.conjugate_closed, s)
 
 
 @dataclass(frozen=True)
@@ -151,8 +132,12 @@ class Density2Spec:
     conjugate_closed: Optional[ScalarMap] = None
 
     def conjugate(self, s):
-        """Convex conjugate f2*(|s|) of the even density f2."""
-        return _even_conjugate(self.eval, self.deriv, self.conjugate_closed, s)
+        """Convex conjugate f2*(|s|) of the even density f2: the closed form
+        when there is one, else slope inversion at |s|."""
+        if self.conjugate_closed is not None:
+            return self.conjugate_closed(s)
+        s_abs = np.abs(np.asarray(s, dtype=np.float64))
+        return conjugate_via_slope_inversion(self.eval, self.deriv, s_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +150,7 @@ def conjugate_scalar(g: ScalarMap, s: float, t_max: float = 1e6) -> float:
     plus 90 golden-section steps.
 
     The derivative-free reference conjugate, one slope at a time: acceptance
-    criterion 1 checks the N-function conjugates against it, and the
+    criterion 1 checks the power-density conjugates against it, and the
     biconjugate tests conjugate a conjugate with it.  The package's own
     conjugates without a closed form invert the slope map instead
     (``conjugate_via_slope_inversion``, ``Density1Spec.conjugate``).
@@ -191,29 +176,33 @@ def conjugate_scalar(g: ScalarMap, s: float, t_max: float = 1e6) -> float:
     lo = ts[k - 1] if k > 0 else ts[0]
     hi = ts[k + 1] if k + 1 < len(ts) else ts[-1]
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = s * x1 - float(g(x1))
-    f2 = s * x2 - float(g(x2))
-    for _ in range(90):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = s * x2 - float(g(x2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = s * x1 - float(g(x1))
-    t_star = 0.5 * (a + b)
-    value = max(f1, f2, float(vals[k]))
+    t_star, best = _golden_max(lambda t: s * t - float(g(t)), float(lo), float(hi), 90)
+    value = max(best, float(vals[k]))
     if t_star >= t_max * (1.0 - 1e-6):
         warnings.warn(
             f"conjugate maximizer at search cap t_max={t_max:g} (s={s:g})",
             ConjugateBoundaryWarning,
         )
     return float(value)
+
+
+def _golden_max(f: Callable[[float], float], a: float, b: float, steps: int):
+    """Maximize a unimodal f on [a, b] by ``steps`` golden-section steps; returns
+    the best point (x, f(x)) evaluated, strictly inside (a, b)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(steps):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def conjugate_via_slope_inversion(g: ScalarMap, dg: ScalarMap, s) -> np.ndarray:
@@ -233,17 +222,6 @@ def conjugate_via_slope_inversion(g: ScalarMap, dg: ScalarMap, s) -> np.ndarray:
         t_star = _invert_slope(dg, flat[inner], 0.0)
         out[inner] = flat[inner] * t_star - np.asarray(g(t_star))
     return out.reshape(s_arr.shape) if s_arr.ndim else float(out[0])
-
-
-def _even_conjugate(g: ScalarMap, dg: ScalarMap, closed: Optional[ScalarMap], s):
-    """Conjugate of an even convex function from its maps on [0, inf).
-
-    The closed form when there is one, else slope inversion at |s|.
-    """
-    if closed is not None:
-        return closed(s)
-    s_abs = np.abs(np.asarray(s, dtype=np.float64))
-    return conjugate_via_slope_inversion(g, dg, s_abs)
 
 
 def _invert_slope(deriv: ScalarMap, s: np.ndarray, lo: float) -> np.ndarray:
@@ -287,34 +265,10 @@ def _invert_slope(deriv: ScalarMap, s: np.ndarray, lo: float) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def young_residual(a: NFunctionSpec, t: float) -> float:
-    """|A(t) + A*(A'(t)) - t*A'(t)|, the Fenchel-Young equality defect at t."""
+def young_residual(a: Density2Spec, t: float) -> float:
+    """|A(t) + A*(A'(t)) - t*A'(t)|, the Fenchel-Young equality defect at t >= 0."""
     slope = float(a.deriv(t))
     return abs(float(a.eval(t)) + float(a.conjugate(slope)) - t * slope)
-
-
-def check_condition_dual4(a: NFunctionSpec, samples) -> tuple[float, bool]:
-    """Fit the smallest c with A*(A'(t)) <= c*(A(t) + 1) over the samples.
-
-    Returns (c_fit, holds) where ``holds`` requires the fitted constant to be
-    finite and stable within 5% when the sample count is doubled by midpoint
-    refinement.
-    """
-    ts = np.sort(np.asarray(samples, dtype=np.float64))
-    if ts.size == 0:
-        raise ValueError("need at least one sample")
-
-    def fit(points):
-        return float(np.max(a.conjugate(a.deriv(points)) / (a.eval(points) + 1.0)))
-
-    c_fit = fit(ts)
-    refined = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])) if ts.size > 1 else ts
-    c_ref = fit(refined)
-    denom = max(abs(c_fit), 1e-30)
-    holds = math.isfinite(c_fit) and math.isfinite(c_ref) and abs(c_ref - c_fit) <= 0.05 * denom
-    if c_fit == 0.0 and c_ref == 0.0:
-        holds = True
-    return c_fit, holds
 
 
 def recession(f1_eval: ScalarMap, sign: int) -> float:
@@ -435,55 +389,32 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
     )
 
 
-def power_nfunction(p: float, coef: float = 1.0) -> NFunctionSpec:
-    """N-function A(t) = coef * t**p with p > 1."""
+def power_density2(p: float) -> Density2Spec:
+    """Superlinear density f2(t) = |t|**p, p > 1, an evenly extended N-function."""
     if p <= 1.0:
         raise ValueError(f"power N-function needs p > 1, got {p}")
-    if coef <= 0.0:
-        raise ValueError("coef must be positive")
     q = p / (p - 1.0)
-    return NFunctionSpec(
-        eval=_of_abs(lambda s: coef * s**p),
-        deriv=_of_abs(lambda s: coef * p * s ** (p - 1.0)),
-        name=f"power:{p:g}" + ("" if coef == 1.0 else f":{coef:g}"),
-        # sup_t s*t - coef*t**p attained at t = (s/(coef*p))**(1/(p-1))
-        conjugate_closed=_of_abs(lambda s: (p - 1.0) * coef * (s / (coef * p)) ** q),
-    )
-
-
-def tlog_nfunction() -> NFunctionSpec:
-    """Nearly-linear N-function A(t) = t*log(1+t)."""
-    return NFunctionSpec(
-        eval=_of_abs(lambda s: s * np.log1p(s)),
-        deriv=_of_abs(lambda s: np.log1p(s) + s / (1.0 + s)),
-        name="nfun_tlog",
-    )
-
-
-def power_density2(p: float) -> Density2Spec:
-    """Superlinear density f2(t) = |t|**p, the power N-function evenly extended."""
-    a = power_nfunction(p)
 
     def d2(s):
         with np.errstate(divide="ignore"):
             return p * (p - 1.0) * s ** (p - 2.0)
 
     return Density2Spec(
-        eval=a.eval,
-        deriv=_odd(a.deriv),
+        eval=_of_abs(lambda s: s**p),
+        deriv=_odd(lambda s: p * s ** (p - 1.0)),
         second_deriv=_of_abs(d2),
         p=p,
         name=f"power:{p:g}",
-        conjugate_closed=a.conjugate_closed,
+        # sup_t s*t - t**p attained at t = (s/p)**(1/(p-1))
+        conjugate_closed=_of_abs(lambda s: (p - 1.0) * (s / p) ** q),
     )
 
 
 def tlog_density2() -> Density2Spec:
     """Nearly-linear superlinear density f2(t) = |t|*log(1+|t|)."""
-    a = tlog_nfunction()
     return Density2Spec(
-        eval=a.eval,
-        deriv=_odd(a.deriv),
+        eval=_of_abs(lambda s: s * np.log1p(s)),
+        deriv=_odd(lambda s: np.log1p(s) + s / (1.0 + s)),
         second_deriv=_of_abs(lambda s: (2.0 + s) / (1.0 + s) ** 2),
         p=1.0,
         name="nfun_tlog",
@@ -500,20 +431,13 @@ class DensityPair:
     """The split integrand f(xi) = f1(xi_1) + f2(xi_2) with both conjugates.
 
     The conjugate splits the same way: f*(s) = conjugate_f1(s_1) +
-    conjugate_f2(s_2), where conjugate_f2 already includes the modulus of the
-    N-function form.
+    conjugate_f2(s_2).
     """
 
     f1: Density1Spec
     f2: Density2Spec
     conjugate_f1: ScalarMap
     conjugate_f2: ScalarMap
-
-    def eval(self, xi1, xi2):
-        return self.f1.eval(xi1) + self.f2.eval(xi2)
-
-    def conjugate(self, s1, s2):
-        return self.conjugate_f1(s1) + self.conjugate_f2(s2)
 
 
 def make_pair(f1: Density1Spec, f2: Density2Spec) -> DensityPair:
@@ -636,14 +560,6 @@ class IntegrabilityPrediction:
         return out
 
 
-def _exponent_pair_ok(p: float, gamma: float, tau_s: float, tau_alpha: float) -> bool:
-    if tau_alpha <= 0.0 or tau_s <= 0.0:
-        return False
-    if abs(tau_s - tau_alpha) >= 0.5:
-        return False
-    return gamma < (p - 1.0 + 2.0 * (tau_s - tau_alpha)) / (p + 2.0 * tau_s)
-
-
 def predict_integrability(
     p: float, gamma: float, mu: Optional[float] = None
 ) -> IntegrabilityPrediction:
@@ -686,23 +602,16 @@ def predict_integrability(
         )
 
     taus = np.linspace(0.01, 2.0, 200)
-    best = None
-    t_s_grid, t_a_grid = np.meshgrid(taus, taus, indexing="ij")
-    diff = t_s_grid - t_a_grid
-    with np.errstate(divide="ignore"):
-        bound = (p - 1.0 + 2.0 * diff) / (p + 2.0 * t_s_grid)
-    mask = (np.abs(diff) < 0.5) & (gamma < bound)
-    if np.any(mask):
-        idx = np.argmax(np.where(mask, t_s_grid, -np.inf))
-        i, j = np.unravel_index(idx, mask.shape)
-        best = (float(t_s_grid[i, j]), float(t_a_grid[i, j]))
-    # near-degenerate candidates guarantee chi > p+1 whenever gamma < p/(p+1)
-    for ta in (1e-3, 1e-6, 1e-9, 1e-12):
-        ts = 0.5 + 0.5 * ta
-        if _exponent_pair_ok(p, gamma, ts, ta):
-            if best is None or ts > best[0]:
-                best = (ts, ta)
-    if best is None:
+    t_s, t_a = (g.ravel() for g in np.meshgrid(taus, taus, indexing="ij"))
+    # near-degenerate candidates guarantee chi > p+1 whenever gamma < p/(p+1);
+    # appended after the grid, so the first argmax prefers a grid pair and a
+    # degenerate pair wins only by a strictly larger tau_s
+    t_deg = np.array([1e-3, 1e-6, 1e-9, 1e-12])
+    t_s = np.concatenate([t_s, 0.5 + 0.5 * t_deg])
+    t_a = np.concatenate([t_a, t_deg])
+    diff = t_s - t_a
+    mask = (np.abs(diff) < 0.5) & (gamma < (p - 1.0 + 2.0 * diff) / (p + 2.0 * t_s))
+    if not np.any(mask):
         return IntegrabilityPrediction(
             p=p,
             gamma=gamma,
@@ -715,7 +624,8 @@ def predict_integrability(
             feasible=False,
             which_case="infeasible",
         )
-    tau_s, tau_alpha = best
+    k = int(np.argmax(np.where(mask, t_s, -np.inf)))
+    tau_s, tau_alpha = float(t_s[k]), float(t_a[k])
     return IntegrabilityPrediction(
         p=p,
         gamma=gamma,

@@ -160,13 +160,9 @@ def _gauss_panels(a: float, b: float, n_panels: int = 8):
     return xs, ws
 
 
-def _kernel_l1() -> float:
-    # integral of |smoothstep - heaviside| over the support
-    xs, ws = _gauss_panels(0.0, 0.5)
-    return 2.0 * float(np.sum(ws * (1.0 - _smoothstep(xs))))
-
-
-_KERNEL_L1 = _kernel_l1()
+# integral of |smoothstep - heaviside| over the support: by symmetry
+# 2 * int_0^(1/2) (1/2 - 3u/2 + 2u^3) du = 2 * (1/4 - 3/16 + 1/32) = 3/16
+_KERNEL_L1 = 3.0 / 16.0
 
 
 @dataclass

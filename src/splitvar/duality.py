@@ -1,4 +1,4 @@
-"""Dual quantities: stress fields, the dual objective, duality gaps, and the
+"""Dual quantities: stress fields and the duality gap report, with its
 pointwise conjugate-extremality check.
 
 The dual objective evaluates the Lagrangian at the boundary-data field: for
@@ -8,7 +8,9 @@ a cell stress tau,
 
 a certified lower bound on the primal energy whenever tau is discretely
 divergence-free (residual below ``DIV_TOL``); for nearly divergence-free
-fields the reported bound degrades linearly in the residual.
+fields the reported bound degrades linearly in the residual.  f1* is finite
+only inside the recession slopes of f1, so ``duality_gap``, the one door to
+R, certifies a scaled stress lambda*tau that lies inside them.
 """
 
 from __future__ import annotations
@@ -18,25 +20,27 @@ from typing import Optional
 
 import numpy as np
 
-from .densities import DensityPair, regularized_stress
+from .densities import DensityPair, _golden_max, regularized_stress
 from .energy import _cell_sums
 from .grid import CellField2, GridFunction, divergence_residual, gradient
 
 __all__ = [
     "DualReport",
     "stress",
-    "eval_R",
     "duality_gap",
-    "extremality_check",
 ]
 
 # max-norm bound on the discrete divergence residual of a certified stress
 DIV_TOL = 1e-6
 
+# golden-section steps of the stress-scale search (final bracket 0.618**60 ~ 3e-13)
+SCALE_STEPS = 60
+
 
 @dataclass(frozen=True)
 class DualReport:
-    """Primal-dual certificate for one primal field and one stress field."""
+    """Primal-dual certificate for one primal field and one stress field;
+    ``scale`` is the lambda of the certified stress lambda*tau."""
 
     j_value: float
     r_value: float
@@ -46,6 +50,7 @@ class DualReport:
     certified: bool
     extremality_max_violation: float
     delta_stress_norm: float
+    scale: float
 
     def to_dict(self) -> dict:
         return {
@@ -57,6 +62,7 @@ class DualReport:
             "certified": self.certified,
             "extremality": self.extremality_max_violation,
             "delta_stress_norm": self.delta_stress_norm,
+            "scale": self.scale,
         }
 
 
@@ -71,19 +77,6 @@ def stress(
     return CellField2(u.grid, sigma1, t2), CellField2(u.grid, t1, t2), x_delta
 
 
-def eval_R(tau: CellField2, d: DensityPair, u0: GridFunction) -> tuple[float, bool]:
-    """Dual objective at a stress field, evaluated against the boundary field.
-
-    Returns (r_value, certified).  ``certified`` means the discrete weak
-    divergence stays below ``DIV_TOL`` in the max norm, making r_value a
-    lower bound for the primal energy up to residual_max * ||v - u0||_l1
-    over admissible v.  Conjugate range errors (first component slope
-    outside the recession interval) propagate.
-    """
-    r_value = _dual_value(tau, d, gradient(u0))
-    return r_value, _div_residual_max(tau) <= DIV_TOL
-
-
 def _dual_value(tau: CellField2, d: DensityPair, g0: CellField2) -> float:
     conj1 = np.asarray(d.conjugate_f1(tau.comp1), dtype=np.float64)
     conj2 = np.asarray(d.conjugate_f2(tau.comp2), dtype=np.float64)
@@ -91,17 +84,9 @@ def _dual_value(tau: CellField2, d: DensityPair, g0: CellField2) -> float:
     return g0.grid.cell_area * float(np.sum(pairing - conj1 - conj2))
 
 
-def _div_residual_max(tau: CellField2) -> float:
-    return float(np.max(np.abs(divergence_residual(tau))))
-
-
-def extremality_check(u: GridFunction, sigma: CellField2, d: DensityPair) -> float:
-    """Max relative violation of the pointwise conjugate extremality identity
-    f(grad u) + f*(sigma) = sigma . grad u over cells."""
-    return _extremality(gradient(u), sigma, d)
-
-
 def _extremality(g: CellField2, sigma: CellField2, d: DensityPair) -> float:
+    """Max relative violation over cells of the pointwise conjugate
+    extremality identity f(g) + f*(sigma) = sigma . g."""
     lhs = (
         np.asarray(d.f1.eval(g.comp1))
         + np.asarray(d.f2.eval(g.comp2))
@@ -111,6 +96,22 @@ def _extremality(g: CellField2, sigma: CellField2, d: DensityPair) -> float:
     pairing = sigma.comp1 * g.comp1 + sigma.comp2 * g.comp2
     viol = np.abs(lhs - pairing) / (1.0 + np.abs(pairing))
     return float(np.max(viol))
+
+
+def _certified_stress(tau: CellField2, d: DensityPair, g0: CellField2) -> tuple:
+    """(lambda, lambda*tau), the scaled stress ``duality_gap`` certifies."""
+    r_plus, r_minus = d.f1.recession_plus, d.f1.recession_minus
+    hi, lo = float(np.max(tau.comp1)), float(np.min(tau.comp1))
+    if -r_minus < lo and hi < r_plus:
+        return 1.0, tau
+    # one ratio is at least 1 here, so the reciprocal is finite
+    lam_max = 1.0 / max(hi / r_plus, -lo / r_minus)
+
+    def scaled(lam):
+        return CellField2(tau.grid, lam * tau.comp1, lam * tau.comp2)
+
+    lam, _ = _golden_max(lambda x: _dual_value(scaled(x), d, g0), 0.0, lam_max, SCALE_STEPS)
+    return lam, scaled(lam)
 
 
 def duality_gap(
@@ -125,19 +126,34 @@ def duality_gap(
 
     ``u0`` defaults to ``u`` itself (whose ring carries the Dirichlet data
     after a solve).  The dual value and its divergence certificate use the
-    supplied ``tau`` (typically the converged regularized stress), while the
-    pointwise Fenchel-equality check always pairs u with Df(grad u), the
-    stress the equality refers to.  ``delta``/``p_reg`` control the reported
-    norm of the vanishing regularization stress delta * x_delta in the dual
-    exponent p/(p-1).
+    stress lambda*tau (typically tau is the converged regularized stress),
+    while the pointwise Fenchel-equality check always pairs u with
+    Df(grad u), the stress the equality refers to.  ``delta``/``p_reg``
+    control the reported norm of the vanishing regularization stress
+    delta * x_delta in the dual exponent p/(p-1).
+
+    The scale lambda (``DualReport.scale``).  f1* is finite only on
+    (-r_minus, r_plus), the recession slopes of f1, which tau_1 may leave.
+    Every lambda in (0, lambda_max), lambda_max = min(r_plus / max tau_1^+,
+    r_minus / max tau_1^-), puts lambda*tau_1 strictly inside.  The discrete
+    divergence is linear, div(lambda*tau) = lambda div tau, so for every v
+    with the ring of u0 Fenchel-Young cell by cell gives J[v] >= R(lambda) -
+    lambda * residual_max * ||v - u0||_l1, where R(lambda) = lambda <tau,
+    grad u0> - sum of f1*(lambda tau_1) + f2*(lambda tau_2).  R is concave
+    in lambda (linear minus convex), so the tightest such bound is its
+    maximum, found by ``SCALE_STEPS`` golden-section steps strictly inside
+    (0, lambda_max).  If tau_1 lies strictly inside (-r_minus, r_plus),
+    lambda = 1 and tau is certified as given.  The reported r, div_residual
+    and certified refer to lambda*tau.
     """
     # the cell gradients and the divergence residual are formed once each
     g = gradient(u)
     g0 = g if u0 is None else gradient(u0)
     j1, j2, _ = _cell_sums(g, d)
     j_value = j1 + j2
+    scale, tau = _certified_stress(tau, d, g0)
     r_value = _dual_value(tau, d, g0)
-    res_max = _div_residual_max(tau)
+    res_max = float(np.max(np.abs(divergence_residual(tau))))
     certified = res_max <= DIV_TOL
     gap_abs = j_value - r_value
     gap_rel = gap_abs / (1.0 + abs(j_value))
@@ -161,4 +177,5 @@ def duality_gap(
         certified=certified,
         extremality_max_violation=extremality,
         delta_stress_norm=norm_q,
+        scale=scale,
     )

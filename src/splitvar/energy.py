@@ -5,6 +5,8 @@ All area integrals use midpoint quadrature on cell-centered gradient values
 with weight h1*h2.  The relaxed functional prices interior jumps along
 vertical grid lines at recession-slope times jump mass, and boundary
 detachment on the two vertical sides the same way with trapezoid weights.
+Each energy comes back as an ``EnergyBreakdown`` of its parts, and
+``j_total`` sums them.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ class EnergyBreakdown:
     """Itemized energy values.
 
     ``j_total`` always equals j_f1 + j_f2 + k_singular + k_boundary +
-    delta_term; ``e_part`` aliases j_f2 (the superlinear penalty of the
-    second gradient component appears in both the plain and the relaxed
-    functional).
+    delta_term; j_f2, the superlinear penalty of the second gradient
+    component, appears in both the plain and the relaxed functional.
     """
 
     j_f1: float
@@ -60,23 +61,8 @@ class EnergyBreakdown:
     delta_term: float = 0.0
 
     @property
-    def e_part(self) -> float:
-        return self.j_f2
-
-    @property
     def j_total(self) -> float:
         return self.j_f1 + self.j_f2 + self.k_singular + self.k_boundary + self.delta_term
-
-    def to_dict(self) -> dict:
-        return {
-            "j_total": self.j_total,
-            "j_f1": self.j_f1,
-            "j_f2": self.j_f2,
-            "k_singular": self.k_singular,
-            "k_boundary": self.k_boundary,
-            "e_part": self.e_part,
-            "delta_term": self.delta_term,
-        }
 
 
 def _cell_sums(

@@ -113,7 +113,30 @@ def test_dual_report(tmp_path, capsys):
     assert dual["gap_abs"] >= -1e-9 * (1.0 + abs(dual["j"]))
     assert dual["gap_rel"] <= 1e-3
     assert dual["extremality"] <= 1e-6
+    assert dual["scale"] == 1.0
     assert (tmp_path / "dual_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the paper's jump scenario at default settings
+        ["--grid", "256x256", "--u0", "step:0:1"],
+        ["--grid", "32x32", "--u0", "step:0:5", "--deltas", "1e-1"],
+        ["--grid", "32x32", "--f1", "hencky:1:0.3", "--u0", "affine:3:0"],
+    ],
+    ids=["step_256", "step_5", "hencky"],
+)
+def test_dual_report_scales_out_of_range_stress(args, tmp_path, capsys):
+    # sigma_1 leaves the recession interval of f1 in each run
+    rc, out, _ = run(["dual-report", *args, "--out-dir", str(tmp_path)], capsys)
+    assert rc == 0
+    dual = json.loads(out)
+    assert dual["scale"] < 1.0 and dual["certified"] is True
+    assert math.isfinite(dual["gap_abs"])
+    assert dual["gap_abs"] >= -1e-9 * (1.0 + abs(dual["j"]))
+    saved = json.loads((tmp_path / "dual_report.json").read_text())
+    assert saved["dual"] == dual
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -11,10 +11,8 @@ from splitvar import (
     ConjugateRangeError,
     Density1Spec,
     Density2Spec,
-    NFunctionSpec,
     NonConcaveObjectiveError,
     NonLinearGrowthError,
-    check_condition_dual4,
     conjugate_scalar,
     conjugate_via_slope_inversion,
     density_from_id,
@@ -22,11 +20,9 @@ from splitvar import (
     make_pair,
     make_phi_nu,
     power_density2,
-    power_nfunction,
     predict_integrability,
     recession,
     tlog_density2,
-    tlog_nfunction,
     young_residual,
 )
 from splitvar.densities import (
@@ -155,7 +151,7 @@ def test_slope_inversion_matches_closed_forms(phi15):
 @pytest.mark.parametrize(
     "deriv,lo,s_lo,s_hi",
     [
-        (tlog_nfunction().deriv, 0.0, 1e-3, 25.0),
+        (tlog_density2().deriv, 0.0, 1e-3, 25.0),
         (smooth_power3().deriv, 0.0, 1e-3, 1e4),
         (make_phi_nu(1.5).deriv, -1.0, -0.999, 0.999),
         (make_hencky(1.0, 0.3).deriv, -1.0, -1.41, 1.41),
@@ -192,15 +188,11 @@ def test_signed_inversion_matches_closed_forms():
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [tlog_nfunction(), tlog_density2(), smooth_power3()],
-    ids=["tlog_nfunction", "tlog_density2", "smooth_power_3"],
+    "spec", [tlog_density2(), smooth_power3()], ids=["tlog_density2", "smooth_power_3"]
 )
 def test_inversion_fenchel_young_equality_on_arrays(spec):
     signs = np.where(np.arange(60) % 2, 1.0, -1.0).reshape(6, 10)
-    t = np.geomspace(1e-3, 1e5, 60).reshape(6, 10)
-    if not isinstance(spec, NFunctionSpec):
-        t = t * signs  # the f2 densities are even
+    t = np.geomspace(1e-3, 1e5, 60).reshape(6, 10) * signs  # the f2 densities are even
     slope = spec.deriv(t)
     lhs = spec.eval(t) + spec.conjugate(slope)
     assert lhs.shape == t.shape
@@ -216,13 +208,13 @@ def test_inversion_reports_unattained_slopes(phi15):
         conjugate_via_slope_inversion(phi15.eval, phi15.deriv, np.array([0.5, 1.5]))
     # t*log(1+t) attains the slope 50 only near t = 5e21, beyond the 1e12 cap
     with pytest.raises(ConjugateRangeError):
-        tlog_nfunction().conjugate(np.array([1.0, 50.0]))
+        tlog_density2().conjugate(np.array([1.0, 50.0]))
 
 
 def test_inversion_deriv_call_budget():
     # one vectorized inversion: the calls to A' do not grow with the entry
     # count (a per-entry bisection makes about 50 per entry)
-    a = tlog_nfunction()
+    a = tlog_density2()
     calls = []
 
     def deriv(t):
@@ -241,40 +233,65 @@ def test_inversion_deriv_call_budget():
 
 
 def test_young_residual_quadratic_exact():
-    a = power_nfunction(2.0, coef=0.5)
+    a = power_density2(2.0)
     assert young_residual(a, 2.0) == 0.0
 
 
 def test_young_residual_cubic():
-    a = power_nfunction(3.0, coef=1.0 / 3.0)
+    a = power_density2(3.0)
     t = 1.7
     assert young_residual(a, t) <= 1e-8 * (1.0 + t * float(a.deriv(t)))
 
 
 def test_young_residual_zero_point():
-    for a in (power_nfunction(1.5), tlog_nfunction()):
+    for a in (power_density2(1.5), tlog_density2()):
         assert young_residual(a, 0.0) == 0.0
 
 
+# the paper's conjugate-growth condition A*(A'(t)) <= c (A(t) + 1), with c
+# written out per family
+
+
+def power_dual4_lhs(p):
+    """A*(A'(t)) and A(t) for A(t) = t^p on 60 samples of [0, 50]."""
+    a = power_density2(p)
+    t = np.linspace(0.0, 50.0, 60)
+    return np.asarray(a.conjugate(a.deriv(t))), np.asarray(a.eval(t))
+
+
 def test_condition_dual4_quadratic():
-    a = power_nfunction(2.0, coef=0.5)
-    c_fit, holds = check_condition_dual4(a, np.linspace(0.0, 50.0, 40))
-    assert holds
-    assert c_fit <= 1.0 + 1e-12
+    # A*(A'(t)) = (p-1) A(t) = A(t): c = 1
+    lhs, vals = power_dual4_lhs(2.0)
+    assert np.allclose(lhs, vals, rtol=1e-12, atol=0.0)
 
 
 def test_condition_dual4_quartic():
-    # A*(A'(t)) = (p-1) A(t), so the fitted constant approaches p-1 = 3
-    a = power_nfunction(4.0, coef=0.25)
-    c_fit, holds = check_condition_dual4(a, np.linspace(0.0, 50.0, 60))
-    assert holds
-    assert c_fit == pytest.approx(3.0, rel=1e-3)
+    # A*(A'(t)) = (p-1) A(t) = 3 A(t): c = 3, reached at every t > 0
+    lhs, vals = power_dual4_lhs(4.0)
+    assert np.allclose(lhs, 3.0 * vals, rtol=1e-12, atol=0.0)
 
 
 def test_condition_dual4_degenerate_origin():
-    c_fit, holds = check_condition_dual4(power_nfunction(2.0), [0.0])
-    assert c_fit == 0.0
-    assert holds
+    # A'(0) = 0 and A*(0) = 0 for every built-in f2: the origin fits any c
+    for spec in (power_density2(1.5), power_density2(2.0), tlog_density2()):
+        assert spec.conjugate(spec.deriv(0.0)) == 0.0
+
+
+def test_condition_dual4_tlog_constant_stable_under_refinement():
+    # A*(A'(t)) = t^2/(1+t) for A(t) = t log(1+t), so the smallest c is the
+    # maximum of t^2 / ((1+t)(t log(1+t) + 1)): 0.43617 at t = 3.0546.  40
+    # samples on [0, 50] fit 0.43315, and midpoint refinement moves it < 5%
+    a = tlog_density2()
+
+    def c_fit(t):
+        return float(np.max(a.conjugate(a.deriv(t)) / (a.eval(t) + 1.0)))
+
+    t = np.linspace(0.0, 50.0, 40)
+    refined = np.linspace(0.0, 50.0, 79)
+    assert np.allclose(a.conjugate(a.deriv(t)), t * t / (1.0 + t), rtol=1e-12, atol=0.0)
+    assert c_fit(t) == pytest.approx(0.43315, abs=1e-5)
+    assert c_fit(t) <= c_fit(refined) <= 1.05 * c_fit(t)
+    assert c_fit(np.linspace(2.5, 3.5, 1001)) == pytest.approx(0.43617, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +483,13 @@ def test_hencky_not_usable_as_f2():
 
 
 NFUNCTIONS = {
-    # (A, doubling constant on t >= 1, lower growth A(t) >= c t^q on t >= 1 as (c, q))
-    "power:1.5": (power_nfunction(1.5), 2.0**1.5, (1.0, 1.5)),
-    "power:2": (power_nfunction(2.0), 4.0, (1.0, 2.0)),
-    "power:3": (power_nfunction(3.0), 8.0, (1.0, 3.0)),
+    # (f2, whose restriction to t >= 0 is the N-function A; doubling constant
+    # on t >= 1; lower growth A(t) >= c t^q on t >= 1 as (c, q))
+    "power:1.5": (power_density2(1.5), 2.0**1.5, (1.0, 1.5)),
+    "power:2": (power_density2(2.0), 4.0, (1.0, 2.0)),
+    "power:3": (power_density2(3.0), 8.0, (1.0, 3.0)),
     # (1+2t) <= (1+t)^2 gives A(2t) <= 4 A(t); A(t)/t = log(1+t) >= log 2
-    "nfun_tlog": (tlog_nfunction(), 4.0, (math.log(2.0), 1.0)),
+    "nfun_tlog": (tlog_density2(), 4.0, (math.log(2.0), 1.0)),
 }
 
 
@@ -493,16 +511,16 @@ def test_nfunction_axioms_doubling_and_growth(name):
 @pytest.mark.parametrize(
     "f2,nfun,c3",
     [
-        (power_density2(2.0), power_nfunction(2.0), 2.0),
-        (power_density2(3.0), power_nfunction(3.0), 4.0),
-        (tlog_density2(), tlog_nfunction(), 4.0),
+        (power_density2(2.0), lambda t: t**2.0, 2.0),
+        (power_density2(3.0), lambda t: t**3.0, 4.0),
+        (tlog_density2(), lambda t: t * np.log1p(t), 4.0),
     ],
     ids=["power:2", "power:3", "nfun_tlog"],
 )
 def test_density2_nfunction_and_triangle_constant(f2, nfun, c3):
-    # f2 is its N-function evenly extended, and f2(t + s) <= c3 (f2(t) + f2(s))
+    # f2 is its N-function A evenly extended, and f2(t + s) <= c3 (f2(t) + f2(s))
     # with c3 = 2^(p-1) for |t|^p and 4 for |t| log(1+|t|)
-    assert np.array_equal(f2.eval(SIGNED_GRID), nfun.eval(np.abs(SIGNED_GRID)))
+    assert np.array_equal(f2.eval(SIGNED_GRID), nfun(np.abs(SIGNED_GRID)))
     assert np.all(np.asarray(f2.second_deriv(SIGNED_GRID[SIGNED_GRID != 0.0])) > 0.0)
     t, s = np.meshgrid(SIGNED_GRID, SIGNED_GRID)
     den = f2.eval(t) + f2.eval(s)
@@ -529,8 +547,6 @@ EVEN_SPECS = {
     "power:3": power_density2(3.0),
     "nfun_tlog": tlog_density2(),
     "smooth_power:3": smooth_power3(),
-    "A power:3": power_nfunction(3.0),
-    "A nfun_tlog": tlog_nfunction(),
 }
 
 
@@ -538,12 +554,7 @@ EVEN_SPECS = {
 def test_builtin_families_are_even(name):
     spec = EVEN_SPECS[name]
     t = np.concatenate([np.geomspace(1e-8, 1e4, 25), [0.3, 1.0, 2.5]])
-    if isinstance(spec, NFunctionSpec):
-        # an N-function lives on [0, inf): every map reads |t|
-        maps = [(spec.eval, 1.0), (spec.deriv, 1.0)]
-    else:
-        maps = [(spec.eval, 1.0), (spec.deriv, -1.0), (spec.second_deriv, 1.0)]
-    for fn, parity in maps:
+    for fn, parity in [(spec.eval, 1.0), (spec.deriv, -1.0), (spec.second_deriv, 1.0)]:
         assert np.array_equal(fn(-t), parity * fn(t))
         assert type(fn(-0.7)) is float and fn(-0.7) == parity * fn(0.7)
     # the linear-growth conjugates are finite only inside the recession slopes
@@ -551,21 +562,6 @@ def test_builtin_families_are_even(name):
     assert np.array_equal(spec.conjugate(-s), spec.conjugate(s))
     assert type(spec.conjugate(-0.5)) is float
     assert spec.conjugate(-0.5) == spec.conjugate(0.5)
-
-
-def test_density_pair_split_additivity(pair_std):
-    rng = np.random.default_rng(5)
-    x1, x2 = rng.standard_normal((2, 50)) * 3.0
-    total = pair_std.eval(x1, x2)
-    parts = np.asarray(pair_std.f1.eval(x1)) + np.asarray(pair_std.f2.eval(x2))
-    assert np.array_equal(total, parts)
-    s1 = rng.uniform(-0.9, 0.9, 50)
-    s2 = rng.standard_normal(50) * 3.0
-    conj = pair_std.conjugate(s1, s2)
-    conj_parts = np.asarray(pair_std.conjugate_f1(s1)) + np.asarray(
-        pair_std.conjugate_f2(s2)
-    )
-    assert np.array_equal(conj, conj_parts)
 
 
 def test_power_density2_second_derivative_quadratic(power2):
@@ -610,7 +606,7 @@ def test_make_pair_wrong_slot_messages(phi15, power2):
     t=st.floats(min_value=0.0, max_value=30.0),
 )
 def test_fenchel_young_inequality(p, s, t):
-    a = power_nfunction(p)
+    a = power_density2(p)
     lhs = s * t
     rhs = float(a.eval(t)) + float(a.conjugate(s))
     assert lhs <= rhs + 1e-10 * (1.0 + abs(rhs))

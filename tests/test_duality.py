@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splitvar import _kernels
+from splitvar import _kernels, duality
 from splitvar import (
     CellField2,
-    ConjugateRangeError,
     Grid,
     GridFunction,
     SolveConfig,
@@ -14,8 +13,6 @@ from splitvar import (
     divergence_residual,
     duality_gap,
     eval_J,
-    eval_R,
-    extremality_check,
     gradient,
     stress,
 )
@@ -96,16 +93,16 @@ def test_eval_r_zero_stress(pair_std):
     g = Grid(8, 8)
     u0 = affine_field(g, 2.0, -1.0)
     tau = CellField2(g, np.zeros((8, 8)), np.zeros((8, 8)))
-    r, certified = eval_R(tau, pair_std, u0)
-    assert r == 0.0
-    assert certified
+    dr = duality_gap(u0, tau, pair_std)
+    assert dr.r_value == 0.0
+    assert dr.certified
 
 
 def test_eval_r_certifies_converged_stress(pair_std, affine_run):
     cfg, report = affine_run
-    r, certified = eval_R(final_stress(cfg, report), pair_std, cfg.u0)
-    assert certified
-    assert r <= eval_J(report.u_final, pair_std).j_total
+    dr = duality_gap(report.u_final, final_stress(cfg, report), pair_std, u0=cfg.u0)
+    assert dr.certified and dr.scale == 1.0
+    assert dr.r_value <= eval_J(report.u_final, pair_std).j_total
 
 
 def test_eval_r_rejects_wild_stress(pair_std):
@@ -113,28 +110,38 @@ def test_eval_r_rejects_wild_stress(pair_std):
     u0 = affine_field(g, 2.0, -1.0)
     rng = np.random.default_rng(3)
     tau = CellField2(g, rng.uniform(-0.8, 0.8, (8, 8)), rng.standard_normal((8, 8)))
-    _, certified = eval_R(tau, pair_std, u0)
-    assert not certified
+    assert not duality_gap(u0, tau, pair_std).certified
 
 
-def test_eval_r_conjugate_range_error(pair_std):
+def test_eval_r_scales_out_of_range_stress_in(pair_std):
+    # tau_1 = 1.5 lies beyond the recession slope 1, where f1* is infinite;
+    # the certificate scales it to lambda*1.5 = f1'(1), the maximizer of
+    # R(lambda) on affine data of slope 1, where R = J up to rounding
     g = Grid(4, 4)
     u0 = affine_field(g, 1.0, 0.0)
     tau = CellField2(g, np.full((4, 4), 1.5), np.zeros((4, 4)))
-    with pytest.raises(ConjugateRangeError):
-        eval_R(tau, pair_std, u0)
+    dr = duality_gap(u0, tau, pair_std)
+    # R is flat at its maximum: rounding places lambda to about sqrt(eps)
+    assert dr.scale == pytest.approx((1.0 - 2.0**-0.5) / 1.5, rel=1e-7)
+    assert dr.certified
+    assert abs(dr.gap_absolute) <= 1e-12
+    # either recession side: the negative stress is scaled in the same way
+    flipped = CellField2(g, -tau.comp1, tau.comp2)
+    dr = duality_gap(affine_field(g, -1.0, 0.0), flipped, pair_std)
+    assert dr.scale == pytest.approx((1.0 - 2.0**-0.5) / 1.5, rel=1e-7)
+    assert dr.certified and abs(dr.gap_absolute) <= 1e-12
 
 
 def test_weak_duality_random_admissible_fields(pair_std, affine_run):
     # R at a certified stress lower-bounds J over fields with the same ring
     cfg, report = affine_run
-    r, certified = eval_R(final_stress(cfg, report), pair_std, cfg.u0)
-    assert certified
+    dr = duality_gap(report.u_final, final_stress(cfg, report), pair_std, u0=cfg.u0)
+    assert dr.certified
     rng = np.random.default_rng(8)
     for _ in range(5):
         v = cfg.u0.copy()
         v.values[1:-1, 1:-1] += rng.standard_normal((15, 15))
-        assert eval_J(v, pair_std).j_total >= r - 1e-9
+        assert eval_J(v, pair_std).j_total >= dr.r_value - 1e-9
 
 
 def test_constant_stress_cannot_beat_slope_map(pair_std):
@@ -143,15 +150,33 @@ def test_constant_stress_cannot_beat_slope_map(pair_std):
     g = Grid(16, 16)
     u0 = affine_field(g, 2.0, -1.0)
     _, tau_star, _ = stress(u0, pair_std, delta=0.0, p_reg=2.0)
-    r_star, _ = eval_R(tau_star, pair_std, u0)
+    r_star = duality_gap(u0, tau_star, pair_std).r_value
     rng = np.random.default_rng(23)
     for _ in range(12):
         c1 = float(rng.uniform(-0.95, 0.95))
         c2 = float(rng.uniform(-4.0, 4.0))
         tau_c = CellField2(g, np.full((16, 16), c1), np.full((16, 16), c2))
-        r_c, certified = eval_R(tau_c, pair_std, u0)
-        assert certified  # constants scatter to exact zeros
-        assert r_c <= r_star + 1e-9
+        dr = duality_gap(u0, tau_c, pair_std)
+        assert dr.certified  # constants scatter to exact zeros
+        assert dr.r_value <= r_star + 1e-9
+
+
+def test_step_levels_certify_with_scaled_stress(pair_std):
+    # on the paper's jump scenario at 128^2 the regularized stress leaves the
+    # recession interval at delta = 1e-1 and 1e-2 (max|sigma_1| = 9.9 and
+    # 2.0); each level still certifies a lower bound
+    g = Grid(128, 128)
+    u0 = GridFunction.from_callable(g, lambda x, y: np.where(x < 0.0, 0.0, 1.0) + 0.0 * y)
+    cfg = SolveConfig(g, pair_std, u0, [1e-1, 1e-2, 1e-3], store_fields=True)
+    scales = []
+    for rec in continuation(cfg).records:
+        u = GridFunction(g, rec.u)
+        sigma, _, _ = stress(u, pair_std, rec.delta, cfg.p_reg)
+        dr = duality_gap(u, sigma, pair_std, u0=u0, delta=rec.delta, p_reg=cfg.p_reg)
+        assert dr.certified
+        assert -1e-9 * (1.0 + abs(dr.j_value)) <= dr.gap_absolute < 1.0
+        scales.append(dr.scale)
+    assert scales[0] < scales[1] < 1.0 == scales[2]
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +188,14 @@ def test_extremality_zero_fields(pair_std):
     g = Grid(8, 8)
     u = GridFunction(g, np.zeros(g.node_shape))
     tau = CellField2(g, np.zeros((8, 8)), np.zeros((8, 8)))
-    assert extremality_check(u, tau, pair_std) == 0.0
+    assert duality._extremality(gradient(u), tau, pair_std) == 0.0
 
 
 def test_extremality_exact_at_slope_map(pair_std):
     g = Grid(16, 16)
     u = affine_field(g, 3.0, -1.0)
     _, tau, _ = stress(u, pair_std, delta=0.0, p_reg=2.0)
-    assert extremality_check(u, tau, pair_std) <= 1e-12
+    assert duality._extremality(gradient(u), tau, pair_std) <= 1e-12
 
 
 def test_extremality_detects_perturbation(pair_std):
@@ -178,7 +203,7 @@ def test_extremality_detects_perturbation(pair_std):
     u = affine_field(g, 3.0, -1.0)
     _, tau, _ = stress(u, pair_std, delta=0.0, p_reg=2.0)
     tau.comp1[4, 7] += 0.1
-    assert extremality_check(u, tau, pair_std) >= 1e-3
+    assert duality._extremality(gradient(u), tau, pair_std) >= 1e-3
 
 
 def test_fenchel_young_pointwise_inequality(pair_std):
@@ -215,7 +240,9 @@ def test_dual_report_keys(pair_std, affine_run):
         "div_residual",
         "extremality",
         "delta_stress_norm",
+        "scale",
     } <= set(payload)
+    assert payload["scale"] == 1.0
 
 
 def test_gap_shrinks_along_schedule(pair_std, affine_run):
@@ -246,10 +273,15 @@ def test_duality_gap_defaults_u0_to_u(pair_std, affine_run):
 
 
 def composed_gap(u, tau, d, u0, delta, p_reg):
-    """The gap report assembled from the public pieces, each forming its own
-    gradients and residuals (the reference for the shared-work version)."""
+    """The gap report assembled from its definitions, each piece forming its
+    own gradients and residuals (the reference for the shared-work version;
+    tau_1 lies inside the recession interval, so the scale is 1)."""
     j_value = eval_J(u, d).j_total
-    r_value, certified = eval_R(tau, d, u0)
+    g0 = gradient(u0)
+    conj1 = np.asarray(d.conjugate_f1(tau.comp1))
+    conj2 = np.asarray(d.conjugate_f2(tau.comp2))
+    pairing = tau.comp1 * g0.comp1 + tau.comp2 * g0.comp2
+    r_value = g0.grid.cell_area * float(np.sum(pairing - conj1 - conj2))
     res_max = float(np.max(np.abs(divergence_residual(tau))))
     _, tau_young, x_delta = stress(u, d, delta, p_reg)
     q = p_reg / (p_reg - 1.0)
@@ -262,9 +294,10 @@ def composed_gap(u, tau, d, u0, delta, p_reg):
         j_value - r_value,
         (j_value - r_value) / (1.0 + abs(j_value)),
         res_max,
-        certified,
-        extremality_check(u, tau_young, d),
+        res_max <= duality.DIV_TOL,
+        duality._extremality(gradient(u), tau_young, d),
         norm_q,
+        1.0,
     )
 
 

@@ -42,7 +42,6 @@ def test_eval_j_affine_closed_form(pair_std):
     assert bd.j_f2 == pytest.approx(4.0 * float(pair_std.f2.eval(-1.0)), rel=1e-12)
     assert bd.k_singular == 0.0 and bd.k_boundary == 0.0 and bd.delta_term == 0.0
     assert bd.j_total == bd.j_f1 + bd.j_f2
-    assert bd.e_part == bd.j_f2
 
 
 def test_eval_j_quadrature_oracle():
@@ -67,19 +66,6 @@ def test_eval_j_overflow():
     u = affine_field(g, 0.0, 1e200)
     with pytest.raises(EnergyOverflowError):
         eval_J(u, d)
-
-
-def test_breakdown_dict_keys(pair_std):
-    bd = eval_J(affine_field(Grid(4, 4), 1.0, 0.0), pair_std)
-    assert set(bd.to_dict()) == {
-        "j_total",
-        "j_f1",
-        "j_f2",
-        "k_singular",
-        "k_boundary",
-        "e_part",
-        "delta_term",
-    }
 
 
 # ---------------------------------------------------------------------------

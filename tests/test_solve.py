@@ -625,7 +625,7 @@ def test_solver_matches_certificate_quantities_bitwise(pair_std, p_reg, schedule
 
 def test_continuation_loads_no_package_beyond_numpy(tmp_path):
     # a continuation, the conjugates without a closed form (the nfun_tlog
-    # certificate, the dual-4 fit), the node CSV round trip and the
+    # certificate, the conjugate along A'), the node CSV round trip and the
     # approximation experiment need numpy alone; scipy is a test-only
     # dependency (scipy.fft alone adds about 24 MiB of resident memory)
     code = (
@@ -640,7 +640,8 @@ def test_continuation_loads_no_package_beyond_numpy(tmp_path):
         "tlog = s.make_pair(s.make_phi_nu(1.5), s.tlog_density2())\n"
         "sigma, _, _ = s.stress(u0, tlog, 1e-2, 2.0)\n"
         "s.duality_gap(u0, sigma, tlog, delta=1e-2)\n"
-        "s.check_condition_dual4(s.tlog_nfunction(), np.linspace(0.0, 50.0, 40))\n"
+        "a = s.tlog_density2()\n"
+        "a.conjugate(a.deriv(np.linspace(0.0, 50.0, 40)))\n"
         "s.save_csv(u0, 'u.csv')\n"
         "assert s.load_csv('u.csv').values.tobytes() == u0.values.tobytes()\n"
         "w = s.BVCandidate(u0, (s.JumpSegment(8, 0, 16, 1.0),))\n"
