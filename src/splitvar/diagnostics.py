@@ -147,8 +147,28 @@ def _kernel(u: np.ndarray) -> np.ndarray:
     return np.where(inside, 1.5 * (1.0 - 4.0 * u * u), 0.0)
 
 
-# 16-point Gauss-Legendre rule on [-1, 1], computed once at import
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(16)
+# written out, digit for digit (repr round trips), so that importing the
+# package does not load numpy.polynomial
+_GAUSS_NODES = np.array(
+    [
+        -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+        -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+        -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+        0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+        0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+    ]
+)
+_GAUSS_WEIGHTS = np.array(
+    [
+        0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+        0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+        0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+        0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+        0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+        0.027152459411754176,
+    ]
+)
 
 
 def _gauss_panels(a: float, b: float, n_panels: int = 8):

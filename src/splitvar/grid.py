@@ -164,7 +164,30 @@ def _format_column(col) -> list:
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         # tolist gives Python floats, so this is repr(float(v)) per cell
         return list(map(repr, col.tolist()))
-    return [repr(float(v)) if isinstance(v, _FLOAT_TYPES) else v for v in col]
+    # a str cell (save_csv's preformatted coordinates) is its own str(v);
+    # testing for it first spares the isinstance of most cells
+    return [
+        v if type(v) is str else repr(float(v)) if isinstance(v, _FLOAT_TYPES) else str(v)
+        for v in col
+    ]
+
+
+def _csv_lines(rows, n_rows: int, n_cols: int) -> str:
+    """CRLF-terminated lines of ``n_rows`` rows of ``n_cols`` str cells.
+
+    A cell may hold no comma, double quote, CR or LF: the csv module would
+    quote it, and no caller writes one.  Every other cell is written as
+    the csv module writes it, so a count of the separators finds them all.
+    """
+    text = "\r\n".join(map(",".join, rows)) + "\r\n"
+    if (
+        '"' in text
+        or text.count("\n") != n_rows
+        or text.count("\r") != n_rows
+        or text.count(",") != n_rows * (n_cols - 1)
+    ):
+        raise ValueError("a CSV cell holds a comma, a double quote or a line break")
+    return text
 
 
 def write_csv(path: str, header, columns) -> None:
@@ -174,19 +197,24 @@ def write_csv(path: str, header, columns) -> None:
     block.  Floats, numpy scalars included, are written as repr(float(v)),
     the shortest digits that round-trip, with no numpy tag; a float64
     ndarray column gets one repr pass over its ``tolist()``.  Any other cell (a
-    label, a count, a preformatted string) is written as str(v).  Lines end
-    in CRLF, the csv module's default.
+    label, a count, a preformatted string) is written as str(v).  Each block of
+    rows is joined into one string; lines end in CRLF, the csv module's
+    default, and the bytes are those of ``csv.writer`` (which would also
+    quote the empty cell of a one-column row; no caller writes one column).
+    A cell holding a comma, a double quote, CR or LF, which the csv module
+    would quote, raises ValueError.
     """
     columns = list(columns)
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
         raise ValueError("CSV columns differ in length")
+    header = list(header)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(_csv_lines([header], 1, len(header)))
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            writer.writerows(zip(*(_format_column(col[block]) for col in columns)))
+            rows = zip(*(_format_column(col[block]) for col in columns))
+            fh.write(_csv_lines(rows, min(_CSV_BLOCK_ROWS, n_rows - start), len(columns)))
 
 
 def save_csv(u: GridFunction, path: str) -> None:

@@ -6,9 +6,12 @@ Unknowns are the interior nodal values; the boundary ring carries the
 Dirichlet data.  Newton directions come from a conjugate-gradient solve on
 the (matrix-free) discrete Hessian H = h1 h2 (G1^T W1 G1 + G2^T W2 G2),
 with steepest descent as fallback and Armijo backtracking for global
-descent.  CG is preconditioned by the exact inverse of H with the
-curvatures W1, W2 replaced by their means across x2, applied with a sine
-transform along x2 and one tridiagonal solve per sine mode along x1 (see
+descent.  CG works on (n1-1) x (n2-1) arrays of interior values: each
+product copies its vector into the interior of one zero-ringed nodal buffer
+per Newton step, and ``_kernels.hessvec`` returns the interior of H v.  CG
+is preconditioned by the exact inverse of H with the curvatures W1, W2
+replaced by their means across x2, applied with a sine transform along x2
+and one tridiagonal solve per sine mode along x1 (see
 ``_line_preconditioner``).
 
 The Newton method is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
@@ -54,7 +57,6 @@ from .grid import (
     divergence_residual,
     gradient,
     write_csv,
-    zero_ring,
 )
 
 __all__ = [
@@ -223,21 +225,23 @@ class _DeltaProblem:
         return w1, w2
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
+def _dst1(x: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """Unnormalized DST-I along the last axis, y_k = 2 sum_i x_i sin(pi k i / n)
     with n = m + 1 for m entries, from the real FFT of the odd extension
-    [0, x, 0, -x reversed].  Applied twice it is 2n times the identity."""
+    [0, x, 0, -x reversed].  Applied twice it is 2n times the identity.
+    ``ext`` is the buffer of the extension: last axis 2m + 2, zero in columns
+    0 and m + 1, so that one buffer serves every transform of one shape."""
     m = x.shape[-1]
-    ext = np.zeros(x.shape[:-1] + (2 * m + 2,))
     ext[..., 1 : m + 1] = x
-    ext[..., m + 2 :] = -x[..., ::-1]
+    np.negative(x[..., ::-1], out=ext[..., m + 2 :])
     return -np.fft.rfft(ext)[..., 1 : m + 1].imag
 
 
 def _line_preconditioner(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
-    """r -> z = M^-1 r, M the Hessian with w1, w2 replaced by their x2-means
-    a(x1), b(x1).  On interior nodes with a zero ring, G1 = (D/h1) (x) A and
-    G2 = A (x) (D/h2), D forward differences and A neighbour averages, so
+    """r -> z = M^-1 r on (n1-1) x (n2-1) interior arrays, M the Hessian with
+    w1, w2 replaced by their x2-means a(x1), b(x1).  On interior nodes with a
+    zero ring, G1 = (D/h1) (x) A and G2 = A (x) (D/h2), D forward differences
+    and A neighbour averages, so
 
         M = h1 h2 [K1(a) (x) A^T A + A^T diag(b) A (x) D^T D / h2^2],
         K1(a) = D^T diag(a) D / h1^2.
@@ -248,9 +252,10 @@ def _line_preconditioner(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
     with T_k = h1 h2 [cos^2(t/2) K1(a) + 4 sin^2(t/2) / h2^2 A^T diag(b) A]
     tridiagonal in x1 for each mode k (Buzbee, Golub & Nielson, SIAM J. Numer.
     Anal. 7, 1970).  All T_k are factored as L D L^T at once, with 2 n2 folded
-    into a and b; an apply is a DST, a forward and a backward sweep, a DST.
-    Since a >= delta p > 0 (the regularizer) and b >= 0, every T_k is SPD;
-    where w1 and w2 vary only in x1, M is the Hessian.
+    into a and b; an apply is a DST, a forward and a backward sweep, a DST,
+    and both DSTs share one odd-extension buffer.  Since a >= delta p > 0
+    (the regularizer) and b >= 0, every T_k is SPD; where w1 and w2 vary only
+    in x1, M is the Hessian.
     """
     n1, n2 = w1.shape
     t2 = np.arange(1, n2) * (math.pi / n2)
@@ -265,34 +270,35 @@ def _line_preconditioner(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
         lower[m] = off[m] / diag[m]
         diag[m + 1] -= lower[m] * off[m]
     inv_diag = 1.0 / diag
+    ext = np.zeros((n1 - 1, 2 * n2))
     y = np.empty_like(diag)
     rows = list(zip(y[1:], lower, y[:-1]))
 
     def apply(r: np.ndarray) -> np.ndarray:
-        y[...] = _dst1(r[1:-1, 1:-1])
+        y[...] = _dst1(r, ext)
         for row, low, prev in rows:
             row -= low * prev
         y[...] *= inv_diag
         for prev, low, row in reversed(rows):
             row -= low * prev
-        z = np.zeros_like(r)
-        z[1:-1, 1:-1] = _dst1(y)
-        return z
+        return _dst1(y, ext)
 
     return apply
 
 
 def _pcg(apply_h, b, precond, tol):
-    """Preconditioned CG on interior-supported nodal arrays, from x = 0 to
-    the first iterate whose residual b - H x has 2-norm at most ``tol``,
-    within CG_MAXITER iterations.
+    """Preconditioned CG on interior arrays, from x = 0 to the first iterate
+    whose residual b - H x has 2-norm at most ``tol``, within CG_MAXITER
+    iterations.
 
     ``tol`` is absolute; the Newton loop passes the inexact-Newton tolerance
     max(eta_k ||g_k||_2, FORCING_FLOOR tol_grad) of the module docstring, so
     the linear solve is only as accurate as the outer Newton step needs.
-    ``precond`` maps a residual r to z = M^-1 r with M symmetric positive
-    definite and the ring of z zero (here ``_line_preconditioner``).  Returns
-    (x, converged); raises NonConvexDetected on negative curvature.
+    ``precond`` maps a residual r to a new array z = M^-1 r with M symmetric
+    positive definite (here ``_line_preconditioner``).  Returns
+    (x, converged); raises NonConvexDetected on negative curvature.  The
+    search direction is updated in place, and ||p||^2 is formed only when
+    p^T H p <= 0, since the curvature floor below is negative.
 
     The curvature floor is needed: H = G^T W G is positive semidefinite only
     where W >= 0 at every cell gradient.  The built-in densities have
@@ -303,30 +309,31 @@ def _pcg(apply_h, b, precond, tol):
     """
     x = np.zeros_like(b)
     r = b.copy()
-    if math.sqrt(float(np.sum(b * b))) <= tol:
+    if math.sqrt(float(np.vdot(b, b))) <= tol:
         return x, True
     z = precond(r)
     p = z.copy()
-    rz = float(np.sum(r * z))
+    rz = float(np.vdot(r, z))
     for _ in range(CG_MAXITER):
         hp = apply_h(p)
-        php = float(np.sum(p * hp))
-        pp = float(np.sum(p * p))
-        if php < CURVATURE_FLOOR * pp:
-            raise NonConvexDetected(
-                f"negative curvature {php / max(pp, 1e-300):.3e} in CG"
-            )
+        php = float(np.vdot(p, hp))
         if php <= 0.0:
+            pp = float(np.vdot(p, p))
+            if php < CURVATURE_FLOOR * pp:
+                raise NonConvexDetected(
+                    f"negative curvature {php / max(pp, 1e-300):.3e} in CG"
+                )
             # flat direction: return current iterate, let the line search act
             return x, False
         alpha = rz / php
         x += alpha * p
         r -= alpha * hp
-        if math.sqrt(float(np.sum(r * r))) <= tol:
+        if math.sqrt(float(np.vdot(r, r))) <= tol:
             return x, True
         z = precond(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x, False
 
@@ -378,26 +385,32 @@ def minimize_J_delta(
 
         w1, w2 = prob.curvatures(c1, c2)
         precond = _line_preconditioner(w1, w2, grid.h1, grid.h2)
+        k1 = (0.25 * grid.h2 / grid.h1) * w1
+        k2 = (0.25 * grid.h1 / grid.h2) * w2
+        # CG's vectors are interior arrays; the ring of this buffer stays zero
+        padded = np.zeros(grid.node_shape)
 
         def apply_h(v):
+            padded[1:-1, 1:-1] = v
             # looked up on the module at each call, so that a wrapped kernel
             # (perfbench/tracer.py) sees every product
-            hv = _kernels.hessvec(v, w1, w2, grid.h1, grid.h2)
-            return zero_ring(hv)
+            return _kernels.hessvec(padded, k1, k2)
 
+        minus_g = -g[1:-1, 1:-1]
         cg_tol = max(eta * g_norm, FORCING_FLOOR * cfg.tol_grad)
-        d_dir, cg_ok = _pcg(apply_h, -g, precond, cg_tol)
-        slope = float(np.sum(g * d_dir))
+        d_dir, cg_ok = _pcg(apply_h, minus_g, precond, cg_tol)
+        slope = -float(np.vdot(minus_g, d_dir))
         if not cg_ok or slope >= 0.0:
             if "cg_fallback" not in flags:
                 flags.append("cg_fallback")
-            d_dir = -g
+            d_dir = minus_g
             slope = -float(np.sum(g * g))
 
         alpha = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            trial = values + alpha * d_dir
+            trial = values.copy()
+            trial[1:-1, 1:-1] += alpha * d_dir
             try:
                 split_trial = prob.split_energy(trial)
             except ArithmeticError:

@@ -15,6 +15,7 @@ from splitvar import (
     lift_to_candidate,
     relaxation_gap,
 )
+from splitvar import diagnostics
 from tests.conftest import affine_field
 
 
@@ -142,6 +143,12 @@ def test_approx_unit_jump_frozen_values(pair_std):
     # graph area approaches the relaxed reference from below
     assert abs(table.area_integral[-1] - 6.0) <= 1e-4
     assert all(a <= 6.0 + 1e-12 for a in table.area_integral)
+
+
+def test_gauss_literals_equal_leggauss_bitwise():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert diagnostics._GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert diagnostics._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_approx_table_bitwise_frozen(pair_std):

@@ -209,6 +209,36 @@ def test_write_csv_numpy_scalars_print_as_plain_floats(tmp_path):
     assert wide.read_bytes() == plain.read_bytes()
 
 
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "cr\r", "lf\n", "\r\n"])
+def test_write_csv_rejects_cells_the_csv_module_would_quote(tmp_path, cell):
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["x", "kind"], [[1.0, 2.0], ["ok", cell]])
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["x", cell], [[1.0], ["ok"]])
+    # one column: a line break in a cell must not pass as a row separator
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["kind"], [["ok", cell]])
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    # floats, numpy scalars, counts, labels, empty and preformatted cells
+    columns = [
+        np.array([0.1, -0.0, 1e-310, 1e22]),
+        [np.float32(0.1), 3, True, 2.0 / 3.0],
+        ["", "label", " spaced ", "1.5"],
+    ]
+    write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], columns)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c"])
+        for row in zip(*columns):
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
+    assert (tmp_path / "t.csv").read_bytes() == ref.read_bytes()
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 2.0], [1.0]])

@@ -23,7 +23,6 @@ from splitvar import (
     multi_start,
     stress,
 )
-from splitvar.grid import zero_ring
 from tests.conftest import affine_field
 
 AFFINE_J = 20.0 - 8.0 * math.sqrt(3.0)  # 4*(Phi_1.5(2) + f2(-1)) in closed form
@@ -190,15 +189,29 @@ def test_affine_oracle_from_perturbed_interior(pair_std):
 def test_dst1_matches_reference_transform():
     sfft = pytest.importorskip("scipy.fft")
     x = np.random.default_rng(0).standard_normal((95, 63))
-    assert np.array_equal(solve._dst1(x), sfft.dst(x, type=1))
-    # DST-I is its own inverse up to 2n along each axis
-    assert np.allclose(solve._dst1(solve._dst1(x)), 2 * 64 * x, rtol=0.0, atol=1e-12)
+    ext = np.zeros((95, 128))
+    y = solve._dst1(x, ext)
+    assert np.array_equal(y, sfft.dst(x, type=1))
+    # DST-I is its own inverse up to 2n along each axis, with the buffer reused
+    assert np.allclose(solve._dst1(y, ext), 2 * 64 * x, rtol=0.0, atol=1e-12)
 
 
 def _interior_random(grid, rng):
-    v = np.zeros(grid.node_shape)
-    v[1:-1, 1:-1] = rng.standard_normal((grid.n1 - 1, grid.n2 - 1))
-    return v
+    return rng.standard_normal((grid.n1 - 1, grid.n2 - 1))
+
+
+def _hessian_interior(grid, w1, w2):
+    """v -> H v on interior arrays, as the solver forms it: v padded with a
+    zero ring, then the fused kernel with hessvec's per-step weights."""
+    k1 = (0.25 * grid.h2 / grid.h1) * w1
+    k2 = (0.25 * grid.h1 / grid.h2) * w2
+
+    def apply_h(v):
+        padded = np.zeros(grid.node_shape)
+        padded[1:-1, 1:-1] = v
+        return _kernels.hessvec(padded, k1, k2)
+
+    return apply_h
 
 
 def _x1_only_curvatures(grid, case, rng):
@@ -216,10 +229,17 @@ def _x1_only_curvatures(grid, case, rng):
     return np.repeat(a[:, None], grid.n2, 1), np.repeat(b[:, None], grid.n2, 1)
 
 
+# N = n1 - 1 rows per x1 line, odd and even, from a single row (no
+# elimination step) to the 64^2 benchmark size and one beyond
+LINE_ROWS = (1, 2, 3, 4, 9, 63, 64)
+
+
 @pytest.mark.parametrize(
     "shape, case",
-    [((24, 10), "random"), ((10, 24), "power3"), ((2, 9), "random"), ((9, 2), "power3")],
-    ids=["24x10-random", "10x24-power3", "2x9-random", "9x2-power3"],
+    [((24, 10), "random"), ((10, 24), "power3"), ((2, 9), "random"), ((9, 2), "power3")]
+    + [((n + 1, 7), "random") for n in LINE_ROWS],
+    ids=["24x10-random", "10x24-power3", "2x9-random", "9x2-power3"]
+    + [f"{n + 1}x7-random" for n in LINE_ROWS],
 )
 def test_line_preconditioner_inverts_x1_only_hessian(shape, case):
     g = Grid(*shape)
@@ -227,24 +247,23 @@ def test_line_preconditioner_inverts_x1_only_hessian(shape, case):
     w1, w2 = _x1_only_curvatures(g, case, rng)
     precond = solve._line_preconditioner(w1, w2, g.h1, g.h2)
     v = _interior_random(g, rng)
-    r = zero_ring(_kernels.hessvec(v, w1, w2, g.h1, g.h2))
-    z = precond(r)
+    z = precond(_hessian_interior(g, w1, w2)(v))
+    assert z.shape == v.shape
     assert np.max(np.abs(z - v)) <= 1e-12 * np.max(np.abs(v))
-    assert np.array_equal(zero_ring(z.copy()), z)
 
 
 def test_line_preconditioner_symmetric_positive():
-    g = Grid(20, 13)
     rng = np.random.default_rng(11)
-    w1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
-    w2 = np.where(rng.uniform(size=(g.n1, g.n2)) < 0.5, 0.0, 2.0)
-    precond = solve._line_preconditioner(w1, w2, g.h1, g.h2)
-    for _ in range(5):
-        x = _interior_random(g, rng)
-        y = _interior_random(g, rng)
-        mx, my = precond(x), precond(y)
-        assert float(np.sum(x * my)) == pytest.approx(float(np.sum(mx * y)), rel=1e-12)
-        assert float(np.sum(x * mx)) > 0.0
+    for g in [Grid(20, 13)] + [Grid(n + 1, 7) for n in LINE_ROWS]:
+        w1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
+        w2 = np.where(rng.uniform(size=(g.n1, g.n2)) < 0.5, 0.0, 2.0)
+        precond = solve._line_preconditioner(w1, w2, g.h1, g.h2)
+        for _ in range(5):
+            x = _interior_random(g, rng)
+            y = _interior_random(g, rng)
+            mx, my = precond(x), precond(y)
+            assert float(np.sum(x * my)) == pytest.approx(float(np.sum(mx * y)), rel=1e-12)
+            assert float(np.sum(x * mx)) > 0.0
 
 
 def count_hessian_products(monkeypatch):
@@ -299,6 +318,44 @@ def test_line_preconditioner_bounds_hessian_products(pair_std, make_cfg, bound, 
     assert len(calls) <= bound
 
 
+@pytest.mark.parametrize(
+    "make_cfg, steps, products, j_values",
+    [
+        # perfbench's jump workload: a warm-started chain on step data at 64^2
+        (
+            lambda pair: step_config(pair, 64, [1e-1, 1e-2, 1e-3, 1e-4]),
+            [5, 4, 4, 3],
+            [17, 21, 23, 20],
+            [0.7885428607454232, 0.6927016239865672, 0.6876842019877695,
+             0.6876003738205299],
+        ),
+        # perfbench's smooth workload: tanh data at 96^2
+        (
+            lambda pair: tanh_config(pair, n=96),
+            [3, 3, 3],
+            [7, 8, 6],
+            [1.1312912367311454, 1.0982428348354107, 1.0976497876657567],
+        ),
+    ],
+    ids=["jump", "smooth"],
+)
+def test_benchmark_problems_pin_solver_work(
+    pair_std, make_cfg, steps, products, j_values, monkeypatch
+):
+    # the work of the two benchmark problems, Newton steps and Hessian
+    # products per level, and J per level, so that a faster solve cannot
+    # hide more iterations or lost accuracy
+    calls = count_hessian_products(monkeypatch)
+    cfg = make_cfg(pair_std)
+    u = None
+    for delta, n_steps, n_products, j in zip(cfg.delta_schedule, steps, products, j_values):
+        calls.clear()
+        u, rec = minimize_J_delta(cfg, delta, warm_start=u)
+        assert rec.converged and rec.flags == ()
+        assert (rec.iterations, len(calls)) == (n_steps, n_products)
+        assert rec.j_value == pytest.approx(j, rel=1e-13, abs=0.0)
+
+
 def test_forcing_terms_cut_hessian_products(pair_std, monkeypatch):
     # CG to a fixed 1e-8 relative residual made 126 products here; the
     # Eisenstat-Walker forcing terms stop each solve once it is accurate enough
@@ -343,10 +400,11 @@ def test_pcg_stops_at_first_iterate_meeting_tolerance(monkeypatch):
     w2 = rng.uniform(0.0, 2.0, (g.n1, g.n2))
     precond = solve._line_preconditioner(w1, w2, g.h1, g.h2)
     calls = []
+    hessian = _hessian_interior(g, w1, w2)
 
     def apply_h(v):
         calls.append(1)
-        return zero_ring(_kernels.hessvec(v, w1, w2, g.h1, g.h2))
+        return hessian(v)
 
     b = _interior_random(g, rng)
     # iterate k from a run capped at k iterations with a tolerance never met
@@ -399,12 +457,14 @@ def test_rounding_level_trials_ranked_by_gradient_norm(pair_std, monkeypatch):
     prob = solve._DeltaProblem(cfg.grid, pair_std, 1e-4, cfg.p_reg)
     c1, c2 = _kernels.cell_gradient(u.values, cfg.grid.h1, cfg.grid.h2)
     w1, w2 = prob.curvatures(c1, c2)
+    hessian = _hessian_interior(cfg.grid, w1, w2)
     starts = []
     for seed in range(300):
         rng = np.random.default_rng(seed)
-        phi = _interior_random(cfg.grid, rng)
-        hphi = _kernels.hessvec(phi, w1, w2, cfg.grid.h1, cfg.grid.h2)
-        scale = rng.uniform(1.2, 2.5) * cfg.tol_grad / np.max(np.abs(zero_ring(hphi)))
+        phi = np.zeros(cfg.grid.node_shape)
+        phi[1:-1, 1:-1] = _interior_random(cfg.grid, rng)
+        hphi = hessian(phi[1:-1, 1:-1])
+        scale = rng.uniform(1.2, 2.5) * cfg.tol_grad / np.max(np.abs(hphi))
         starts.append(GridFunction(cfg.grid, u.values + scale * phi))
         c1, c2 = _kernels.cell_gradient(starts[-1].values, cfg.grid.h1, cfg.grid.h2)
         assert 1.1 <= np.max(np.abs(prob.residual(c1, c2))) / cfg.tol_grad <= 2.6
@@ -648,6 +708,7 @@ def test_continuation_loads_no_package_beyond_numpy(tmp_path):
         "s.approximation_experiment(w, pair, [1e-1, 1e-2])\n"
         "print(sorted(top() - before - set(sys.stdlib_module_names)))\n"
         "print('scipy' in sys.modules)\n"
+        "print('numpy.polynomial' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(splitvar.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -657,7 +718,8 @@ def test_continuation_loads_no_package_beyond_numpy(tmp_path):
         cwd=tmp_path,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["['splitvar']", "False"]
+    # numpy.polynomial too stays unloaded: the Gauss rule is written out
+    assert out.stdout.split() == ["['splitvar']", "False", "False"]
 
 
 # ---------------------------------------------------------------------------
