@@ -6,6 +6,12 @@ integrability predictor, and the relaxation-gap check.  All output files are
 written with repr() floats so reruns with identical inputs are byte
 identical.  Validation problems exit 2, numerical failures exit 3, contract
 violations exit 4, and the diagnostic payload goes to stderr as JSON.
+
+--config PATH (or --config=PATH) reads a JSON object as the flags it stands
+for: key max_iter is --max-iter, delta_schedule --deltas, output_dir
+--out-dir, and "command" the subcommand when the command line names none.
+Required flags may come from the file, explicit flags win, and a key that
+is not exactly a flag of the running subcommand exits 2.
 """
 
 from __future__ import annotations
@@ -74,17 +80,16 @@ def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
         # Lipschitz constant of the table is reported, not enforced
         d1 = np.abs(np.diff(u.values, axis=0)).max(initial=0.0) / grid.h1
         d2 = np.abs(np.diff(u.values, axis=1)).max(initial=0.0) / grid.h2
-        print(
-            json.dumps({"u0_table_lipschitz": max(float(d1), float(d2))}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"u0_table_lipschitz": max(float(d1), float(d2))}), file=sys.stderr)
         return u
     raise ValueError(f"unknown u0 id {spec!r}")
 
 
 def _load_table(path: str, grid: Grid) -> GridFunction:
-    """A nodal CSV table whose grid must be the requested one."""
+    """A nodal CSV table of finite values whose grid must be the requested one."""
     u = load_csv(path)
+    if not np.all(np.isfinite(u.values)):
+        raise ValueError(f"table {path} holds a non-finite value")
     if u.grid != grid:
         raise ValueError(
             f"table {path} has grid {u.grid.n1}x{u.grid.n2}, which does not "
@@ -229,15 +234,9 @@ def _cmd_approx_demo(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     table.write_csv(os.path.join(args.out_dir, "approx.csv"))
     _dump_json(table.to_dict(), os.path.join(args.out_dir, "approx.json"))
-    print(
-        json.dumps(
-            {
-                "k_reference": table.k_reference,
-                "terminal_j_deviation": table.terminal_j_deviation,
-            },
-            sort_keys=True,
-        )
-    )
+    deviation = table.terminal_j_deviation
+    summary = {"k_reference": table.k_reference, "terminal_j_deviation": deviation}
+    print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
@@ -284,9 +283,15 @@ def _cmd_relax_gap(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    p = _Parser(add_help=False, allow_abbrev=False)
+    p.add_argument("--config", metavar="PATH", help="JSON file of flags (see README)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="splitvar", description=__doc__)
-    parser.add_argument("--config", default=None, help="JSON file with option defaults")
+    config = _config_parser()
+    parser = _Parser(prog="splitvar", description=__doc__, parents=[config], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", parents=[], help="run the continuation solver")
@@ -337,77 +342,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _has_subcommand(argv: list) -> bool:
-    # every top-level flag takes a value, inline after "=" or as the next token
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok.startswith("--"):
-            i += 1 if "=" in tok else 2
-        else:
-            return True
-    return False
-
-
-def _normalize_config(loaded: dict) -> dict:
-    """Map the experiment-config schema onto flag destinations."""
-    out = {}
-    for key, val in loaded.items():
-        key = key.replace("-", "_")
-        if key == "grid" and isinstance(val, dict):
-            out["grid"] = f"{val['n1']}x{val['n2']}"
-        elif key == "delta_schedule":
-            out["deltas"] = ",".join(repr(float(x)) for x in val)
-        elif key == "output_dir":
-            out["out_dir"] = val
-        else:
-            out[key] = val
-    return out
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Load --config JSON as option defaults; explicit flags still win.
-
-    The file may name the subcommand itself under "command", so a bare
-    ``splitvar --config exp.json`` runs a full experiment.
-    """
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ValueError("--config requires a path")
+def _config_flags(path: str):
+    """A JSON config file as (command, flags): its "command" (None without
+    one) and a (key, name, values) triple for each other key, ``name`` being
+    the destination the key stands for ("_" for "-"; delta_schedule is
+    deltas, output_dir out_dir).  A ``grid`` dict {"n1": N, "n2": M} is NxM,
+    a list of numbers one comma-joined value, and null no value."""
     with open(path) as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
-    defaults = _normalize_config(loaded)
-    command = defaults.pop("command", None)
+    command = loaded.pop("command", None)
+    flags = []
+    for key, val in loaded.items():
+        name = key.replace("-", "_")
+        name = {"delta_schedule": "deltas", "output_dir": "out_dir"}.get(name, name)
+        if name == "grid" and isinstance(val, dict):
+            val = f"{val.get('n1')}x{val.get('n2')}"
+        if not isinstance(val, list):
+            val = [] if val is None else [str(val)]
+        elif not all(isinstance(v, str) for v in val):
+            val = [",".join(map(str, val))]
+        flags.append((key, name, val))
+    return command, flags
 
-    subs = list(parser._subparsers._group_actions[0].choices.values())
-    known_anywhere = {a.dest for sub in subs for a in sub._actions}
-    known_anywhere |= {a.dest for a in parser._actions}
-    unknown = sorted(set(defaults) - known_anywhere)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for sub in subs:
-        known = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
 
-    if not _has_subcommand(argv):
-        if command is None:
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """One argparse pass over ``argv`` with the --config file's flags right
+    after the subcommand, so explicit flags parse later and win.  The
+    subcommand is the first token left once --config is out, unless that is
+    an option; then it is the file's "command"."""
+    opts, rest = _config_parser().parse_known_args(argv)
+    flags, joined = [], set()
+    if opts.config is not None:
+        command, flags = _config_flags(opts.config)
+        if rest and not rest[0].startswith("-"):
+            command, rest = rest[0], rest[1:]
+        elif command is None:
             raise ValueError("config file gives no command and none was passed")
-        argv = argv + [str(command)]
-    return argv
+        rest = [str(command), *rest]
+    while True:
+        # a list of strings repeats its flag; where the flag keeps one value
+        # (only --jump collects) it is comma-joined and parsed once more
+        pairs = [(key, f"--{name.replace('_', '-')}={v}") for key, name, vals in flags
+                 for v in ([",".join(vals)] if name in joined else vals)]
+        args, extra = parser.parse_known_args([*rest[:1], *(t for _, t in pairs), *rest[1:]])
+        # a key names its flag exactly, never a prefix of it
+        bad = {key for key, tok in pairs if tok in extra}
+        unknown = [key for key, name, _ in flags if key in bad or name not in vars(args)]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        single = {name for _, name, vals in flags
+                  if len(vals) > 1 and not isinstance(getattr(args, name), list)}
+        if single <= joined:
+            break
+        joined |= single
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
         return args.func(args)
     except SystemExit:
         raise

@@ -510,6 +510,15 @@ def regularizer_second_deriv(t, p: float):
     return p * w ** (0.5 * (p - 2.0)) + p * (p - 2.0) * t * t * w ** (0.5 * (p - 4.0))
 
 
+def _resolve_p_reg(d: DensityPair, p_reg: Optional[float]) -> float:
+    """The delta-regularizer exponent: ``p_reg`` when given, else the
+    power-growth exponent of f2 when that is at least 2, else 2."""
+    if p_reg is not None:
+        return p_reg
+    p = d.f2.p
+    return float(p) if p >= 2.0 else 2.0
+
+
 def regularized_stress(d: DensityPair, c1, c2, delta: float, p: float):
     """Stress of the regularized density at gradient values (c1, c2).
 
@@ -574,12 +583,12 @@ def predict_integrability(
     infinity marker), and additionally full-gradient integrability when the
     ellipticity exponent mu of the linear-growth part is below 2.
     """
-    if p <= 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if mu is not None and mu <= 1.0:
-        raise ValueError(f"mu must exceed 1, got {mu}")
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must be finite and exceed 1, got {p}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    if mu is not None and not (math.isfinite(mu) and mu > 1.0):
+        raise ValueError(f"mu must be finite and exceed 1, got {mu}")
 
     if gamma == 0.0:
         full = mu is not None and mu < 2.0

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .densities import DensityPair, _golden_max, regularized_stress
+from .densities import DensityPair, _golden_max, _resolve_p_reg, regularized_stress
 from .energy import _cell_sums
 from .grid import CellField2, GridFunction, divergence_residual, gradient
 
@@ -120,7 +120,7 @@ def duality_gap(
     d: DensityPair,
     u0: Optional[GridFunction] = None,
     delta: float = 0.0,
-    p_reg: float = 2.0,
+    p_reg: Optional[float] = None,
 ) -> DualReport:
     """Primal-dual gap report for a primal field and a stress candidate.
 
@@ -130,7 +130,8 @@ def duality_gap(
     while the pointwise Fenchel-equality check always pairs u with
     Df(grad u), the stress the equality refers to.  ``delta``/``p_reg``
     control the reported norm of the vanishing regularization stress
-    delta * x_delta in the dual exponent p/(p-1).
+    delta * x_delta in the dual exponent p/(p-1); ``p_reg`` defaults to the
+    solver's exponent for ``d`` (see ``SolveConfig``).
 
     The scale lambda (``DualReport.scale``).  f1* is finite only on
     (-r_minus, r_plus), the recession slopes of f1, which tau_1 may leave.
@@ -157,6 +158,7 @@ def duality_gap(
     certified = res_max <= DIV_TOL
     gap_abs = j_value - r_value
     gap_rel = gap_abs / (1.0 + abs(j_value))
+    p_reg = _resolve_p_reg(d, p_reg)
     _, t1, t2, x_delta = regularized_stress(d, g.comp1, g.comp2, delta, p_reg)
     extremality = _extremality(g, CellField2(u.grid, t1, t2), d)
 

@@ -288,7 +288,10 @@ def load_vsgf(path: str) -> GridFunction:
         magic = fh.read(4)
         if magic != VSGF_MAGIC:
             raise ValueError(f"bad magic {magic!r}; not a VSGF file")
-        n1, n2 = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"header has {len(header)} bytes after the magic, expected 8")
+        n1, n2 = struct.unpack("<II", header)
         payload = fh.read()
     expected = (n1 + 1) * (n2 + 1) * 8
     if len(payload) != expected:

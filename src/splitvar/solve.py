@@ -47,7 +47,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .densities import DensityPair, regularized_stress, regularizer_second_deriv
+from .densities import (
+    DensityPair,
+    _resolve_p_reg,
+    regularized_stress,
+    regularizer_second_deriv,
+)
 from .energy import _cell_sums
 from .grid import (
     CellField2,
@@ -104,7 +109,8 @@ class SolveConfig:
     ``u0`` is a full nodal field: its boundary ring is the Dirichlet data,
     its interior the initial guess.  ``delta_schedule`` must be strictly
     decreasing within (0, 1).  ``p_reg`` defaults to the power-growth
-    exponent of f2 when that is at least 2, else to 2.
+    exponent of f2 when that is at least 2, else to 2; ``duality_gap``
+    resolves its default by the same helper.
     """
 
     grid: Grid
@@ -125,13 +131,11 @@ class SolveConfig:
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError(f"schedule must be strictly decreasing: {sched}")
         self.delta_schedule = sched
-        if self.p_reg is None:
-            p = self.densities.f2.p
-            self.p_reg = float(p) if p >= 2.0 else 2.0
-        if self.p_reg < 2.0:
-            raise ValueError(f"p_reg must be >= 2, got {self.p_reg}")
-        if self.tol_grad <= 0.0:
-            raise ValueError("tol_grad must be positive")
+        self.p_reg = _resolve_p_reg(self.densities, self.p_reg)
+        if not (math.isfinite(self.p_reg) and self.p_reg >= 2.0):
+            raise ValueError(f"p_reg must be finite and >= 2, got {self.p_reg}")
+        if not (math.isfinite(self.tol_grad) and self.tol_grad > 0.0):
+            raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
         if self.u0.grid != self.grid:
             raise ValueError("u0 grid does not match the config grid")
         # spot-check convexity of both densities

@@ -323,6 +323,192 @@ def test_config_file_without_command(tmp_path, capsys):
     assert "command" in last_json(err)["error"]["message"]
 
 
+def write_json(tmp_path, payload):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_config_file_inline_path_before_subcommand(tmp_path, capsys):
+    # the inline form before an explicit subcommand still applies the file
+    path = write_config(tmp_path)
+    rc, out, _ = run([f"--config={path}", "solve"], capsys)
+    assert rc == 0
+    assert abs(json.loads(out)["j_final"] - AFFINE_J) <= 1e-10
+    assert (tmp_path / "out" / "report.json").exists()
+    path = write_config(tmp_path, bogus_key=1)
+    rc, _, err = run([f"--config={path}", "solve"], capsys)
+    assert rc == 2
+    assert last_json(err)["error"]["message"] == "unknown config keys: bogus_key"
+
+
+SWEEP_CONFIG = {
+    "command": "sweep",
+    "grid": {"n1": 8, "n2": 8},
+    "u0": "affine:2:-1",
+    "delta_schedule": [1e-1, 1e-2, 1e-3],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, expect",
+    [
+        ({**SWEEP_CONFIG, "chis": "3,4"}, {"3.0": "BOUNDED", "4.0": "BOUNDED"}),
+        ({**SWEEP_CONFIG, "chis": [3, 4]}, {"3.0": "BOUNDED", "4.0": "BOUNDED"}),
+        ({"command": "predict", "p": 3, "gamma": 0.0, "mu": 1.5}, {"full_gradient": True}),
+    ],
+    ids=["sweep_chis", "sweep_chis_list", "predict"],
+)
+def test_config_file_supplies_required_options(payload, expect, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the sweep writes to the default --out-dir
+    rc, out, err = run(["--config", str(write_json(tmp_path, payload))], capsys)
+    assert rc == 0, err
+    assert expect.items() <= json.loads(out).items()
+
+
+def test_config_file_supplies_conjugate_density(tmp_path, capsys):
+    payload = {"command": "conjugate-table", "density": "power:2", "s_max": 4, "n": 5}
+    rc, out, err = run(["--config", str(write_json(tmp_path, payload))], capsys)
+    assert rc == 0, err
+    explicit = ["conjugate-table", "--density", "power:2", "--s-max", "4", "--n", "5"]
+    assert run(explicit, capsys) == (0, out, "")
+
+
+def test_config_file_command_with_explicit_flags_only(tmp_path, capsys):
+    # the command line starts with an option, so the file names the
+    # subcommand and "--chis 3" is one of its flags
+    path = write_json(tmp_path, {**SWEEP_CONFIG, "output_dir": str(tmp_path)})
+    rc, out, err = run(["--config", str(path), "--chis", "3"], capsys)
+    assert rc == 0, err
+    assert json.loads(out) == {"3.0": "BOUNDED"}
+    assert (tmp_path / "sweep.csv").exists()
+
+
+def test_config_file_number_lists(tmp_path, capsys):
+    payload = {
+        "command": "approx-demo",
+        "grid": {"n1": 16, "n2": 16},
+        "jump": ["8:1.0"],
+        "widths": [0.1, 0.01],
+        "output_dir": str(tmp_path),
+    }
+    rc, out, err = run(["--config", str(write_json(tmp_path, payload))], capsys)
+    assert rc == 0, err
+    assert abs(json.loads(out)["terminal_j_deviation"] - 0.347241) <= 1e-5
+    assert len((tmp_path / "approx.csv").read_text().strip().splitlines()) == 3
+    # null leaves --deltas to the other key that stands for it
+    path = write_config(tmp_path, deltas=[1e-1, 1e-2, 1e-3], delta_schedule=None)
+    rc, out, err = run(["--config", str(path)], capsys)
+    assert rc == 0, err
+    assert abs(json.loads(out)["j_final"] - AFFINE_J) <= 1e-10
+
+
+def test_config_file_string_list_on_single_value_flag(tmp_path, capsys):
+    # only --jump collects; a list of strings on any other flag is one
+    # comma-joined value, not a repeat that keeps the last entry
+    path = write_config(tmp_path, delta_schedule=["1e-1", "1e-2", "1e-3"])
+    rc, out, err = run(["--config", str(path)], capsys)
+    assert rc == 0, err
+    assert abs(json.loads(out)["j_final"] - AFFINE_J) <= 1e-10
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["deltas"] == [0.1, 0.01, 0.001]
+    # an explicit flag still wins over the joined list
+    rc, _, err = run(["--config", str(path), "solve", "--deltas", "1e-1"], capsys)
+    assert rc == 0, err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["deltas"] == [0.1]
+    payload = {
+        "command": "approx-demo",
+        "grid": {"n1": 16, "n2": 16},
+        "jump": ["8:1.0", "4:0.5"],
+        "widths": ["1e-1", "1e-2"],
+        "output_dir": str(tmp_path),
+    }
+    rc, out, err = run(["--config", str(write_json(tmp_path, payload))], capsys)
+    assert rc == 0, err
+    assert json.loads(out)["k_reference"] == 3.0  # both jumps kept
+    assert len((tmp_path / "approx.csv").read_text().strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("solve", "max"),
+        ("solve", "delta"),
+        ("solve", "tol"),
+        ("solve", "p"),
+        ("solve", "out"),
+        ("sweep", "kappa"),
+        ("approx-demo", "width"),
+    ],
+)
+def test_config_file_key_is_not_a_prefix(command, key, tmp_path, capsys):
+    # a key names its flag exactly; a prefix of a flag is an unknown key
+    payload = {"command": command, "grid": "8x8", key: 1}
+    if command == "sweep":
+        payload["chis"] = "3"  # its required flag
+    rc, out, err = run(["--config", str(write_json(tmp_path, payload))], capsys)
+    assert rc == 2
+    assert out == ""
+    assert last_json(err)["error"]["message"] == f"unknown config keys: {key}"
+
+
+def test_config_file_jumps_add_to_explicit_jumps(tmp_path, capsys):
+    payload = {
+        "command": "approx-demo",
+        "grid": {"n1": 16, "n2": 16},
+        "jump": ["8:1.0"],
+        "widths": "1e-1,1e-2",
+        "output_dir": str(tmp_path),
+    }
+    path = write_json(tmp_path, payload)
+    rc, out, err = run(["--config", str(path), "approx-demo", "--jump", "4:0.5"], capsys)
+    assert rc == 0, err
+    # recession slope 1 times length 2 times the heights 1.0 and 0.5
+    assert json.loads(out)["k_reference"] == 3.0
+
+
+def test_config_flag_without_path(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert last_json(err)["error"]["type"] == "ArgumentError"
+    assert "--config" in last_json(err)["error"]["message"]
+
+
+def test_config_flag_is_not_abbreviated(tmp_path, capsys):
+    # no prefix of --config may name a file that then goes unread
+    path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--conf", str(path), "solve"])
+    assert exc.value.code == 2
+    assert last_json(capsys.readouterr().err)["error"]["type"] == "ArgumentError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_grid_missing_a_size(tmp_path, capsys):
+    rc, _, err = run(["--config", str(write_config(tmp_path, grid={"n1": 8}))], capsys)
+    assert rc == 2
+    assert "8xNone" in last_json(err)["error"]["message"]
+
+
+def test_config_file_key_of_another_command(tmp_path, capsys):
+    # relax-gap writes no files, so output_dir is not one of its keys
+    payload = {"command": "relax-gap", "grid": {"n1": 8, "n2": 8}, "output_dir": "out"}
+    rc, out, err = run(["--config", str(write_json(tmp_path, payload))], capsys)
+    assert rc == 2
+    assert out == ""
+    assert last_json(err)["error"]["message"] == "unknown config keys: output_dir"
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    rc, _, err = run(["--config", str(write_json(tmp_path, ["solve"])), "solve"], capsys)
+    assert rc == 2
+    assert "JSON object" in last_json(err)["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # failure exits
 # ---------------------------------------------------------------------------
@@ -390,6 +576,55 @@ def test_exit_3_energy_overflow(tmp_path, capsys):
     payload = last_json(err)
     assert payload["error"]["type"] == "EnergyOverflowError"
     assert payload["error"]["exit_code"] == 3
+
+
+@pytest.mark.parametrize("flag", ["--tol-grad", "--p-reg"])
+def test_exit_2_nan_solver_setting(flag, tmp_path, capsys):
+    rc, _, err = run(
+        ["solve", *AFFINE_ARGS, flag, "nan", "--out-dir", str(tmp_path)], capsys
+    )
+    assert rc == 2
+    assert last_json(err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("use", ["u0", "smooth", "candidate"])
+def test_exit_2_non_finite_table(use, value, tmp_path, capsys):
+    rc, _, _ = run(
+        ["solve", "--grid", "16x16", "--u0", "zero", "--deltas", "1e-1",
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert rc == 0
+    table = tmp_path / "u_final.csv"
+    lines = table.read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:2] + [value])
+    table.write_text("\n".join(lines) + "\n")
+    out_dir = ["--out-dir", str(tmp_path)]
+    argv = {
+        "u0": ["solve", *STEP_ARGS, "--u0", f"custom-table:{table}", *out_dir],
+        "smooth": ["approx-demo", "--grid", "16x16", "--smooth-table", str(table), *out_dir],
+        "candidate": ["relax-gap", *STEP_ARGS, "--candidate-table", str(table)],
+    }[use]
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    # every stderr line is JSON without NaN or Infinity
+    for line in err.strip().splitlines():
+        json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+    assert "non-finite" in last_json(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "args", [["--p", "nan", "--gamma", "0.7"], ["--p", "3", "--gamma", "nan"],
+             ["--p", "3", "--gamma", "0", "--mu", "nan"]],
+    ids=["p", "gamma", "mu"],
+)
+def test_exit_2_predict_non_finite(args, capsys):
+    rc, out, err = run(["predict", *args], capsys)
+    assert rc == 2
+    assert out == ""
+    assert last_json(err)["error"]["type"] == "ValueError"
 
 
 @pytest.fixture()

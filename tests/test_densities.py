@@ -666,6 +666,26 @@ def test_predictor_full_gradient_flag():
     assert blunt.full_gradient and blunt.full_gradient_margin == pytest.approx(0.03)
 
 
+@pytest.mark.parametrize(
+    "p, gamma, mu",
+    [
+        (math.nan, 0.5, None),
+        (math.inf, 0.5, None),
+        (3.0, math.nan, None),
+        (3.0, math.inf, None),
+        (3.0, 0.0, math.nan),
+        (3.0, 0.0, math.inf),
+        # the domain checks that were there before
+        (1.0, 0.5, None),
+        (3.0, -0.1, None),
+        (3.0, 0.0, 1.0),
+    ],
+)
+def test_predictor_rejects_non_finite_or_out_of_range(p, gamma, mu):
+    with pytest.raises(ValueError):
+        predict_integrability(p, gamma, mu=mu)
+
+
 def test_predictor_monotone_in_gamma():
     chis = []
     for gamma in (0.0, 0.1, 0.3, 0.5, 0.7, 0.74):

@@ -14,6 +14,8 @@ from splitvar import (
     duality_gap,
     eval_J,
     gradient,
+    make_pair,
+    power_density2,
     stress,
 )
 from tests.conftest import affine_field
@@ -332,3 +334,22 @@ def test_duality_gap_bitwise_equal_to_composed_report(pair_std, data, monkeypatc
     # repr tells -0.0 from 0.0
     expect = composed_gap(u, sigma, pair_std, **kwargs)
     assert list(map(repr, dataclasses.astuple(dr))) == list(map(repr, expect))
+
+
+def test_duality_gap_default_p_reg_is_the_solvers(phi15):
+    # with f2 = power:3 the solver regularizes with exponent 3, and so must
+    # the reported norm of the vanishing stress when p_reg is left out
+    pair = make_pair(phi15, power_density2(3.0))
+    g = Grid(16, 16)
+    u0 = GridFunction.from_callable(g, lambda x, y: np.tanh(3.0 * x) + 0.2 * y)
+    cfg = SolveConfig(grid=g, densities=pair, u0=u0, delta_schedule=[1e-2])
+    assert cfg.p_reg == 3.0
+    sigma, _, _ = stress(u0, pair, 1e-2, cfg.p_reg)
+    default = duality_gap(u0, sigma, pair, delta=1e-2)
+    explicit = duality_gap(u0, sigma, pair, delta=1e-2, p_reg=cfg.p_reg)
+    assert list(map(repr, dataclasses.astuple(default))) == list(
+        map(repr, dataclasses.astuple(explicit))
+    )
+    assert default.delta_stress_norm != duality_gap(
+        u0, sigma, pair, delta=1e-2, p_reg=2.0
+    ).delta_stress_norm

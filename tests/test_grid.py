@@ -439,3 +439,25 @@ def test_vsgf_rejects_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_vsgf(str(path))
+
+
+@pytest.mark.parametrize("size", [4, 7, 11])
+def test_vsgf_rejects_short_header(tmp_path, size):
+    # the magic alone, or the magic with part of the n1, n2 header
+    path = tmp_path / "short.vsgf"
+    path.write_bytes((b"VSGF" + (3).to_bytes(4, "little") + (3).to_bytes(4, "little"))[:size])
+    with pytest.raises(ValueError, match="header"):
+        load_vsgf(str(path))
+
+
+def test_csv_round_trips_non_finite_values(tmp_path):
+    # rejecting NaN and infinities is left to the callers that need finite
+    # tables (the CLI's table options); the file format keeps any float64
+    g = Grid(2, 3)
+    values = np.zeros(g.node_shape)
+    values[0, 0], values[1, 2], values[2, 3] = np.nan, np.inf, -np.inf
+    path = tmp_path / "u.csv"
+    save_csv(GridFunction(g, values), str(path))
+    back = load_csv(str(path))
+    assert back.grid == g
+    assert np.array_equal(back.values, values, equal_nan=True)

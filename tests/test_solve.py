@@ -71,6 +71,19 @@ def test_config_p_reg_and_tol_validation(pair_std):
         )
 
 
+@pytest.mark.parametrize(
+    "setting", [{"p_reg": math.nan}, {"p_reg": math.inf}, {"tol_grad": math.nan},
+                {"tol_grad": math.inf}],
+    ids=["p_reg_nan", "p_reg_inf", "tol_grad_nan", "tol_grad_inf"],
+)
+def test_config_rejects_non_finite_settings(pair_std, setting):
+    # NaN passes a plain "p_reg < 2" or "tol_grad <= 0" test
+    g = Grid(4, 4)
+    u0 = affine_field(g, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        SolveConfig(grid=g, densities=pair_std, u0=u0, delta_schedule=[1e-1], **setting)
+
+
 def test_config_grid_mismatch(pair_std):
     u0 = affine_field(Grid(4, 4), 1.0, 0.0)
     with pytest.raises(ValueError):
