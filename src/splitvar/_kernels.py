@@ -92,13 +92,24 @@ def hessvec(v: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     That is eleven array passes in place of the twenty-two of
     ``scatter_adjoint`` composed with ``cell_gradient``; the two agree up
     to rounding.
+
+    Each pair sum is released once it is differenced, q1 and q2 are scaled
+    in place, and B overwrites q1 once A is formed.  So at most three
+    temporaries are alive at once, the result included (q1, t and q2; then
+    q1, q2 and A; then B, A and the result), against seven when s, t, q1,
+    q2, A and B are all kept until the result is formed.
     """
     s = v[:, 1:] + v[:, :-1]
+    q1 = s[1:] - s[:-1]
+    del s
+    q1 *= k1
     t = v[1:] + v[:-1]
-    q1 = k1 * (s[1:] - s[:-1])
-    q2 = k2 * (t[:, 1:] - t[:, :-1])
+    q2 = t[:, 1:] - t[:, :-1]
+    del t
+    q2 *= k2
     a = q1 + q2
-    b = q1 - q2
+    b = np.subtract(q1, q2, out=q1)
+    del q2
     out = a[:-1, :-1] - a[1:, 1:]
     out += b[:-1, 1:]
     out -= b[1:, :-1]

@@ -11,7 +11,9 @@ violations exit 4, and the diagnostic payload goes to stderr as JSON.
 for: key max_iter is --max-iter, delta_schedule --deltas, output_dir
 --out-dir, and "command" the subcommand when the command line names none.
 Required flags may come from the file, explicit flags win, and a key that
-is not exactly a flag of the running subcommand exits 2.
+is not exactly a flag of the running subcommand exits 2, as does a prefix of
+a flag on the command line.  A number inside an id (affine:<a>:<b>,
+power:<p>, ...) must be finite; nan or inf exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ import sys
 
 import numpy as np
 
-from .densities import DensityPair, density_from_id, make_pair, predict_integrability
+from .densities import (
+    DensityPair,
+    _finite_float,
+    density_from_id,
+    make_pair,
+    predict_integrability,
+)
 from .duality import duality_gap, stress
 from .diagnostics import approximation_experiment, integrability_sweep, relaxation_gap
 from .energy import BVCandidate, JumpSegment
@@ -37,6 +45,13 @@ EXIT_CONTRACT = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse with JSON errors, and with every flag matched only whole:
+    subparsers are made by this class too, so no prefix of a flag (--max
+    for --max-iter) is read as the flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse prints usage text by default; keep stderr machine readable
     def error(self, message):
         _emit_error("ArgumentError", message, EXIT_VALIDATION)
@@ -62,16 +77,17 @@ def _parse_floats(text: str) -> list:
 
 def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
     """Boundary data ids: affine:<a>:<b>, step:<left>:<right>, zero,
-    custom-table:<path>."""
+    custom-table:<path>; the numbers of affine and step must be finite."""
+    what = f"each parameter of u0 id {spec!r}"
     if spec == "zero":
         return GridFunction(grid, np.zeros(grid.node_shape))
     if spec.startswith("affine:"):
         _, a, b = spec.split(":")
-        a, b = float(a), float(b)
+        a, b = _finite_float(a, what), _finite_float(b, what)
         return GridFunction.from_callable(grid, lambda x1, x2: a * x1 + b * x2)
     if spec.startswith("step:"):
         _, lo, hi = spec.split(":")
-        lo, hi = float(lo), float(hi)
+        lo, hi = _finite_float(lo, what), _finite_float(hi, what)
         return GridFunction.from_callable(
             grid, lambda x1, x2: np.where(x1 < 0.0, lo, hi)
         )
@@ -242,7 +258,8 @@ def _cmd_approx_demo(args) -> int:
 
 def _cmd_conjugate_table(args) -> int:
     spec = density_from_id(args.density)
-    ss = np.linspace(-args.s_max, args.s_max, args.n)
+    s_max = _finite_float(args.s_max, "--s-max")
+    ss = np.linspace(-s_max, s_max, args.n)
     rows = [(float(s), float(spec.conjugate(s))) for s in ss]
     lines = ["s,conjugate"]
     lines += [f"{repr(s)},{repr(v)}" for s, v in rows]
@@ -284,14 +301,14 @@ def _cmd_relax_gap(args) -> int:
 
 
 def _config_parser() -> argparse.ArgumentParser:
-    p = _Parser(add_help=False, allow_abbrev=False)
+    p = _Parser(add_help=False)
     p.add_argument("--config", metavar="PATH", help="JSON file of flags (see README)")
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     config = _config_parser()
-    parser = _Parser(prog="splitvar", description=__doc__, parents=[config], allow_abbrev=False)
+    parser = _Parser(prog="splitvar", description=__doc__, parents=[config])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", parents=[], help="run the continuation solver")

@@ -462,22 +462,33 @@ def make_pair(f1: Density1Spec, f2: Density2Spec) -> DensityPair:
     )
 
 
+def _finite_float(text, what: str = "each parameter") -> float:
+    """``float(text)``, raising ValueError naming ``what`` unless it is
+    finite; the one parser of the numbers inside ids and of the CLI's
+    --s-max, so that nan and inf are input errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {text!r}")
+    return value
+
+
 def density_from_id(ident: str):
     """Resolve a density id string; the family fixes the spec type.
 
     Ids: ``phi_nu:<nu>`` and ``hencky:<k>:<nu>`` give a Density1Spec (linear
     growth, the f1 slot), ``power:<p>`` (f2(t) = |t|**p) and ``nfun_tlog`` a
     Density2Spec (superlinear, the f2 slot); ``make_pair`` checks the slots.
+    Every parameter must be a finite number.
     """
     parts = ident.split(":")
     kind = parts[0]
     try:
         if kind == "phi_nu" and len(parts) == 2:
-            spec = make_phi_nu(float(parts[1]))
+            spec = make_phi_nu(_finite_float(parts[1]))
         elif kind == "hencky" and len(parts) == 3:
-            spec = make_hencky(float(parts[1]), float(parts[2]))
+            spec = make_hencky(_finite_float(parts[1]), _finite_float(parts[2]))
         elif kind == "power" and len(parts) == 2:
-            spec = power_density2(float(parts[1]))
+            spec = power_density2(_finite_float(parts[1]))
         elif kind == "nfun_tlog" and len(parts) == 1:
             spec = tlog_density2()
         else:

@@ -8,11 +8,12 @@ the (matrix-free) discrete Hessian H = h1 h2 (G1^T W1 G1 + G2^T W2 G2),
 with steepest descent as fallback and Armijo backtracking for global
 descent.  CG works on (n1-1) x (n2-1) arrays of interior values: each
 product copies its vector into the interior of one zero-ringed nodal buffer
-per Newton step, and ``_kernels.hessvec`` returns the interior of H v.  CG
-is preconditioned by the exact inverse of H with the curvatures W1, W2
+per level, and ``_kernels.hessvec`` returns the interior of H v.  CG is
+preconditioned by the exact inverse of H with the curvatures W1, W2
 replaced by their means across x2, applied with a sine transform along x2
 and one tridiagonal solve per sine mode along x1 (see
-``_line_preconditioner``).
+``_line_preconditioner``, one workspace per level, refactored in place at
+each Newton step).
 
 The Newton method is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982): step k stops CG once the linear residual of its direction d
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -229,23 +231,29 @@ class _DeltaProblem:
         return w1, w2
 
 
-def _dst1(x: np.ndarray, ext: np.ndarray) -> np.ndarray:
+def _dst1(x: np.ndarray, ext: np.ndarray, neg_out: Optional[np.ndarray] = None):
     """Unnormalized DST-I along the last axis, y_k = 2 sum_i x_i sin(pi k i / n)
     with n = m + 1 for m entries, from the real FFT of the odd extension
     [0, x, 0, -x reversed].  Applied twice it is 2n times the identity.
     ``ext`` is the buffer of the extension: last axis 2m + 2, zero in columns
-    0 and m + 1, so that one buffer serves every transform of one shape."""
+    0 and m + 1, so that one buffer serves every transform of one shape.
+    Returns a new array, or with ``neg_out`` writes -y there, with no
+    temporary beyond the FFT's own, and returns ``neg_out``."""
     m = x.shape[-1]
     ext[..., 1 : m + 1] = x
     np.negative(x[..., ::-1], out=ext[..., m + 2 :])
-    return -np.fft.rfft(ext)[..., 1 : m + 1].imag
+    neg_y = np.fft.rfft(ext)[..., 1 : m + 1].imag
+    if neg_out is None:
+        return -neg_y
+    neg_out[...] = neg_y
+    return neg_out
 
 
-def _line_preconditioner(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
-    """r -> z = M^-1 r on (n1-1) x (n2-1) interior arrays, M the Hessian with
-    w1, w2 replaced by their x2-means a(x1), b(x1).  On interior nodes with a
-    zero ring, G1 = (D/h1) (x) A and G2 = A (x) (D/h2), D forward differences
-    and A neighbour averages, so
+def _line_preconditioner(grid: Grid) -> SimpleNamespace:
+    """Workspace of r -> z = M^-1 r on (n1-1) x (n2-1) interior arrays, M the
+    Hessian with w1, w2 replaced by their x2-means a(x1), b(x1).  On interior
+    nodes with a zero ring, G1 = (D/h1) (x) A and G2 = A (x) (D/h2), D forward
+    differences and A neighbour averages, so
 
         M = h1 h2 [K1(a) (x) A^T A + A^T diag(b) A (x) D^T D / h2^2],
         K1(a) = D^T diag(a) D / h1^2.
@@ -260,34 +268,53 @@ def _line_preconditioner(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
     and both DSTs share one odd-extension buffer.  Since a >= delta p > 0
     (the regularizer) and b >= 0, every T_k is SPD; where w1 and w2 vary only
     in x1, M is the Hessian.
+
+    One workspace serves one ``minimize_J_delta`` level.  It allocates the
+    sine tables, the extension buffer, the sweep array y and the factors L
+    and D^-1 once; ``factor(w1, w2)`` refactors them in place at each Newton
+    step, with T's off-diagonal held in y until the next apply overwrites
+    it, and ``apply(r)`` returns a new array.  The first DST of an apply
+    writes -(r S) straight into y, and the factor stores -D^-1 in place of
+    D^-1.  Negation commutes with rounding, so the two sign flips cancel
+    exactly and z is bitwise the unfolded product.
     """
-    n1, n2 = w1.shape
+    n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     t2 = np.arange(1, n2) * (math.pi / n2)
     cos2, sin2 = np.cos(0.5 * t2) ** 2, 4.0 * np.sin(0.5 * t2) ** 2 / h2**2
-    a = (2.0 * n2 * h2 / h1) * np.mean(w1, axis=1)
-    b = (0.5 * n2 * h1 * h2) * np.mean(w2, axis=1)
-    # interior node m along x1 lies between cells m and m + 1
-    diag = np.outer(a[:-1] + a[1:], cos2) + np.outer(b[:-1] + b[1:], sin2)
-    off = np.outer(-a[1:-1], cos2) + np.outer(b[1:-1], sin2)
-    lower = np.empty_like(off)
-    for m in range(n1 - 2):
-        lower[m] = off[m] / diag[m]
-        diag[m + 1] -= lower[m] * off[m]
-    inv_diag = 1.0 / diag
     ext = np.zeros((n1 - 1, 2 * n2))
-    y = np.empty_like(diag)
-    rows = list(zip(y[1:], lower, y[:-1]))
+    y = np.empty((n1 - 1, n2 - 1))
+    lower = np.empty((n1 - 2, n2 - 1))
+    inv_diag = np.empty_like(y)
+    off = y[:-1]
+    # one view per row, shared by the factor's loop and the sweeps
+    y_rows, low_rows, d_rows = list(y), list(lower), list(inv_diag)
+    factor_rows = list(zip(y_rows, d_rows, low_rows, d_rows[1:]))
+    sweep_rows = list(zip(y_rows[1:], low_rows, y_rows))
+
+    def factor(w1: np.ndarray, w2: np.ndarray) -> None:
+        a = (2.0 * n2 * h2 / h1) * np.mean(w1, axis=1)
+        b = (0.5 * n2 * h1 * h2) * np.mean(w2, axis=1)
+        # interior node m along x1 lies between cells m and m + 1; the
+        # diagonal is eliminated in the buffer of its inverse
+        diag = np.multiply.outer(a[:-1] + a[1:], cos2, out=inv_diag)
+        diag += np.outer(b[:-1] + b[1:], sin2)
+        np.multiply.outer(-a[1:-1], cos2, out=off)
+        off[...] += np.outer(b[1:-1], sin2)
+        for o, d, low, d_next in factor_rows:
+            np.divide(o, d, out=low)
+            d_next -= low * o
+        np.divide(-1.0, diag, out=inv_diag)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        y[...] = _dst1(r, ext)
-        for row, low, prev in rows:
+        _dst1(r, ext, neg_out=y)
+        for row, low, prev in sweep_rows:
             row -= low * prev
         y[...] *= inv_diag
-        for prev, low, row in reversed(rows):
+        for prev, low, row in reversed(sweep_rows):
             row -= low * prev
         return _dst1(y, ext)
 
-    return apply
+    return SimpleNamespace(factor=factor, apply=apply)
 
 
 def _pcg(apply_h, b, precond, tol):
@@ -299,10 +326,10 @@ def _pcg(apply_h, b, precond, tol):
     max(eta_k ||g_k||_2, FORCING_FLOOR tol_grad) of the module docstring, so
     the linear solve is only as accurate as the outer Newton step needs.
     ``precond`` maps a residual r to a new array z = M^-1 r with M symmetric
-    positive definite (here ``_line_preconditioner``).  Returns
-    (x, converged); raises NonConvexDetected on negative curvature.  The
-    search direction is updated in place, and ||p||^2 is formed only when
-    p^T H p <= 0, since the curvature floor below is negative.
+    positive definite (here the ``apply`` of ``_line_preconditioner``).
+    Returns (x, converged); raises NonConvexDetected on negative curvature.
+    The search direction is updated in place, and ||p||^2 is formed only
+    when p^T H p <= 0, since the curvature floor below is negative.
 
     The curvature floor is needed: H = G^T W G is positive semidefinite only
     where W >= 0 at every cell gradient.  The built-in densities have
@@ -369,6 +396,17 @@ def minimize_J_delta(
     values = cfg.u0.values.copy()
     values[1:-1, 1:-1] = start.values[1:-1, 1:-1]
 
+    precond = _line_preconditioner(grid)
+    # CG's vectors are interior arrays; the ring of this buffer stays zero
+    padded = np.zeros(grid.node_shape)
+
+    def apply_h(v):
+        padded[1:-1, 1:-1] = v
+        # k1, k2 are the current Newton step's; hessvec is looked up on the
+        # module at each call, so that a wrapped kernel (perfbench/tracer.py)
+        # sees every product
+        return _kernels.hessvec(padded, k1, k2)
+
     flags = []
     steps = 0
     # (j, delta_term, c1, c2) of the current iterate, carried over from the
@@ -388,21 +426,15 @@ def minimize_J_delta(
         g_norm_prev = g_norm
 
         w1, w2 = prob.curvatures(c1, c2)
-        precond = _line_preconditioner(w1, w2, grid.h1, grid.h2)
-        k1 = (0.25 * grid.h2 / grid.h1) * w1
-        k2 = (0.25 * grid.h1 / grid.h2) * w2
-        # CG's vectors are interior arrays; the ring of this buffer stays zero
-        padded = np.zeros(grid.node_shape)
-
-        def apply_h(v):
-            padded[1:-1, 1:-1] = v
-            # looked up on the module at each call, so that a wrapped kernel
-            # (perfbench/tracer.py) sees every product
-            return _kernels.hessvec(padded, k1, k2)
-
+        precond.factor(w1, w2)
+        # hessvec's weights, scaled in place once factor has read the means
+        k1 = np.multiply(w1, 0.25 * grid.h2 / grid.h1, out=w1)
+        k2 = np.multiply(w2, 0.25 * grid.h1 / grid.h2, out=w2)
         minus_g = -g[1:-1, 1:-1]
         cg_tol = max(eta * g_norm, FORCING_FLOOR * cfg.tol_grad)
-        d_dir, cg_ok = _pcg(apply_h, minus_g, precond, cg_tol)
+        # release the last step's direction before CG allocates its vectors
+        d_dir = None
+        d_dir, cg_ok = _pcg(apply_h, minus_g, precond.apply, cg_tol)
         slope = -float(np.vdot(minus_g, d_dir))
         if not cg_ok or slope >= 0.0:
             if "cg_fallback" not in flags:

@@ -627,6 +627,52 @@ def test_exit_2_predict_non_finite(args, capsys):
     assert last_json(err)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--u0", "affine:nan:1"],
+        ["solve", "--u0", "step:0:inf"],
+        ["solve", "--f2", "power:nan"],
+        ["solve", "--f1", "hencky:nan:1"],
+        ["conjugate-table", "--density", "power:2", "--s-max", "nan"],
+    ],
+    ids=["affine", "step", "power", "hencky", "s-max"],
+)
+def test_exit_2_non_finite_number_in_id(args, tmp_path, capsys):
+    # nan or inf inside an id is an input error, caught before the numerics
+    # run: no numpy warning joins the one JSON line on stderr
+    if args[0] == "solve":
+        args = [*args, "--grid", "8x8", "--out-dir", str(tmp_path)]
+    rc, out, err = run(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    error = last_json(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "must be a finite number" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "prefix, bad, flag, good",
+    [("--max", "1", "--max-iter", "200"), ("--p", "1.5", "--p-reg", "2")],
+    ids=["max-iter", "p-reg"],
+)
+def test_exit_2_abbreviated_flag(prefix, bad, flag, good, tmp_path, capsys):
+    # a prefix of a subcommand flag is not that flag
+    argv = ["solve", *AFFINE_ARGS, "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, prefix, bad])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert last_json(captured.err)["error"]["type"] == "ArgumentError"
+    assert not (tmp_path / "report.json").exists()
+    rc, out, err = run([*argv, flag, good], capsys)
+    assert rc == 0, err
+    assert abs(json.loads(out)["j_final"] - AFFINE_J) <= 1e-10
+
+
 @pytest.fixture()
 def converged_step_table(tmp_path, capsys):
     rc, _, _ = run(["solve", *STEP_ARGS, "--out-dir", str(tmp_path)], capsys)
