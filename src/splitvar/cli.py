@@ -7,13 +7,16 @@ written with repr() floats so reruns with identical inputs are byte
 identical.  Validation problems exit 2, numerical failures exit 3, contract
 violations exit 4, and the diagnostic payload goes to stderr as JSON.
 
---config PATH (or --config=PATH) reads a JSON object as the flags it stands
-for: key max_iter is --max-iter, delta_schedule --deltas, output_dir
---out-dir, and "command" the subcommand when the command line names none.
-Required flags may come from the file, explicit flags win, and a key that
-is not exactly a flag of the running subcommand exits 2, as does a prefix of
-a flag on the command line.  A number inside an id (affine:<a>:<b>,
-power:<p>, ...) must be finite; nan or inf exits 2.
+List flags (--deltas, --chis, --kappas, --widths, --jump) take comma lists;
+--jump may also repeat, and its lists add up.  --config PATH (or
+--config=PATH) reads a JSON object as the flags it stands for: key max_iter
+is --max-iter, delta_schedule --deltas, output_dir --out-dir, "command" the
+subcommand when the command line names none, and a list one comma-joined
+value.  Required flags may come from the file, explicit flags win, and a key
+that is not exactly a flag of the running subcommand exits 2, as does a
+prefix of a flag on the command line.  A number inside an id
+(affine:<a>:<b>, power:<p>, ...) or a list must be finite; nan or inf exits
+2.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .densities import (
 from .duality import duality_gap, stress
 from .diagnostics import approximation_experiment, integrability_sweep, relaxation_gap
 from .energy import BVCandidate, JumpSegment
-from .grid import Grid, GridFunction, load_csv, save_csv, save_vsgf
+from .grid import Grid, GridFunction, load_csv, save_csv, save_vsgf, write_csv
 from .solve import ContinuationContractError, SolveConfig, continuation
 
 EXIT_OK = 0
@@ -71,8 +74,8 @@ def _parse_grid(text: str) -> Grid:
     return Grid(n1, n2)
 
 
-def _parse_floats(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_floats(text: str, flag: str) -> list:
+    return [_finite_float(tok, f"each entry of {flag}") for tok in text.split(",") if tok.strip()]
 
 
 def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
@@ -137,6 +140,14 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-grad", type=float, default=1e-10)
 
 
+def _add_jump_arg(p: argparse.ArgumentParser) -> None:
+    # a blank entry is kept, and rejected as a malformed segment
+    p.add_argument(
+        "--jump", action="extend", type=lambda text: text.split(","),
+        help="comma list of line:height (full span) or line:height:start:end",
+    )
+
+
 def _pair(args) -> DensityPair:
     return make_pair(density_from_id(args.f1), density_from_id(args.f2))
 
@@ -147,7 +158,7 @@ def _build_config(args, store_fields=False) -> SolveConfig:
         grid=grid,
         densities=_pair(args),
         u0=_resolve_u0(args.u0, grid),
-        delta_schedule=_parse_floats(args.deltas),
+        delta_schedule=_parse_floats(args.deltas, "--deltas"),
         p_reg=args.p_reg,
         tol_grad=args.tol_grad,
         max_iter=args.max_iter,
@@ -161,7 +172,7 @@ def _echo(args) -> dict:
         "f2": args.f2,
         "u0": args.u0,
         "grid": args.grid,
-        "deltas": _parse_floats(args.deltas),
+        "deltas": _parse_floats(args.deltas, "--deltas"),
     }
 
 
@@ -229,8 +240,8 @@ def _cmd_sweep(args) -> int:
     report = continuation(cfg)
     table = integrability_sweep(
         report,
-        chis=_parse_floats(args.chis),
-        kappas=_parse_floats(args.kappas) if args.kappas else (),
+        chis=_parse_floats(args.chis, "--chis"),
+        kappas=_parse_floats(args.kappas, "--kappas"),
     )
     os.makedirs(args.out_dir, exist_ok=True)
     table.write_csv(os.path.join(args.out_dir, "sweep.csv"))
@@ -246,7 +257,7 @@ def _cmd_approx_demo(args) -> int:
     pair = _pair(args)
     w = _candidate(grid, args.smooth_table, args.jump)
     u0 = _resolve_u0(args.u0, grid) if args.u0 else None
-    table = approximation_experiment(w, pair, _parse_floats(args.widths), u0=u0)
+    table = approximation_experiment(w, pair, _parse_floats(args.widths, "--widths"), u0=u0)
     os.makedirs(args.out_dir, exist_ok=True)
     table.write_csv(os.path.join(args.out_dir, "approx.csv"))
     _dump_json(table.to_dict(), os.path.join(args.out_dir, "approx.json"))
@@ -260,15 +271,8 @@ def _cmd_conjugate_table(args) -> int:
     spec = density_from_id(args.density)
     s_max = _finite_float(args.s_max, "--s-max")
     ss = np.linspace(-s_max, s_max, args.n)
-    rows = [(float(s), float(spec.conjugate(s))) for s in ss]
-    lines = ["s,conjugate"]
-    lines += [f"{repr(s)},{repr(v)}" for s, v in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    values = [float(spec.conjugate(s)) for s in ss]
+    write_csv(args.out or sys.stdout, ["s", "conjugate"], [ss, values])
     return EXIT_OK
 
 
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="splitvar", description=__doc__, parents=[config])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[], help="run the continuation solver")
+    p = sub.add_parser("solve", help="run the continuation solver")
     _add_problem_args(p)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_solve)
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx-demo", help="jump smoothing experiment")
     _add_density_args(p)
     p.add_argument("--smooth-table", default=None, help="CSV for the smooth part")
-    p.add_argument("--jump", action="append", help="line:height (full span)")
+    _add_jump_arg(p)
     p.add_argument("--u0", default=None, help="boundary data id (optional)")
     p.add_argument("--widths", default="1e-1,1e-2,1e-3,1e-4,1e-5")
     p.add_argument("--out-dir", default=".")
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relax-gap", help="candidate energy vs continuation limit")
     _add_problem_args(p)
     p.add_argument("--candidate-table", default=None, help="CSV for the smooth part")
-    p.add_argument("--jump", action="append", help="line:height (full span)")
+    _add_jump_arg(p)
     p.set_defaults(func=_cmd_relax_gap)
 
     return parser
@@ -361,10 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_flags(path: str):
     """A JSON config file as (command, flags): its "command" (None without
-    one) and a (key, name, values) triple for each other key, ``name`` being
+    one) and a (key, name, token) triple for each other key, ``name`` being
     the destination the key stands for ("_" for "-"; delta_schedule is
-    deltas, output_dir out_dir).  A ``grid`` dict {"n1": N, "n2": M} is NxM,
-    a list of numbers one comma-joined value, and null no value."""
+    deltas, output_dir out_dir) and ``token`` its "--flag=value" (None for
+    null).  A ``grid`` dict {"n1": N, "n2": M} is NxM, a list one
+    comma-joined value, as every list flag takes, and an empty list null."""
     with open(path) as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
@@ -376,11 +381,10 @@ def _config_flags(path: str):
         name = {"delta_schedule": "deltas", "output_dir": "out_dir"}.get(name, name)
         if name == "grid" and isinstance(val, dict):
             val = f"{val.get('n1')}x{val.get('n2')}"
-        if not isinstance(val, list):
-            val = [] if val is None else [str(val)]
-        elif not all(isinstance(v, str) for v in val):
-            val = [",".join(map(str, val))]
-        flags.append((key, name, val))
+        elif isinstance(val, list):
+            val = ",".join(map(str, val)) if val else None
+        token = None if val is None else f"--{name.replace('_', '-')}={val}"
+        flags.append((key, name, token))
     return command, flags
 
 
@@ -390,7 +394,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     subcommand is the first token left once --config is out, unless that is
     an option; then it is the file's "command"."""
     opts, rest = _config_parser().parse_known_args(argv)
-    flags, joined = [], set()
+    flags = []
     if opts.config is not None:
         command, flags = _config_flags(opts.config)
         if rest and not rest[0].startswith("-"):
@@ -398,22 +402,12 @@ def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
         elif command is None:
             raise ValueError("config file gives no command and none was passed")
         rest = [str(command), *rest]
-    while True:
-        # a list of strings repeats its flag; where the flag keeps one value
-        # (only --jump collects) it is comma-joined and parsed once more
-        pairs = [(key, f"--{name.replace('_', '-')}={v}") for key, name, vals in flags
-                 for v in ([",".join(vals)] if name in joined else vals)]
-        args, extra = parser.parse_known_args([*rest[:1], *(t for _, t in pairs), *rest[1:]])
-        # a key names its flag exactly, never a prefix of it
-        bad = {key for key, tok in pairs if tok in extra}
-        unknown = [key for key, name, _ in flags if key in bad or name not in vars(args)]
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        single = {name for _, name, vals in flags
-                  if len(vals) > 1 and not isinstance(getattr(args, name), list)}
-        if single <= joined:
-            break
-        joined |= single
+    tokens = [tok for _, _, tok in flags if tok is not None]
+    args, extra = parser.parse_known_args([*rest[:1], *tokens, *rest[1:]])
+    # a key names its flag exactly, never a prefix of it
+    unknown = [key for key, name, tok in flags if tok in extra or name not in vars(args)]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args

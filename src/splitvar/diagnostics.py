@@ -136,12 +136,7 @@ def integrability_sweep(
 # approximation experiment
 # ---------------------------------------------------------------------------
 
-# C1 mollified step with Epanechnikov kernel on [-1/2, 1/2]
-def _smoothstep(u: np.ndarray) -> np.ndarray:
-    u = np.clip(u, -0.5, 0.5)
-    return 0.5 + 1.5 * u - 2.0 * u**3
-
-
+# Epanechnikov kernel on [-1/2, 1/2], the slope of the C1 mollified step
 def _kernel(u: np.ndarray) -> np.ndarray:
     inside = np.abs(u) < 0.5
     return np.where(inside, 1.5 * (1.0 - 4.0 * u * u), 0.0)
@@ -180,7 +175,8 @@ def _gauss_panels(a: float, b: float, n_panels: int = 8):
     return xs, ws
 
 
-# integral of |smoothstep - heaviside| over the support: by symmetry
+# integral of |S - heaviside| over the support, S(u) = 1/2 + 3u/2 - 2u^3 the
+# mollified step (the primitive of _kernel): by symmetry
 # 2 * int_0^(1/2) (1/2 - 3u/2 + 2u^3) du = 2 * (1/4 - 3/16 + 1/32) = 3/16
 _KERNEL_L1 = 3.0 / 16.0
 
@@ -236,7 +232,7 @@ def approximation_experiment(
     in which the smoothed split energies can converge to it.
     """
     widths = [float(x) for x in widths]
-    if not widths or any(x <= 0.0 for x in widths):
+    if not widths or not all(x > 0.0 for x in widths):
         raise ValueError("widths must be positive")
     if any(b >= a for a, b in zip(widths, widths[1:])):
         raise ValueError("widths must be strictly decreasing")

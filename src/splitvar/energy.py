@@ -102,8 +102,8 @@ def eval_J_delta(
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if p_reg < 2.0:
-        raise ValueError(f"p_reg must be >= 2, got {p_reg}")
+    if not (math.isfinite(p_reg) and p_reg >= 2.0):
+        raise ValueError(f"p_reg must be finite and >= 2, got {p_reg}")
     j1, j2, i_reg = _cell_sums(gradient(u), d, p_reg)
     return EnergyBreakdown(j_f1=j1, j_f2=j2, delta_term=delta * i_reg)
 

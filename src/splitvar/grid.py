@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import struct
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -190,8 +191,10 @@ def _csv_lines(rows, n_rows: int, n_cols: int) -> str:
     return text
 
 
-def write_csv(path: str, header, columns) -> None:
-    """The one CSV writer of the package: a header row, then the columns.
+def write_csv(dest, header, columns) -> None:
+    """The one CSV writer of the package: a header row, then the columns,
+    to ``dest``, a path or an open text stream (anything with ``write``,
+    such as ``sys.stdout``), which is left open.
 
     Each column is a sequence of equal length and is formatted once, block by
     block.  Floats, numpy scalars included, are written as repr(float(v)),
@@ -209,7 +212,7 @@ def write_csv(path: str, header, columns) -> None:
     if any(len(col) != n_rows for col in columns):
         raise ValueError("CSV columns differ in length")
     header = list(header)
-    with open(path, "w", newline="") as fh:
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
         fh.write(_csv_lines([header], 1, len(header)))
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)

@@ -413,13 +413,15 @@ def minimize_J_delta(
     # accepted line-search trial
     split = prob.split_energy(values)
     energy = split[0] + split[1]
-    res_max = math.inf
     g_norm_prev = None
-    while steps < cfg.max_iter:
+    while True:
         _, _, c1, c2 = split
         g = prob.residual(c1, c2)
         res_max = float(np.max(np.abs(g)))
         if res_max <= cfg.tol_grad:
+            break
+        if steps >= cfg.max_iter:
+            flags.append("iteration_cap_exceeded")
             break
         g_norm = math.sqrt(float(np.sum(g * g)))
         eta = _forcing_term(g_norm, g_norm_prev)
@@ -470,13 +472,7 @@ def minimize_J_delta(
             break
         steps += 1
 
-    j, delta_term, c1, c2 = split
-    if res_max > cfg.tol_grad and "stalled" not in flags:
-        # the cap may have been hit right after an accepted step
-        res_max = float(np.max(np.abs(prob.residual(c1, c2))))
-        if res_max > cfg.tol_grad:
-            flags.append("iteration_cap_exceeded")
-
+    j, delta_term, _, _ = split
     record = DeltaRecord(
         delta=delta,
         j_value=j,

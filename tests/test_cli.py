@@ -1,14 +1,17 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from splitvar import cli
 from splitvar.cli import main
 from splitvar.densities import conjugate_scalar
-from splitvar.grid import load_csv, load_vsgf
+from splitvar.duality import duality_gap
+from splitvar.grid import Grid, GridFunction, load_csv, load_vsgf, save_csv
 
 AFFINE_J = 20.0 - 8.0 * math.sqrt(3.0)
 
@@ -208,7 +211,9 @@ def test_conjugate_table(tmp_path, capsys):
     path = tmp_path / "table.csv"
     rc, _, _ = run(argv + ["--out", str(path)], capsys)
     assert rc == 0
-    assert path.read_text() == out
+    # the same CSV bytes as every other writer: CRLF line ends
+    assert out.startswith("s,conjugate\r\n")
+    assert path.read_bytes() == out.encode()
 
 
 def test_conjugate_table_nfun_tlog_needs_no_slot(capsys):
@@ -719,3 +724,94 @@ def test_exit_4_gap_violation(converged_step_table, capsys):
     assert result["j_final"] == 1.0
     assert result["gap"] < -0.4
     assert last_json(err)["error"]["type"] == "RelaxationGapViolation"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["approx-demo", "--grid", "8x8", "--jump", "4:1", "--widths", "nan,1e-2"], "--widths"),
+        (["sweep", "--grid", "8x8", "--chis", "nan"], "--chis"),
+    ],
+    ids=["widths", "chis"],
+)
+def test_exit_2_non_finite_list_entry(argv, flag, tmp_path, capsys):
+    # an entry of a comma list is checked like a number inside an id
+    rc, out, err = run([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+    error = last_json(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"each entry of {flag} must be a finite number, got 'nan'"
+
+
+def test_custom_table_u0_reports_its_largest_slope(tmp_path, capsys):
+    grid = Grid(8, 8)
+    u = GridFunction.from_callable(grid, lambda x1, x2: 2.0 * x1 - x2)
+    table = tmp_path / "u0.csv"
+    save_csv(u, str(table))
+    argv = ["solve", "--grid", "8x8", "--u0", f"custom-table:{table}",
+            "--deltas", "1e-1,1e-2,1e-3", "--out-dir", str(tmp_path / "out")]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0, err
+    assert abs(json.loads(out)["j_final"] - AFFINE_J) <= 1e-10
+    # one stderr line, valid JSON holding the largest difference quotient
+    (line,) = err.strip().splitlines()
+    slopes = [np.abs(np.diff(u.values, axis=k)).max() / h for k, h in ((0, grid.h1), (1, grid.h2))]
+    assert json.loads(line) == {"u0_table_lipschitz": max(slopes)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--grid", "8x8", "--u0", "ramp:1"],
+        ["approx-demo", "--grid", "8x8", "--jump", "4:1:2"],
+        ["relax-gap", "--grid", "8x8", "--jump", "4:1,4"],
+        ["approx-demo", "--grid", "8x8", "--jump", "4:1,"],
+    ],
+    ids=["u0-id", "jump-approx-demo", "jump-relax-gap", "jump-blank-entry"],
+)
+def test_exit_2_malformed_id(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
+    assert out == ""
+    assert last_json(err)["error"]["type"] == "ValueError"
+
+
+def test_exit_4_weak_duality_violation(tmp_path, capsys, monkeypatch):
+    # a certified dual value above the primal energy is a contract violation
+    def negative_gap(*args, **kwargs):
+        return dataclasses.replace(duality_gap(*args, **kwargs), gap_absolute=-1.0)
+
+    monkeypatch.setattr(cli, "duality_gap", negative_gap)
+    rc, out, err = run(["dual-report", *AFFINE_ARGS, "--out-dir", str(tmp_path)], capsys)
+    assert rc == 4
+    assert last_json(out)["gap_abs"] == -1.0
+    error = last_json(err)["error"]
+    assert error["type"] == "WeakDualityViolation"
+    assert error["exit_code"] == 4
+    assert (tmp_path / "dual_report.json").exists()
+
+
+def test_jump_comma_list_repeated_flag_and_config_list_agree(tmp_path, capsys):
+    # one comma list, two flags, and a config list all give the same jumps
+    common = ["--grid", "16x16", "--widths", "1e-1,1e-2"]
+    forms = {
+        "comma": ["approx-demo", *common, "--jump", "8:1.0,4:0.5"],
+        "repeat": ["approx-demo", *common, "--jump", "8:1.0", "--jump", "4:0.5"],
+        "config": ["--config", str(write_json(tmp_path, {
+            "command": "approx-demo", "grid": "16x16", "widths": [0.1, 0.01],
+            "jump": ["8:1.0", "4:0.5"]}))],
+    }
+    outputs = {}
+    for name, argv in forms.items():
+        out_dir = tmp_path / name
+        assert cli._parse(cli.build_parser(), [*argv, "--out-dir", str(out_dir)]).jump == [
+            "8:1.0", "4:0.5"]
+        rc, out, err = run([*argv, "--out-dir", str(out_dir)], capsys)
+        assert rc == 0, err
+        outputs[name] = (out, (out_dir / "approx.csv").read_bytes())
+    assert json.loads(outputs["comma"][0])["k_reference"] == 3.0
+    assert outputs["comma"] == outputs["repeat"] == outputs["config"]

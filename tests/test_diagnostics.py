@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -220,6 +221,14 @@ def test_approx_width_validation(pair_std):
         approximation_experiment(w, pair_std, widths=[0.01, 0.1])
     with pytest.raises(ValueError):
         approximation_experiment(w, pair_std, widths=[-0.1])
+
+
+def test_approx_nan_width_rejected(pair_std):
+    # NaN passes neither the sign check nor the ordering check silently
+    w = unit_jump_candidate()
+    for widths in ([math.nan], [0.1, math.nan]):
+        with pytest.raises(ValueError, match="positive"):
+            approximation_experiment(w, pair_std, widths=widths)
 
 
 def test_approx_csv_layout(pair_std, tmp_path):

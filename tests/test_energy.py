@@ -107,6 +107,16 @@ def test_eval_j_delta_validation(pair_std):
         eval_J_delta(u, pair_std, 0.1, 1.5)
 
 
+@pytest.mark.parametrize("field", ["zero", "affine"])
+def test_eval_j_delta_rejects_nan_p_reg(pair_std, field):
+    # a NaN exponent is an input error on every field, not a value of 2.0 on
+    # a zero field and an overflow on any other
+    g = Grid(4, 4)
+    u = GridFunction(g, np.zeros(g.node_shape)) if field == "zero" else affine_field(g, 1.0, 1.0)
+    with pytest.raises(ValueError, match="p_reg"):
+        eval_J_delta(u, pair_std, 0.5, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # jump candidates
 # ---------------------------------------------------------------------------

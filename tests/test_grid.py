@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -461,3 +462,13 @@ def test_csv_round_trips_non_finite_values(tmp_path):
     back = load_csv(str(path))
     assert back.grid == g
     assert np.array_equal(back.values, values, equal_nan=True)
+
+
+def test_write_csv_to_a_stream_writes_the_file_bytes(tmp_path):
+    columns = [np.array([0.1, -0.0, 1e22]), [np.float32(0.1), 3, "label"]]
+    write_csv(str(tmp_path / "t.csv"), ["a", "b"], columns)
+    stream = io.StringIO()
+    write_csv(stream, ["a", "b"], columns)
+    # the caller's stream stays open, and gets the same CRLF text
+    assert not stream.closed
+    assert stream.getvalue().encode() == (tmp_path / "t.csv").read_bytes()

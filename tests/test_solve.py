@@ -668,6 +668,90 @@ def test_iteration_cap_flagged(pair_std):
         continuation(cfg)
 
 
+def _level_residual(cfg, delta, u):
+    prob = solve._DeltaProblem(cfg.grid, cfg.densities, delta, cfg.p_reg)
+    c1, c2 = _kernels.cell_gradient(u.values, cfg.grid.h1, cfg.grid.h2)
+    return float(np.max(np.abs(prob.residual(c1, c2))))
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2])
+def test_capped_level_reports_the_residual_of_its_iterate(pair_std, max_iter):
+    cfg = tanh_config(pair_std, max_iter=max_iter)
+    u, rec = minimize_J_delta(cfg, 1e-1)
+    assert rec.flags == ("iteration_cap_exceeded",)
+    assert rec.iterations == max_iter and not rec.converged
+    assert rec.euler_residual_max == _level_residual(cfg, 1e-1, u)
+
+
+# ---------------------------------------------------------------------------
+# safeguards of the Newton level
+# ---------------------------------------------------------------------------
+
+
+def test_pcg_returns_on_a_flat_direction():
+    # zero curvature along the first direction is not negative curvature:
+    # CG returns its current iterate, unconverged, for the line search
+    x, ok = solve._pcg(np.zeros_like, np.ones((3, 4)), np.copy, 1e-12)
+    assert not ok and not np.any(x)
+
+
+def test_failed_cg_falls_back_to_steepest_descent(pair_std, monkeypatch):
+    monkeypatch.setattr(solve, "_pcg", lambda apply_h, b, precond, tol: (0.0 * b, False))
+    original = solve._DeltaProblem.split_energy
+    trials = []
+
+    def split_energy(self, values):
+        trials.append(values.copy())
+        return original(self, values)
+
+    monkeypatch.setattr(solve._DeltaProblem, "split_energy", split_energy)
+    cfg = tanh_config(pair_std, max_iter=3)
+    u, rec = minimize_J_delta(cfg, 1e-1)
+    # one flag however many steps fell back, and every step descended
+    assert rec.flags == ("cg_fallback", "iteration_cap_exceeded")
+    assert rec.iterations == 3
+    assert rec.j_delta_value < eval_J_delta(cfg.u0, pair_std, 1e-1, cfg.p_reg).j_total
+    # the first trial is the full step along -g
+    start = trials[0]
+    prob = solve._DeltaProblem(cfg.grid, pair_std, 1e-1, cfg.p_reg)
+    minus_g = -prob.residual(*_kernels.cell_gradient(start, cfg.grid.h1, cfg.grid.h2))
+    scale = np.max(np.abs(start))
+    assert np.allclose(trials[1] - start, minus_g, rtol=0.0, atol=1e-15 * scale)
+
+
+def test_line_search_halves_on_an_arithmetic_error(pair_std, monkeypatch):
+    original = solve._DeltaProblem.split_energy
+    trials = []
+
+    def split_energy(self, values):
+        trials.append(values.copy())
+        if len(trials) == 2:  # the first trial; the first call is the start
+            raise ArithmeticError("trial outside the domain")
+        return original(self, values)
+
+    monkeypatch.setattr(solve._DeltaProblem, "split_energy", split_energy)
+    cfg = tanh_config(pair_std)
+    u, rec = minimize_J_delta(cfg, 1e-1)
+    assert rec.converged and rec.flags == ()
+    start, full, half = trials[:3]
+    scale = np.max(np.abs(start))
+    assert np.max(np.abs(full - start)) > 1e-3 * scale
+    assert np.allclose(half - start, 0.5 * (full - start), rtol=0.0, atol=1e-15 * scale)
+
+
+def test_line_search_without_trials_stalls(pair_std, monkeypatch):
+    monkeypatch.setattr(solve, "MAX_BACKTRACKS", 0)
+    cfg = tanh_config(pair_std)
+    u, rec = minimize_J_delta(cfg, 1e-1)
+    assert rec.flags == ("stalled",)
+    assert rec.iterations == 0 and not rec.converged
+    assert np.array_equal(u.values, cfg.u0.values)
+    assert rec.euler_residual_max == _level_residual(cfg, 1e-1, u)
+    # continuation takes only converged levels
+    with pytest.raises(ContinuationContractError, match="did not converge.*stalled"):
+        continuation(cfg)
+
+
 def test_continuation_determinism(pair_std):
     cfg = tanh_config(pair_std)
     a = continuation(cfg)
