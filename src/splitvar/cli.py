@@ -13,8 +13,8 @@ List flags (--deltas, --chis, --kappas, --widths, --jump) take comma lists;
 is --max-iter, delta_schedule --deltas, output_dir --out-dir, "command" the
 subcommand when the command line names none, and a list one comma-joined
 value.  Required flags may come from the file, explicit flags win, and a key
-that is not exactly a flag of the running subcommand exits 2, as does a
-prefix of a flag on the command line.  A number inside an id
+that is not exactly a flag of the running subcommand exits 2 whatever its
+value, as does a prefix of a flag on the command line.  A number inside an id
 (affine:<a>:<b>, power:<p>, ...) or a list must be finite; nan or inf exits
 2.
 """
@@ -50,10 +50,23 @@ EXIT_CONTRACT = 4
 class _Parser(argparse.ArgumentParser):
     """argparse with JSON errors, and with every flag matched only whole:
     subparsers are made by this class too, so no prefix of a flag (--max
-    for --max-iter) is read as the flag."""
+    for --max-iter) is read as the flag.  Each parser records its flags'
+    destinations (``flag_dests``) and its subcommands' parsers by name
+    (``commands``), which is what a config key is checked against."""
 
     def __init__(self, *args, **kwargs):
+        self.flag_dests = set()
         super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flag_dests.add(action.dest)
+        return action
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self.commands = action.choices  # filled as subcommands are added
+        return action
 
     # argparse prints usage text by default; keep stderr machine readable
     def error(self, message):
@@ -404,8 +417,10 @@ def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
         rest = [str(command), *rest]
     tokens = [tok for _, _, tok in flags if tok is not None]
     args, extra = parser.parse_known_args([*rest[:1], *tokens, *rest[1:]])
-    # a key names its flag exactly, never a prefix of it
-    unknown = [key for key, name, tok in flags if tok in extra or name not in vars(args)]
+    # a key names a flag of the running subcommand exactly, never a prefix of
+    # it, nor a namespace entry that is no flag (func, config)
+    dests = parser.commands[args.command].flag_dests
+    unknown = [key for key, name, tok in flags if tok in extra or name not in dests]
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if extra:

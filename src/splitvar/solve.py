@@ -15,6 +15,13 @@ and one tridiagonal solve per sine mode along x1 (see
 ``_line_preconditioner``, one workspace per level, refactored in place at
 each Newton step).
 
+A level holds nothing of a Newton step past that step.  Between steps it
+keeps the iterate with its split energy and cell gradient, the padded buffer
+and the workspace; within a step, the cell gradient, the residual, CG's
+products and preconditioned residuals are each released at their last read.
+So a level's heap peaks inside CG, at about 17 nodal arrays (see
+``test_newton_level_peak_memory``).
+
 The Newton method is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982): step k stops CG once the linear residual of its direction d
 has ||H d + g_k||_2 <= max(eta_k ||g_k||_2, FORCING_FLOOR tol_grad).  The
@@ -42,6 +49,7 @@ Problems, 2004, section 3).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -138,6 +146,8 @@ class SolveConfig:
             raise ValueError(f"p_reg must be finite and >= 2, got {self.p_reg}")
         if not (math.isfinite(self.tol_grad) and self.tol_grad > 0.0):
             raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
         if self.u0.grid != self.grid:
             raise ValueError("u0 grid does not match the config grid")
         # spot-check convexity of both densities
@@ -331,6 +341,10 @@ def _pcg(apply_h, b, precond, tol):
     The search direction is updated in place, and ||p||^2 is formed only
     when p^T H p <= 0, since the curvature floor below is negative.
 
+    Between iterations only x, r and p are kept: the product H p is released
+    once r is updated, and z = M^-1 r once p is updated (the first p is the
+    first z's array), so neither is alive while the next one is formed.
+
     The curvature floor is needed: H = G^T W G is positive semidefinite only
     where W >= 0 at every cell gradient.  The built-in densities have
     W >= 0 by their closed-form curvatures, but a spec passed in through the
@@ -342,9 +356,8 @@ def _pcg(apply_h, b, precond, tol):
     r = b.copy()
     if math.sqrt(float(np.vdot(b, b))) <= tol:
         return x, True
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
+    p = precond(r)
+    rz = float(np.vdot(r, p))
     for _ in range(CG_MAXITER):
         hp = apply_h(p)
         php = float(np.vdot(p, hp))
@@ -359,12 +372,14 @@ def _pcg(apply_h, b, precond, tol):
         alpha = rz / php
         x += alpha * p
         r -= alpha * hp
+        del hp
         if math.sqrt(float(np.vdot(r, r))) <= tol:
             return x, True
         z = precond(r)
         rz_new = float(np.vdot(r, z))
         p *= rz_new / rz
         p += z
+        del z
         rz = rz_new
     return x, False
 
@@ -409,13 +424,12 @@ def minimize_J_delta(
 
     flags = []
     steps = 0
-    # (j, delta_term, c1, c2) of the current iterate, carried over from the
-    # accepted line-search trial
-    split = prob.split_energy(values)
-    energy = split[0] + split[1]
+    # the iterate's split energy and cell gradient; after the first, each is
+    # the accepted line-search trial's
+    j, delta_term, c1, c2 = prob.split_energy(values)
+    energy = j + delta_term
     g_norm_prev = None
     while True:
-        _, _, c1, c2 = split
         g = prob.residual(c1, c2)
         res_max = float(np.max(np.abs(g)))
         if res_max <= cfg.tol_grad:
@@ -423,26 +437,28 @@ def minimize_J_delta(
         if steps >= cfg.max_iter:
             flags.append("iteration_cap_exceeded")
             break
-        g_norm = math.sqrt(float(np.sum(g * g)))
+        g_sq = float(np.sum(g * g))
+        g_norm = math.sqrt(g_sq)
         eta = _forcing_term(g_norm, g_norm_prev)
         g_norm_prev = g_norm
 
-        w1, w2 = prob.curvatures(c1, c2)
-        precond.factor(w1, w2)
-        # hessvec's weights, scaled in place once factor has read the means
-        k1 = np.multiply(w1, 0.25 * grid.h2 / grid.h1, out=w1)
-        k2 = np.multiply(w2, 0.25 * grid.h1 / grid.h2, out=w2)
+        # the curvatures w1, w2; once factor has read their means they are
+        # scaled in place into hessvec's weights
+        k1, k2 = prob.curvatures(c1, c2)
+        del c1, c2
+        precond.factor(k1, k2)
+        k1 *= 0.25 * grid.h2 / grid.h1
+        k2 *= 0.25 * grid.h1 / grid.h2
         minus_g = -g[1:-1, 1:-1]
+        del g
         cg_tol = max(eta * g_norm, FORCING_FLOOR * cfg.tol_grad)
-        # release the last step's direction before CG allocates its vectors
-        d_dir = None
         d_dir, cg_ok = _pcg(apply_h, minus_g, precond.apply, cg_tol)
         slope = -float(np.vdot(minus_g, d_dir))
         if not cg_ok or slope >= 0.0:
             if "cg_fallback" not in flags:
                 flags.append("cg_fallback")
             d_dir = minus_g
-            slope = -float(np.sum(g * g))
+            slope = -g_sq
 
         alpha = 1.0
         accepted = False
@@ -463,7 +479,7 @@ def minimize_J_delta(
             if descent:
                 values = trial
                 energy = e_trial
-                split = split_trial
+                j, delta_term, c1, c2 = split_trial
                 accepted = True
                 break
             alpha *= ARMIJO_FACTOR
@@ -471,8 +487,10 @@ def minimize_J_delta(
             flags.append("stalled")
             break
         steps += 1
+        # nothing of this step outlives it but the accepted iterate, its
+        # split energy and its cell gradient
+        k1 = k2 = minus_g = d_dir = trial = split_trial = g_trial = None
 
-    j, delta_term, _, _ = split
     record = DeltaRecord(
         delta=delta,
         j_value=j,

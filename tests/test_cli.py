@@ -508,6 +508,18 @@ def test_config_file_key_of_another_command(tmp_path, capsys):
     assert last_json(err)["error"]["message"] == "unknown config keys: output_dir"
 
 
+@pytest.mark.parametrize("key", ["func", "config"])
+@pytest.mark.parametrize("value", [None, 1])
+def test_config_file_namespace_entry_is_no_key(key, value, tmp_path, capsys):
+    # func (set_defaults) and config (the top-level flag) sit in the parsed
+    # namespace but are no flags of the subcommand, so even a null is unknown
+    payload = {"command": "solve", "grid": "8x8", key: value}
+    rc, out, err = run(["--config", str(write_json(tmp_path, payload))], capsys)
+    assert rc == 2
+    assert out == ""
+    assert last_json(err)["error"]["message"] == f"unknown config keys: {key}"
+
+
 def test_config_file_must_hold_an_object(tmp_path, capsys):
     rc, _, err = run(["--config", str(write_json(tmp_path, ["solve"])), "solve"], capsys)
     assert rc == 2
@@ -590,6 +602,21 @@ def test_exit_2_nan_solver_setting(flag, tmp_path, capsys):
     )
     assert rc == 2
     assert last_json(err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("max_iter, code", [("-1", 2), ("0", 4)])
+def test_max_iter_below_zero_is_an_input_error(max_iter, code, tmp_path, capsys):
+    # a negative cap is a bad input (exit 2); a cap of 0 that leaves the
+    # first level unconverged stays a contract violation (exit 4)
+    rc, out, err = run(
+        ["solve", *STEP_ARGS, "--max-iter", max_iter, "--out-dir", str(tmp_path)], capsys
+    )
+    assert (rc, out) == (code, "")
+    if code == 2:
+        assert last_json(err)["error"] == {
+            "type": "ValueError", "exit_code": 2,
+            "message": "max_iter must be an integer >= 0, got -1",
+        }
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
