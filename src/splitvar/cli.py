@@ -97,16 +97,15 @@ def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
     what = f"each parameter of u0 id {spec!r}"
     if spec == "zero":
         return GridFunction(grid, np.zeros(grid.node_shape))
-    if spec.startswith("affine:"):
-        _, a, b = spec.split(":")
-        a, b = _finite_float(a, what), _finite_float(b, what)
-        return GridFunction.from_callable(grid, lambda x1, x2: a * x1 + b * x2)
-    if spec.startswith("step:"):
-        _, lo, hi = spec.split(":")
-        lo, hi = _finite_float(lo, what), _finite_float(hi, what)
-        return GridFunction.from_callable(
-            grid, lambda x1, x2: np.where(x1 < 0.0, lo, hi)
-        )
+    if spec.startswith(("affine:", "step:")):
+        kind, *params = spec.split(":")
+        if len(params) != 2:
+            form = "affine:<a>:<b>" if kind == "affine" else "step:<left>:<right>"
+            raise ValueError(f"u0 id {spec!r} must be {form}")
+        a, b = (_finite_float(x, what) for x in params)
+        if kind == "affine":
+            return GridFunction.from_callable(grid, lambda x1, x2: a * x1 + b * x2)
+        return GridFunction.from_callable(grid, lambda x1, x2: np.where(x1 < 0.0, a, b))
     if spec.startswith("custom-table:"):
         u = _load_table(spec.split(":", 1)[1], grid)
         # Lipschitz constant of the table is reported, not enforced
@@ -284,7 +283,9 @@ def _cmd_conjugate_table(args) -> int:
     spec = density_from_id(args.density)
     s_max = _finite_float(args.s_max, "--s-max")
     ss = np.linspace(-s_max, s_max, args.n)
-    values = [float(spec.conjugate(s)) for s in ss]
+    # an overflow is a numerical failure (exit 3), not an inf row
+    with np.errstate(over="raise", invalid="raise"):
+        values = [float(spec.conjugate(s)) for s in ss]
     write_csv(args.out or sys.stdout, ["s", "conjugate"], [ss, values])
     return EXIT_OK
 

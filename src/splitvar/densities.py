@@ -472,6 +472,20 @@ def _finite_float(text, what: str = "each parameter") -> float:
     return value
 
 
+def _positive_decreasing(values, what: str, upper: float = math.inf) -> tuple:
+    """``values`` as a tuple of floats that is nonempty, finite, in (0,
+    upper) and strictly decreasing, else ValueError naming ``what``: the
+    delta schedule's rule (upper 1) and the approximation widths'."""
+    vals = tuple(float(x) for x in values)
+    if not vals:
+        raise ValueError(f"{what} must be nonempty")
+    if not all(math.isfinite(x) and 0.0 < x < upper for x in vals):
+        raise ValueError(f"{what} must be finite, positive and below {upper:g}: {vals}")
+    if any(b >= a for a, b in zip(vals, vals[1:])):
+        raise ValueError(f"{what} must be strictly decreasing: {vals}")
+    return vals
+
+
 def density_from_id(ident: str):
     """Resolve a density id string; the family fixes the spec type.
 
@@ -522,12 +536,15 @@ def regularizer_second_deriv(t, p: float):
 
 
 def _resolve_p_reg(d: DensityPair, p_reg: Optional[float]) -> float:
-    """The delta-regularizer exponent: ``p_reg`` when given, else the
-    power-growth exponent of f2 when that is at least 2, else 2."""
-    if p_reg is not None:
-        return p_reg
-    p = d.f2.p
-    return float(p) if p >= 2.0 else 2.0
+    """The delta-regularizer exponent of every caller that takes a ``p_reg``:
+    ``p_reg`` when given, else the power-growth exponent of f2 when that is
+    at least 2, else 2.  It must be finite and >= 2 (else ValueError), so
+    that rho_p'' >= p and the dual exponent p/(p-1) is finite."""
+    if p_reg is None:
+        p_reg = float(d.f2.p) if d.f2.p >= 2.0 else 2.0
+    if not (math.isfinite(p_reg) and p_reg >= 2.0):
+        raise ValueError(f"p_reg must be finite and >= 2, got {p_reg}")
+    return p_reg
 
 
 def regularized_stress(d: DensityPair, c1, c2, delta: float, p: float):

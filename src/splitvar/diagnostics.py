@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densities import DensityPair
-from .energy import BVCandidate, _cell_sums, eval_K, lift_to_candidate
+from .densities import DensityPair, _positive_decreasing
+from .energy import BVCandidate, eval_K, lift_to_candidate
 from .grid import GridFunction, _inset_mask, gradient, write_csv
 from .solve import SolveConfig, SolveReport, continuation
 
@@ -92,13 +92,16 @@ def integrability_sweep(
     """Track interior integrals of (1+|grad_2 u|^2)^(chi/2) along the schedule.
 
     ``report`` must come from a continuation run with stored fields and at
-    least three levels.  ``margin`` insets the integration window by that
-    fraction of each side.  Optional ``kappas`` add the analogous integrals
-    of the first gradient component (the full-gradient diagnostics).  An
-    exponent is flagged BOUNDED when the last two levels agree within 10%.
+    least three levels, and ``chis`` must be nonempty.  ``margin`` insets
+    the integration window by that fraction of each side.  Optional
+    ``kappas`` add the analogous integrals of the first gradient component
+    (the full-gradient diagnostics).  An exponent is flagged BOUNDED when
+    the last two levels agree within 10%.
     """
     if not (0.0 < margin < 0.5):
         raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
+    if len(chis) == 0:
+        raise ValueError("need at least one chi exponent")
     stored = [r for r in report.records if r.u is not None]
     if len(stored) < 3:
         raise ValueError("need at least 3 schedule levels with stored fields")
@@ -205,17 +208,6 @@ class ApproximationTable:
         )
 
 
-def _candidate_own_boundary(w: BVCandidate) -> np.ndarray:
-    """Boundary array matching the candidate's own traces (zero detachment)."""
-    g = w.smooth_part.grid
-    vals = w.smooth_part.values.copy()
-    vals[0, :] = w.trace_left
-    vals[-1, :] = w.trace_right
-    vals[:, 0] = w.edge_values("bottom")
-    vals[:, -1] = w.edge_values("top")
-    return vals
-
-
 def approximation_experiment(
     w: BVCandidate,
     d: DensityPair,
@@ -227,15 +219,13 @@ def approximation_experiment(
     Jumps must span the full x2 extent (partial spans would shed mass into
     the second gradient component, which the candidate representation keeps
     function-valued).  Every ramp must clear the lateral boundary and the
-    other jump lines by the largest width.  When ``u0`` is omitted the
-    relaxed reference energy uses the candidate's own traces, the only case
+    other jump lines by the largest width.  ``widths`` must be nonempty,
+    finite, positive and strictly decreasing (the delta schedule's rule
+    without its bound 1).  When ``u0`` is omitted the relaxed reference
+    energy uses the candidate's own trace, ``w.boundary()``, the only case
     in which the smoothed split energies can converge to it.
     """
-    widths = [float(x) for x in widths]
-    if not widths or not all(x > 0.0 for x in widths):
-        raise ValueError("widths must be positive")
-    if any(b >= a for a, b in zip(widths, widths[1:])):
-        raise ValueError("widths must be strictly decreasing")
+    widths = list(_positive_decreasing(widths, "widths"))
 
     g = w.smooth_part.grid
     for seg in w.jumps:
@@ -244,7 +234,8 @@ def approximation_experiment(
                 "approximation experiment requires jumps spanning the full x2 range"
             )
     w_max = widths[0]
-    lines = [-1.0 + 2.0 * seg.line_index / g.n1 for seg in w.jumps]
+    x1_nodes, _ = g.node_coords()
+    lines = [float(x1_nodes[seg.line_index]) for seg in w.jumps]
     for x_line in lines:
         if x_line - 0.5 * w_max <= -1.0 or x_line + 0.5 * w_max >= 1.0:
             raise ValueError("width exceeds the margin to the lateral boundary")
@@ -253,20 +244,16 @@ def approximation_experiment(
             if abs(lines[a_idx] - lines[b_idx]) <= w_max:
                 raise ValueError("smoothing zones of distinct jumps overlap")
 
-    if u0 is None:
-        u0 = _candidate_own_boundary(w)
-    k_ref = eval_K(w, d, u0)
+    k_ref = eval_K(w, d, w.boundary() if u0 is None else u0)
 
     grad_smooth = gradient(w.smooth_part)
     c1, c2 = grad_smooth.comp1, grad_smooth.comp2
-    base_j1, base_j2, _ = _cell_sums(grad_smooth, d)
     base_area = g.cell_area * float(np.sum(np.sqrt(1.0 + c1**2 + c2**2)))
     jump_mass = sum(
         abs(seg.height) * (seg.cell_end - seg.cell_start) * g.h2 for seg in w.jumps
     )
     area_ref = base_area + jump_mass
 
-    x1_nodes, _ = g.node_coords()
     cell_left = x1_nodes[:-1]
     cell_right = x1_nodes[1:]
 
@@ -293,8 +280,8 @@ def approximation_experiment(
                 area_corr += g.h2 * float(np.sum(ws[:, None] * (area_new - area_old)))
         rows_l1.append(jump_mass * eps * _KERNEL_L1)
         rows_area.append(base_area + area_corr)
-        rows_f2.append(base_j2)
-        rows_j.append(base_j1 + base_j2 + j_corr)
+        rows_f2.append(k_ref.j_f2)
+        rows_j.append(k_ref.j_f1 + k_ref.j_f2 + j_corr)
 
     return ApproximationTable(
         widths=widths,

@@ -5,8 +5,10 @@ All area integrals use midpoint quadrature on cell-centered gradient values
 with weight h1*h2.  The relaxed functional prices interior jumps along
 vertical grid lines at recession-slope times jump mass, and boundary
 detachment on the two vertical sides the same way with trapezoid weights.
-Each energy comes back as an ``EnergyBreakdown`` of its parts, and
-``j_total`` sums them.
+A candidate's trace is one nodal ring, ``BVCandidate.boundary()``, whose
+top and bottom edges must match the data and whose vertical sides price
+detachment.  Each energy comes back as an ``EnergyBreakdown`` of its parts,
+and ``j_total`` sums them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densities import DensityPair, regularizer
+from .densities import DensityPair, _resolve_p_reg, regularizer
 from .grid import CellField2, Grid, GridFunction, gradient
 
 __all__ = [
@@ -93,18 +95,17 @@ def eval_J(u: GridFunction, d: DensityPair) -> EnergyBreakdown:
 
 
 def eval_J_delta(
-    u: GridFunction, d: DensityPair, delta: float, p_reg: float
+    u: GridFunction, d: DensityPair, delta: float, p_reg: Optional[float]
 ) -> EnergyBreakdown:
     """Regularized energy: adds delta * sum of rho_p(comp1) = (1+comp1**2)**(p_reg/2).
 
     The added term is linear in delta by construction (the delta-independent
-    integral is formed first and scaled).
+    integral is formed first and scaled).  ``p_reg`` is None (f2's
+    default) or finite and >= 2, the solver's rule (``_resolve_p_reg``).
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (math.isfinite(p_reg) and p_reg >= 2.0):
-        raise ValueError(f"p_reg must be finite and >= 2, got {p_reg}")
-    j1, j2, i_reg = _cell_sums(gradient(u), d, p_reg)
+    j1, j2, i_reg = _cell_sums(gradient(u), d, _resolve_p_reg(d, p_reg))
     return EnergyBreakdown(j_f1=j1, j_f2=j2, delta_term=delta * i_reg)
 
 
@@ -128,15 +129,13 @@ class JumpSegment:
 class BVCandidate:
     """Piecewise-smooth candidate: a nodal part plus vertical jump segments.
 
-    ``trace_left``/``trace_right`` are the candidate's boundary values on
-    x1 = -1 and x1 = +1, derived from the smooth part and the jump heights of
-    segments crossed on the way to the right edge.
+    ``boundary()`` is the candidate's trace on the boundary ring: the smooth
+    part plus the height of each segment on the side of its line toward
+    x1 = +1, where the segment reaches that edge.
     """
 
     smooth_part: GridFunction
     jumps: Sequence[JumpSegment] = field(default_factory=tuple)
-    trace_left: np.ndarray = field(init=False)
-    trace_right: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = self.smooth_part.grid
@@ -151,26 +150,25 @@ class BVCandidate:
                 )
             if not math.isfinite(seg.height):
                 raise CandidateInvariantError("jump height must be finite")
-        self.trace_left = self.smooth_part.values[0, :].copy()
-        self.trace_right = self.smooth_part.values[-1, :].copy()
-        for seg in self.jumps:
-            self.trace_right[seg.cell_start : seg.cell_end + 1] += seg.height
 
-    def edge_values(self, edge: str) -> np.ndarray:
-        """Candidate trace along 'top' (x2=1) or 'bottom' (x2=-1), including
-        the jump contribution of segments that reach that edge."""
+    def boundary(self) -> GridFunction:
+        """A new nodal field: the smooth part, each segment's height added
+        on the right edge at nodes cell_start..cell_end and on the bottom or
+        top edge it reaches at nodes line_index+1..n1-1 (the right column is
+        the right edge's, so no corner is raised twice)."""
         g = self.smooth_part.grid
-        j = g.n2 if edge == "top" else 0
-        vals = self.smooth_part.values[:, j].copy()
+        vals = self.smooth_part.values.copy()
         for seg in self.jumps:
-            reaches = seg.cell_end == g.n2 if edge == "top" else seg.cell_start == 0
-            if reaches:
-                vals[seg.line_index + 1 :] += seg.height
-        return vals
+            vals[-1, seg.cell_start : seg.cell_end + 1] += seg.height
+            if seg.cell_start == 0:
+                vals[seg.line_index + 1 : -1, 0] += seg.height
+            if seg.cell_end == g.n2:
+                vals[seg.line_index + 1 : -1, -1] += seg.height
+        return GridFunction(g, vals)
 
 
 def lift_to_candidate(u: GridFunction) -> BVCandidate:
-    """Wrap a nodal field as a jump-free candidate (its own traces)."""
+    """Wrap a nodal field as a jump-free candidate (its own trace)."""
     return BVCandidate(smooth_part=u.copy())
 
 
@@ -197,28 +195,40 @@ def eval_K(w: BVCandidate, d: DensityPair, u0) -> EnergyBreakdown:
     priced at recession-slope times jump mass, detachment from the boundary
     data on the two vertical sides priced the same way with trapezoid
     weights.  ``u0`` is a GridFunction or a full nodal array; only its ring
-    is read.  The candidate's top and bottom traces (jump contributions
-    included, nodes on jump lines excluded) must match the boundary data to
-    TRACE_TOL relative.
+    is read.  The top and bottom edges of ``w.boundary()`` (nodes on jump
+    lines and corners excluded) must match the boundary data to TRACE_TOL
+    relative; the first mismatch, bottom edge before top, raises
+    CandidateInvariantError.
     """
     g = w.smooth_part.grid
     u0_vals = _resolve_boundary(u0, g)
+    ring = w.boundary().values
 
     # corner nodes are exempt: they have zero boundary measure and sit on the
     # lateral sides where detachment is priced rather than forbidden
-    line_nodes = {seg.line_index for seg in w.jumps}
-    for edge, j in (("bottom", 0), ("top", g.n2)):
-        cand = w.edge_values(edge)
-        ref = u0_vals[:, j]
-        for i in range(1, g.n1):
-            if i in line_nodes:
-                continue
-            scale = 1.0 + abs(ref[i])
-            if abs(cand[i] - ref[i]) > TRACE_TOL * scale:
-                raise CandidateInvariantError(
-                    f"{edge} trace mismatches boundary data at node {i}: "
-                    f"{float(cand[i])!r} vs {float(ref[i])!r}"
-                )
+    checked = np.ones(g.n1 + 1, dtype=bool)
+    checked[[0, g.n1, *(seg.line_index for seg in w.jumps)]] = False
+    # rows: the bottom edge, then the top edge
+    cand, ref = ring[:, [0, g.n2]].T, u0_vals[:, [0, g.n2]].T
+    bad = np.argwhere(checked & (np.abs(cand - ref) > TRACE_TOL * (1.0 + np.abs(ref))))
+    if bad.size:
+        row, i = bad[0]
+        raise CandidateInvariantError(
+            f"{('bottom', 'top')[row]} trace mismatches boundary data at node {i}: "
+            f"{float(cand[row, i])!r} vs {float(ref[row, i])!r}"
+        )
+
+    # trapezoid weights along each vertical side
+    weights = np.full(g.n2 + 1, g.h2)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    k_bdry = 0.0
+    for col, nu1 in ((0, -1.0), (g.n1, 1.0)):
+        detach = (u0_vals[col, :] - ring[col, :]) * nu1
+        slopes = _recession_of_sign(d, detach)
+        k_bdry += float(np.sum(slopes * np.abs(detach) * weights))
+    # the ring is released before the cell gradient is formed
+    del ring
 
     j1, j2, _ = _cell_sums(gradient(w.smooth_part), d)
 
@@ -227,15 +237,5 @@ def eval_K(w: BVCandidate, d: DensityPair, u0) -> EnergyBreakdown:
         length = (seg.cell_end - seg.cell_start) * g.h2
         slope = float(_recession_of_sign(d, seg.height))
         k_sing += slope * abs(seg.height) * length
-
-    # trapezoid weights along each vertical side
-    weights = np.full(g.n2 + 1, g.h2)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    k_bdry = 0.0
-    for trace, col, nu1 in ((w.trace_left, 0, -1.0), (w.trace_right, g.n1, 1.0)):
-        detach = (u0_vals[col, :] - trace) * nu1
-        slopes = _recession_of_sign(d, detach)
-        k_bdry += float(np.sum(slopes * np.abs(detach) * weights))
 
     return EnergyBreakdown(j_f1=j1, j_f2=j2, k_singular=k_sing, k_boundary=k_bdry)

@@ -59,6 +59,7 @@ import numpy as np
 from . import _kernels
 from .densities import (
     DensityPair,
+    _positive_decreasing,
     _resolve_p_reg,
     regularized_stress,
     regularizer_second_deriv,
@@ -118,9 +119,10 @@ class SolveConfig:
 
     ``u0`` is a full nodal field: its boundary ring is the Dirichlet data,
     its interior the initial guess.  ``delta_schedule`` must be strictly
-    decreasing within (0, 1).  ``p_reg`` defaults to the power-growth
-    exponent of f2 when that is at least 2, else to 2; ``duality_gap``
-    resolves its default by the same helper.
+    decreasing within (0, 1) (``_positive_decreasing``).  ``p_reg``
+    defaults to the power-growth exponent of f2 when that is at least 2,
+    else to 2, and must be finite and >= 2 (``_resolve_p_reg``, the rule of
+    ``eval_J_delta``, ``stress`` and ``duality_gap`` too).
     """
 
     grid: Grid
@@ -133,17 +135,10 @@ class SolveConfig:
     store_fields: bool = False
 
     def __post_init__(self):
-        sched = tuple(float(x) for x in self.delta_schedule)
-        if len(sched) == 0:
-            raise ValueError("delta schedule must be nonempty")
-        if any(not (0.0 < x < 1.0) for x in sched):
-            raise ValueError(f"schedule values must lie in (0, 1): {sched}")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError(f"schedule must be strictly decreasing: {sched}")
-        self.delta_schedule = sched
+        self.delta_schedule = _positive_decreasing(
+            self.delta_schedule, "delta schedule", upper=1.0
+        )
         self.p_reg = _resolve_p_reg(self.densities, self.p_reg)
-        if not (math.isfinite(self.p_reg) and self.p_reg >= 2.0):
-            raise ValueError(f"p_reg must be finite and >= 2, got {self.p_reg}")
         if not (math.isfinite(self.tol_grad) and self.tol_grad > 0.0):
             raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
         if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
@@ -570,22 +565,17 @@ def continuation(cfg: SolveConfig) -> SolveReport:
     return SolveReport(records=records, u_final=u)
 
 
-def multi_start(
-    cfg: SolveConfig, n_starts: int, seeds: Optional[Sequence[int]] = None
-) -> dict:
+def multi_start(cfg: SolveConfig, n_starts: int) -> dict:
     """Uniqueness probe: rerun the continuation from seeded random interiors.
 
-    Initial interiors are uniform on (-1, 1), drawn with ``seeds`` (by
-    default 0, ..., n_starts - 1).  Returns the runs plus the
-    maximum over interior cells (inset by 10% of each side) and start pairs
-    of the 2-norm difference of the final discrete gradients.
+    Initial interiors are uniform on (-1, 1), drawn with the seeds 0, ...,
+    n_starts - 1.  Returns the runs and their seeds plus the maximum over
+    interior cells (inset by 10% of each side) and start pairs of the 2-norm
+    difference of the final discrete gradients.
     """
     if n_starts < 2:
         raise ValueError(f"need at least 2 starts, got {n_starts}")
-    if seeds is None:
-        seeds = range(n_starts)
-    if len(seeds) != n_starts:
-        raise ValueError("seeds list length must equal n_starts")
+    seeds = range(n_starts)
 
     grid = cfg.grid
     reports = []

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -795,8 +798,9 @@ def test_custom_table_u0_reports_its_largest_slope(tmp_path, capsys):
         ["approx-demo", "--grid", "8x8", "--jump", "4:1:2"],
         ["relax-gap", "--grid", "8x8", "--jump", "4:1,4"],
         ["approx-demo", "--grid", "8x8", "--jump", "4:1,"],
+        ["solve", "--grid", "8x8", "--f2", "power:1"],
     ],
-    ids=["u0-id", "jump-approx-demo", "jump-relax-gap", "jump-blank-entry"],
+    ids=["u0-id", "jump-approx-demo", "jump-relax-gap", "jump-blank-entry", "f2-power-1"],
 )
 def test_exit_2_malformed_id(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -805,6 +809,45 @@ def test_exit_2_malformed_id(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
     assert out == ""
     assert last_json(err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "spec, form",
+    [("affine:1", "affine:<a>:<b>"), ("step:0", "step:<left>:<right>"),
+     ("affine:1:2:3", "affine:<a>:<b>")],
+)
+def test_exit_2_u0_id_arity_names_its_form(spec, form, tmp_path, capsys):
+    rc, _, err = run(["solve", "--grid", "8x8", "--u0", spec, "--out-dir", str(tmp_path)], capsys)
+    assert rc == 2
+    assert last_json(err)["error"]["message"] == f"u0 id {spec!r} must be {form}"
+
+
+def test_exit_2_empty_chis(tmp_path, capsys):
+    # an empty exponent list is an input error, not an empty table
+    rc, out, err = run(
+        ["sweep", "--grid", "8x8", "--chis", ",", "--out-dir", str(tmp_path / "out")], capsys
+    )
+    assert rc == 2
+    assert out == ""
+    assert last_json(err)["error"]["type"] == "ValueError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_3_conjugate_table_overflow(tmp_path):
+    # run as a subprocess: numpy's overflow warning would reach stderr, which
+    # must hold only the one JSON error line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "splitvar.cli", "conjugate-table",
+         "--density", "power:1.0000001", "--s-max", "2", "--n", "3", "--out", "table.csv"],
+        env=env, capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert out.returncode == 3
+    assert out.stdout == ""
+    (line,) = out.stderr.splitlines()
+    assert json.loads(line)["error"]["type"] == "FloatingPointError"
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_exit_4_weak_duality_violation(tmp_path, capsys, monkeypatch):

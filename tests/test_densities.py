@@ -124,6 +124,11 @@ def test_conjugate_rejects_wiggly_objective():
         conjugate_scalar(np.cos, 0.0, t_max=50.0)
 
 
+def test_conjugate_rejects_non_finite_objective():
+    with pytest.raises(ValueError, match="not finite"):
+        conjugate_scalar(lambda t: np.where(t > 1.0, np.inf, t * t), 1.0)
+
+
 def test_conjugate_boundary_flag():
     # slope beyond the recession slope of |t|: maximizer escapes to the cap
     with pytest.warns(ConjugateBoundaryWarning):
@@ -313,6 +318,21 @@ def test_recession_absolute_value():
 def test_recession_rejects_superlinear():
     with pytest.raises(NonLinearGrowthError):
         recession(lambda t: t * t, +1)
+
+
+@pytest.mark.parametrize(
+    "f1_eval, message",
+    [
+        # secant estimates beyond the float range
+        (lambda t: abs(t) if abs(t) < 1e7 else math.inf, "not finite"),
+        # flat from 1e4 to 1e6, then moving again at 1e8
+        (lambda t: abs(t) if abs(t) < 1e7 else 2.0 * abs(t), "inconsistent"),
+    ],
+    ids=["non-finite", "inconsistent"],
+)
+def test_recession_rejects_unusable_secants(f1_eval, message):
+    with pytest.raises(NonLinearGrowthError, match=message):
+        recession(f1_eval, +1)
 
 
 def test_recession_sign_validation():

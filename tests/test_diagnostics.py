@@ -76,6 +76,11 @@ def test_sweep_margin_validation(affine_sweep_report):
             integrability_sweep(affine_sweep_report, chis=[3.0], margin=bad)
 
 
+def test_sweep_needs_a_chi(affine_sweep_report):
+    with pytest.raises(ValueError, match="chi"):
+        integrability_sweep(affine_sweep_report, chis=[])
+
+
 def test_sweep_needs_three_stored_levels(pair_std):
     g = Grid(8, 8)
     cfg = SolveConfig(
@@ -229,6 +234,14 @@ def test_approx_nan_width_rejected(pair_std):
     for widths in ([math.nan], [0.1, math.nan]):
         with pytest.raises(ValueError, match="positive"):
             approximation_experiment(w, pair_std, widths=widths)
+
+
+def test_approx_infinite_width_rejected(pair_std):
+    # on a jump-free candidate no margin check sees the width; an infinite
+    # one would give a NaN l1_distance row
+    w = lift_to_candidate(affine_field(Grid(8, 8), 1.0, 0.5))
+    with pytest.raises(ValueError, match="positive"):
+        approximation_experiment(w, pair_std, widths=[math.inf, 1.0])
 
 
 def test_approx_csv_layout(pair_std, tmp_path):

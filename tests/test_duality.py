@@ -336,6 +336,26 @@ def test_duality_gap_bitwise_equal_to_composed_report(pair_std, data, monkeypatc
     assert list(map(repr, dataclasses.astuple(dr))) == list(map(repr, expect))
 
 
+@pytest.mark.parametrize("p_reg", [1.0, 1.5, float("nan"), float("inf")])
+def test_invalid_p_reg_is_an_input_error(pair_std, p_reg):
+    # p_reg = 1 made the dual exponent p/(p-1) divide by zero, and nan gave
+    # a NaN certificate
+    u = affine_field(Grid(4, 4), 1.0, 1.0)
+    _, tau, _ = stress(u, pair_std, 0.1, 2.0)
+    with pytest.raises(ValueError, match="p_reg must be finite and >= 2"):
+        stress(u, pair_std, 0.1, p_reg)
+    with pytest.raises(ValueError, match="p_reg must be finite and >= 2"):
+        duality_gap(u, tau, pair_std, u0=u, delta=0.1, p_reg=p_reg)
+
+
+def test_stress_none_p_reg_is_f2_default(phi15):
+    pair = make_pair(phi15, power_density2(3.0))
+    u = GridFunction.from_callable(Grid(8, 8), lambda x, y: np.tanh(3.0 * x) + 0.2 * y)
+    (sigma, _, x), (sigma3, _, x3) = stress(u, pair, 0.1, None), stress(u, pair, 0.1, 3.0)
+    assert np.array_equal(sigma.comp1, sigma3.comp1)
+    assert np.array_equal(x, x3)
+
+
 def test_duality_gap_default_p_reg_is_the_solvers(phi15):
     # with f2 = power:3 the solver regularizes with exponent 3, and so must
     # the reported norm of the vanishing stress when p_reg is left out

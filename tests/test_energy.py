@@ -107,6 +107,13 @@ def test_eval_j_delta_validation(pair_std):
         eval_J_delta(u, pair_std, 0.1, 1.5)
 
 
+def test_eval_j_delta_none_p_reg_is_f2_default(phi15):
+    # None resolves as the solver's exponent does: power:3 regularizes with 3
+    pair = make_pair(phi15, power_density2(3.0))
+    u = affine_field(Grid(4, 4), 1.0, 1.0)
+    assert eval_J_delta(u, pair, 0.1, None) == eval_J_delta(u, pair, 0.1, 3.0)
+
+
 @pytest.mark.parametrize("field", ["zero", "affine"])
 def test_eval_j_delta_rejects_nan_p_reg(pair_std, field):
     # a NaN exponent is an input error on every field, not a value of 2.0 on
@@ -158,21 +165,22 @@ def test_candidate_rejects_nonfinite_height():
 
 def test_candidate_default_traces():
     w = zero_candidate_with_unit_jump(4)
-    assert np.array_equal(w.trace_left, np.zeros(5))
+    ring = w.boundary().values
+    assert np.array_equal(ring[0, :], np.zeros(5))
     # full-span jump shifts the right trace by its height
-    assert np.array_equal(w.trace_right, np.ones(5))
+    assert np.array_equal(ring[-1, :], np.ones(5))
 
 
 def test_candidate_edge_values():
     g = Grid(4, 4)
     smooth = GridFunction(g, np.zeros(g.node_shape))
     w = BVCandidate(smooth, jumps=(JumpSegment(2, 0, 4, 0.5),))
-    top = w.edge_values("top")
+    top = w.boundary().values[:, -1]
     assert np.array_equal(top, [0.0, 0.0, 0.0, 0.5, 0.5])
     # a jump stopping short of the top edge does not shift the top trace
-    w2 = BVCandidate(smooth, jumps=(JumpSegment(2, 0, 3, 0.5),))
-    assert np.array_equal(w2.edge_values("top"), np.zeros(5))
-    assert np.array_equal(w2.edge_values("bottom"), [0.0, 0.0, 0.0, 0.5, 0.5])
+    ring = BVCandidate(smooth, jumps=(JumpSegment(2, 0, 3, 0.5),)).boundary().values
+    assert np.array_equal(ring[:, -1], np.zeros(5))
+    assert np.array_equal(ring[:, 0], [0.0, 0.0, 0.0, 0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +255,9 @@ def test_eval_k_boundary_grid_mismatch(pair_std):
     other = GridFunction(Grid(4, 4), np.zeros((5, 5)))
     with pytest.raises(ValueError):
         eval_K(w, pair_std, other)
+
+
+def test_eval_k_boundary_array_shape(pair_std):
+    w = zero_candidate_with_unit_jump(8)
+    with pytest.raises(ValueError, match="full nodal shape"):
+        eval_K(w, pair_std, np.zeros((9, 8)))

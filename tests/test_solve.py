@@ -669,6 +669,23 @@ def test_continuation_rejects_schedule_bound_violation(pair_std, shift, monkeypa
         continuation(cfg)
 
 
+def test_continuation_rejects_regularizer_below_area_bound(affine_config, monkeypatch):
+    # rho_p >= 1 on a domain of area 4, so I >= 4; a level whose summed
+    # regularizer integral under-reports it (here 2 for I = 20) breaks the
+    # contract.  Affine data converge with no Newton step, so no line search
+    # reads the scaled sum.
+    original = solve._cell_sums
+
+    def under_reported(g, d, p_reg=None):
+        j1, j2, i_reg = original(g, d, p_reg)
+        return j1, j2, 0.1 * i_reg
+
+    monkeypatch.setattr(solve, "_cell_sums", under_reported)
+    cfg = dataclasses.replace(affine_config, delta_schedule=[1e-1])
+    with pytest.raises(ContinuationContractError, match="area lower bound"):
+        continuation(cfg)
+
+
 def test_single_level_matches_minimize(pair_std):
     cfg = tanh_config(pair_std)
     single = dataclasses.replace(cfg, delta_schedule=[1e-1])
@@ -899,14 +916,16 @@ def test_multi_start_validation(pair_std):
     cfg = tanh_config(pair_std)
     with pytest.raises(ValueError):
         multi_start(cfg, 1)
-    with pytest.raises(ValueError):
-        multi_start(cfg, 3, seeds=[1, 2])
 
 
 def test_multi_start_identical_seeds_agree_exactly(pair_std):
+    # the seeds are fixed, so two probes give bitwise-equal reports
     cfg = tanh_config(pair_std)
-    out = multi_start(cfg, 2, seeds=[5, 5])
-    assert out["max_gradient_discrepancy"] == 0.0
+    a, b = multi_start(cfg, 2), multi_start(cfg, 2)
+    assert a["max_gradient_discrepancy"] == b["max_gradient_discrepancy"]
+    for ra, rb in zip(a["reports"], b["reports"]):
+        assert ra.to_dict() == rb.to_dict()
+        assert np.array_equal(ra.u_final.values, rb.u_final.values)
 
 
 def test_multi_start_interior_gradients_agree(pair_std):
