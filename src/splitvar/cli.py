@@ -4,8 +4,18 @@ Subcommands cover the continuation solver, the duality report, the
 integrability sweep, the jump-smoothing demo, conjugate tabulation, the
 integrability predictor, and the relaxation-gap check.  All output files are
 written with repr() floats so reruns with identical inputs are byte
-identical.  Validation problems exit 2, numerical failures exit 3, contract
-violations exit 4, and the diagnostic payload goes to stderr as JSON.
+identical.  Input errors exit 2, numerical failures (MemoryError included)
+exit 3 and contract violations exit 4, each with one JSON line on stderr.
+
+Each command builds and checks all of its input before its first solve, so
+exit 2 runs no solve and writes no file; only an output path that cannot be
+written fails when it is written.  Each input domain has one owner,
+the library object that uses it: Grid the sizes, density_from_id and
+make_pair the densities, SolveConfig the schedule and solver settings,
+BVCandidate the jump segments, approximation_experiment the widths,
+integrability_sweep's rule (_sweep_inputs) the exponents, relaxation_gap the
+candidates' traces and predict_integrability its exponents.  This module
+parses ids, lists and tables, and checks --s-max and --n.
 
 List flags (--deltas, --chis, --kappas, --widths, --jump) take comma lists;
 --jump may also repeat, and its lists add up.  --config PATH (or
@@ -14,9 +24,7 @@ is --max-iter, delta_schedule --deltas, output_dir --out-dir, "command" the
 subcommand when the command line names none, and a list one comma-joined
 value.  Required flags may come from the file, explicit flags win, and a key
 that is not exactly a flag of the running subcommand exits 2 whatever its
-value, as does a prefix of a flag on the command line.  A number inside an id
-(affine:<a>:<b>, power:<p>, ...) or a list must be finite; nan or inf exits
-2.
+value, as does a prefix of a flag on the command line.
 """
 
 from __future__ import annotations
@@ -28,15 +36,11 @@ import sys
 
 import numpy as np
 
-from .densities import (
-    DensityPair,
-    _finite_float,
-    density_from_id,
-    make_pair,
-    predict_integrability,
-)
+from .densities import DensityPair, _finite_float, density_from_id, make_pair
+from .densities import predict_integrability
 from .duality import duality_gap, stress
-from .diagnostics import approximation_experiment, integrability_sweep, relaxation_gap
+from .diagnostics import _sweep_inputs, approximation_experiment
+from .diagnostics import integrability_sweep, relaxation_gap
 from .energy import BVCandidate, JumpSegment
 from .grid import Grid, GridFunction, load_csv, save_csv, save_vsgf, write_csv
 from .solve import ContinuationContractError, SolveConfig, continuation
@@ -87,14 +91,13 @@ def _parse_grid(text: str) -> Grid:
     return Grid(n1, n2)
 
 
-def _parse_floats(text: str, flag: str) -> list:
-    return [_finite_float(tok, f"each entry of {flag}") for tok in text.split(",") if tok.strip()]
+def _parse_floats(text: str) -> list:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
     """Boundary data ids: affine:<a>:<b>, step:<left>:<right>, zero,
     custom-table:<path>; the numbers of affine and step must be finite."""
-    what = f"each parameter of u0 id {spec!r}"
     if spec == "zero":
         return GridFunction(grid, np.zeros(grid.node_shape))
     if spec.startswith(("affine:", "step:")):
@@ -102,7 +105,7 @@ def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
         if len(params) != 2:
             form = "affine:<a>:<b>" if kind == "affine" else "step:<left>:<right>"
             raise ValueError(f"u0 id {spec!r} must be {form}")
-        a, b = (_finite_float(x, what) for x in params)
+        a, b = (_finite_float(x, f"each parameter of u0 id {spec!r}") for x in params)
         if kind == "affine":
             return GridFunction.from_callable(grid, lambda x1, x2: a * x1 + b * x2)
         return GridFunction.from_callable(grid, lambda x1, x2: np.where(x1 < 0.0, a, b))
@@ -170,7 +173,7 @@ def _build_config(args, store_fields=False) -> SolveConfig:
         grid=grid,
         densities=_pair(args),
         u0=_resolve_u0(args.u0, grid),
-        delta_schedule=_parse_floats(args.deltas, "--deltas"),
+        delta_schedule=_parse_floats(args.deltas),
         p_reg=args.p_reg,
         tol_grad=args.tol_grad,
         max_iter=args.max_iter,
@@ -178,14 +181,9 @@ def _build_config(args, store_fields=False) -> SolveConfig:
     )
 
 
-def _echo(args) -> dict:
-    return {
-        "f1": args.f1,
-        "f2": args.f2,
-        "u0": args.u0,
-        "grid": args.grid,
-        "deltas": _parse_floats(args.deltas, "--deltas"),
-    }
+def _echo(args, cfg: SolveConfig) -> dict:
+    echo = {name: getattr(args, name) for name in ("f1", "f2", "u0", "grid")}
+    return {**echo, "deltas": list(cfg.delta_schedule)}
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -195,13 +193,18 @@ def _dump_json(payload: dict, path: str) -> None:
 
 
 def _parse_jump(text: str, grid: Grid) -> JumpSegment:
+    """A --jump entry: line:height (full span) or line:height:start:end."""
     parts = text.split(":")
-    if len(parts) == 2:
-        line, height = int(parts[0]), float(parts[1])
-        return JumpSegment(line, 0, grid.n2, height)
-    if len(parts) == 4:
-        return JumpSegment(int(parts[0]), int(parts[2]), int(parts[3]), float(parts[1]))
-    raise ValueError(f"jump must be line:height or line:height:start:end, got {text!r}")
+    form = f"jump must be line:height[:start:end] with integer line, start, end, got {text!r}"
+    if len(parts) not in (2, 4):
+        raise ValueError(form)
+    try:
+        line, *span = (int(part) for part in parts[:1] + parts[2:])
+        height = float(parts[1])
+    except ValueError:
+        raise ValueError(form) from None
+    start, end = span or (0, grid.n2)
+    return JumpSegment(line, start, end, height)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +216,7 @@ def _cmd_solve(args) -> int:
     cfg = _build_config(args)
     report = continuation(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
-    payload = {"config": _echo(args), "report": report.to_dict()}
+    payload = {"config": _echo(args, cfg), "report": report.to_dict()}
     _dump_json(payload, os.path.join(args.out_dir, "report.json"))
     report.write_records_csv(os.path.join(args.out_dir, "records.csv"))
     save_csv(report.u_final, os.path.join(args.out_dir, "u_final.csv"))
@@ -232,7 +235,7 @@ def _cmd_dual_report(args) -> int:
     dual = duality_gap(
         report.u_final, sigma, cfg.densities, u0=cfg.u0, delta=delta_last, p_reg=cfg.p_reg
     )
-    payload = {"config": _echo(args), "dual": dual.to_dict()}
+    payload = {"config": _echo(args, cfg), "dual": dual.to_dict()}
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         _dump_json(payload, os.path.join(args.out_dir, "dual_report.json"))
@@ -249,17 +252,14 @@ def _cmd_dual_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args, store_fields=True)
-    report = continuation(cfg)
-    table = integrability_sweep(
-        report,
-        chis=_parse_floats(args.chis, "--chis"),
-        kappas=_parse_floats(args.kappas, "--kappas"),
+    chis, kappas = _sweep_inputs(
+        _parse_floats(args.chis), _parse_floats(args.kappas), len(cfg.delta_schedule)
     )
+    table = integrability_sweep(continuation(cfg), chis, kappas)
     os.makedirs(args.out_dir, exist_ok=True)
     table.write_csv(os.path.join(args.out_dir, "sweep.csv"))
     _dump_json(table.to_dict(), os.path.join(args.out_dir, "sweep.json"))
-    flags = {repr(k): v for k, v in table.chi_flags.items()}
-    flags.update({repr(k): v for k, v in table.kappa_flags.items()})
+    flags = {repr(k): v for k, v in [*table.chi_flags.items(), *table.kappa_flags.items()]}
     print(json.dumps(flags, sort_keys=True))
     return EXIT_OK
 
@@ -269,12 +269,11 @@ def _cmd_approx_demo(args) -> int:
     pair = _pair(args)
     w = _candidate(grid, args.smooth_table, args.jump)
     u0 = _resolve_u0(args.u0, grid) if args.u0 else None
-    table = approximation_experiment(w, pair, _parse_floats(args.widths, "--widths"), u0=u0)
+    table = approximation_experiment(w, pair, _parse_floats(args.widths), u0=u0)
     os.makedirs(args.out_dir, exist_ok=True)
     table.write_csv(os.path.join(args.out_dir, "approx.csv"))
     _dump_json(table.to_dict(), os.path.join(args.out_dir, "approx.json"))
-    deviation = table.terminal_j_deviation
-    summary = {"k_reference": table.k_reference, "terminal_j_deviation": deviation}
+    summary = {key: getattr(table, key) for key in ("k_reference", "terminal_j_deviation")}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -282,6 +281,8 @@ def _cmd_approx_demo(args) -> int:
 def _cmd_conjugate_table(args) -> int:
     spec = density_from_id(args.density)
     s_max = _finite_float(args.s_max, "--s-max")
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     ss = np.linspace(-s_max, s_max, args.n)
     # an overflow is a numerical failure (exit 3), not an inf row
     with np.errstate(over="raise", invalid="raise"):
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjugate-table", help="tabulate a convex conjugate")
     p.add_argument("--density", required=True, help="f1 or f2 density id")
-    p.add_argument("--s-max", type=float, default=0.9)
+    p.add_argument("--s-max", default=0.9, help="the table spans [-s_max, s_max]")
     p.add_argument("--n", type=int, default=33)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_conjugate_table)
@@ -435,15 +436,13 @@ def main(argv=None) -> int:
     try:
         args = _parse(parser, argv)
         return args.func(args)
-    except SystemExit:
-        raise
     except ContinuationContractError as exc:
         _emit_error(type(exc).__name__, str(exc), EXIT_CONTRACT)
         return EXIT_CONTRACT
     except (ValueError, OSError) as exc:
         _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
         return EXIT_VALIDATION
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         _emit_error(type(exc).__name__, str(exc), EXIT_SOLVER)
         return EXIT_SOLVER
 

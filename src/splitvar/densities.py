@@ -463,10 +463,13 @@ def make_pair(f1: Density1Spec, f2: Density2Spec) -> DensityPair:
 
 
 def _finite_float(text, what: str = "each parameter") -> float:
-    """``float(text)``, raising ValueError naming ``what`` unless it is
-    finite; the one parser of the numbers inside ids and of the CLI's
-    --s-max, so that nan and inf are input errors."""
-    value = float(text)
+    """``float(text)``, raising ValueError naming ``what`` unless it is a
+    finite number; the one parser of the numbers inside ids and of the CLI's
+    --s-max, so that nan, inf and a word are input errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {text!r}")
     return value

@@ -12,6 +12,7 @@ values exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 BOUNDED_REL_TOL = 0.10
+# fraction of each side that the sweep's integration window is inset by
+SWEEP_MARGIN = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -83,36 +86,50 @@ def _bounded_flag(vals: Sequence[float]) -> str:
     return "BOUNDED" if abs(last - prev) <= BOUNDED_REL_TOL * abs(prev) else "GROWING"
 
 
+def _sweep_inputs(chis, kappas, n_stored: int, margin: float = SWEEP_MARGIN):
+    """The input rule of ``integrability_sweep``: ``margin`` in (0, 0.5), at
+    least one chi, finite exponents and at least 3 stored levels, else
+    ValueError.  Returns the exponents as two tuples of floats.  The CLI
+    checks a sweep with it before its continuation, ``n_stored`` being the
+    length of the schedule."""
+    if not (0.0 < margin < 0.5):
+        raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
+    chis, kappas = tuple(float(x) for x in chis), tuple(float(x) for x in kappas)
+    if len(chis) == 0:
+        raise ValueError("need at least one chi exponent")
+    if not all(math.isfinite(x) for x in chis + kappas):
+        raise ValueError(f"sweep exponents must be finite, got chis {chis}, kappas {kappas}")
+    if n_stored < 3:
+        raise ValueError("need at least 3 schedule levels with stored fields")
+    return chis, kappas
+
+
 def integrability_sweep(
     report: SolveReport,
     chis: Sequence[float],
     kappas: Sequence[float] = (),
-    margin: float = 0.1,
+    margin: float = SWEEP_MARGIN,
 ) -> SweepTable:
     """Track interior integrals of (1+|grad_2 u|^2)^(chi/2) along the schedule.
 
     ``report`` must come from a continuation run with stored fields and at
-    least three levels, and ``chis`` must be nonempty.  ``margin`` insets
-    the integration window by that fraction of each side.  Optional
-    ``kappas`` add the analogous integrals of the first gradient component
-    (the full-gradient diagnostics).  An exponent is flagged BOUNDED when
-    the last two levels agree within 10%.
+    least three levels, and ``chis`` must be nonempty; every exponent must
+    be finite (``_sweep_inputs``).  ``margin`` insets the integration window
+    by that fraction of each side.  Optional ``kappas`` add the analogous
+    integrals of the first gradient component (the full-gradient
+    diagnostics).  An exponent is flagged BOUNDED when the last two levels
+    agree within 10%.
     """
-    if not (0.0 < margin < 0.5):
-        raise ValueError(f"margin must lie in (0, 0.5), got {margin}")
-    if len(chis) == 0:
-        raise ValueError("need at least one chi exponent")
     stored = [r for r in report.records if r.u is not None]
-    if len(stored) < 3:
-        raise ValueError("need at least 3 schedule levels with stored fields")
+    chis, kappas = _sweep_inputs(chis, kappas, len(stored), margin)
 
     grid = report.u_final.grid
     mask = _inset_mask(grid, margin)
     area = grid.cell_area
 
     deltas = [r.delta for r in stored]
-    chi_integrals = {float(chi): [] for chi in chis}
-    kappa_integrals = {float(k): [] for k in kappas}
+    chi_integrals = {chi: [] for chi in chis}
+    kappa_integrals = {k: [] for k in kappas}
     for rec in stored:
         u = GridFunction(grid, rec.u)
         g = gradient(u)
@@ -308,15 +325,18 @@ def relaxation_gap(
     The gap should be nonnegative up to solver tolerance: the relaxed
     functional of any admissible candidate cannot undercut the infimum the
     continuation approaches from above.  ``candidates=None`` uses the lifted
-    final iterate of the continuation itself.
+    final iterate of the continuation itself.  K does not depend on the
+    solve, so given candidates are priced first: one that breaks its trace
+    raises CandidateInvariantError before the continuation runs.
     """
     if candidates is not None and len(candidates) == 0:
         raise ValueError("need at least one candidate")
+    k_values = [eval_K(w, cfg.densities, cfg.u0).j_total for w in candidates or ()]
     report = continuation(cfg)
     j_final = report.records[-1].j_value
     if candidates is None:
-        candidates = [lift_to_candidate(report.u_final)]
-    k_values = [eval_K(w, cfg.densities, cfg.u0).j_total for w in candidates]
+        lifted = lift_to_candidate(report.u_final)
+        k_values = [eval_K(lifted, cfg.densities, cfg.u0).j_total]
     k_best = min(k_values)
     gap = k_best - j_final
     return {

@@ -11,6 +11,7 @@ divergence residual of its stress field by construction.
 from __future__ import annotations
 
 import csv
+import numbers
 import struct
 import warnings
 from contextlib import nullcontext
@@ -52,6 +53,10 @@ class Grid:
     n2: int
 
     def __post_init__(self):
+        # a bool is an Integral, but no grid size
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in (self.n1, self.n2)):
+            raise ValueError(f"grid sizes must be integers, got {self.n1!r} and {self.n2!r}")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError(f"need at least 2 cells per axis, got {self.n1}x{self.n2}")
 

@@ -231,7 +231,8 @@ class _DeltaProblem:
         reg2 = regularizer_second_deriv(c1, self.p)
         w1 = np.asarray(self.d.f1.second_deriv(c1)) + self.delta * reg2
         w2 = np.asarray(self.d.f2.second_deriv(c2))
-        # superlinear curvature may vanish at isolated zeros (pure powers > 2)
+        # f2'' is +inf at 0 for a pure power 1 < p < 2; that point's curvature
+        # is taken as 0 (for p > 2 it is a finite 0 already)
         w2 = np.where(np.isfinite(w2), w2, 0.0)
         return w1, w2
 

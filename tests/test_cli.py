@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from splitvar import cli
+from splitvar import solve as solve_module
 from splitvar.cli import main
 from splitvar.densities import conjugate_scalar
 from splitvar.duality import duality_gap
@@ -756,25 +757,6 @@ def test_exit_4_gap_violation(converged_step_table, capsys):
     assert last_json(err)["error"]["type"] == "RelaxationGapViolation"
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["approx-demo", "--grid", "8x8", "--jump", "4:1", "--widths", "nan,1e-2"], "--widths"),
-        (["sweep", "--grid", "8x8", "--chis", "nan"], "--chis"),
-    ],
-    ids=["widths", "chis"],
-)
-def test_exit_2_non_finite_list_entry(argv, flag, tmp_path, capsys):
-    # an entry of a comma list is checked like a number inside an id
-    rc, out, err = run([*argv, "--out-dir", str(tmp_path)], capsys)
-    assert rc == 2
-    assert out == ""
-    assert list(tmp_path.iterdir()) == []
-    error = last_json(err)["error"]
-    assert error["type"] == "ValueError"
-    assert error["message"] == f"each entry of {flag} must be a finite number, got 'nan'"
-
-
 def test_custom_table_u0_reports_its_largest_slope(tmp_path, capsys):
     grid = Grid(8, 8)
     u = GridFunction.from_callable(grid, lambda x1, x2: 2.0 * x1 - x2)
@@ -820,17 +802,6 @@ def test_exit_2_u0_id_arity_names_its_form(spec, form, tmp_path, capsys):
     rc, _, err = run(["solve", "--grid", "8x8", "--u0", spec, "--out-dir", str(tmp_path)], capsys)
     assert rc == 2
     assert last_json(err)["error"]["message"] == f"u0 id {spec!r} must be {form}"
-
-
-def test_exit_2_empty_chis(tmp_path, capsys):
-    # an empty exponent list is an input error, not an empty table
-    rc, out, err = run(
-        ["sweep", "--grid", "8x8", "--chis", ",", "--out-dir", str(tmp_path / "out")], capsys
-    )
-    assert rc == 2
-    assert out == ""
-    assert last_json(err)["error"]["type"] == "ValueError"
-    assert not (tmp_path / "out").exists()
 
 
 def test_exit_3_conjugate_table_overflow(tmp_path):
@@ -885,3 +856,283 @@ def test_jump_comma_list_repeated_flag_and_config_list_agree(tmp_path, capsys):
         outputs[name] = (out, (out_dir / "approx.csv").read_bytes())
     assert json.loads(outputs["comma"][0])["k_reference"] == 3.0
     assert outputs["comma"] == outputs["repeat"] == outputs["config"]
+
+
+def test_exit_3_out_of_memory(tmp_path, monkeypatch, capsys):
+    # numpy raises a MemoryError subclass when a grid's arrays do not fit; a
+    # test must not allocate one, since calloc may succeed lazily
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "_resolve_u0", out_of_memory)
+    rc, out, err = run(["solve", "--grid", "8x8", "--out-dir", str(tmp_path / "out")], capsys)
+    assert (rc, out) == (3, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "MemoryError", "exit_code": 3,
+        "message": "Unable to allocate 74.5 GiB for an array",
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# every flag of every command, checked before the first solve
+# ---------------------------------------------------------------------------
+
+# flags whose values name files to write, which no input rule constrains
+FREE_FORM = {"help", "out_dir", "out"}
+# commands that run a continuation once their input is built
+SOLVING = {"solve", "dual-report", "sweep", "relax-gap"}
+
+PROBLEM = {"grid": "16x16", "u0": "step:0:1", "deltas": "1e-1,1e-2,1e-3"}
+# one valid set of flags per command; each bad-input case changes one entry
+BASE = {
+    "solve": {**PROBLEM, "out_dir": "out"},
+    "dual-report": {**PROBLEM, "out_dir": "out"},
+    "sweep": {**PROBLEM, "chis": "3", "kappas": "4", "out_dir": "out"},
+    "relax-gap": {**PROBLEM, "jump": "8:1"},
+    "approx-demo": {"grid": "16x16", "jump": "8:1", "widths": "1e-1,1e-2", "out_dir": "out"},
+    "conjugate-table": {"density": "power:2", "s_max": "4", "n": "5", "out": "table.csv"},
+    "predict": {"p": "3", "gamma": "0.7", "mu": "1.5"},
+}
+
+NON_FINITE_ID = "ValueError: each parameter must be a finite number"
+NOT_A_TABLE = [
+    ("{missing}", "FileNotFoundError: No such file"),
+    ("{small}", "ValueError: has grid 8x8, which does not match --grid 16x16"),
+    ("{nan}", "ValueError: holds a non-finite value"),
+]
+JUMP_FORM = "ValueError: jump must be line:height[:start:end] with integer line, start, end"
+# each flag's bad values, with the type of the error and a part of its message;
+# -1 and 0 appear where the flag's rule rejects them (a sweep exponent, a
+# number of a u0 id, --s-max and a jump height may take either)
+BAD_VALUES = {
+    "grid": [
+        ("8", "ValueError: grid must look like '64x64'"),
+        ("8.5x8", "ValueError: grid must look like '64x64'"),
+        ("nanx8", "ValueError: grid must look like '64x64'"),
+        ("infx8", "ValueError: grid must look like '64x64'"),
+        ("-1x8", "ValueError: need at least 2 cells per axis, got -1x8"),
+        ("16x0", "ValueError: need at least 2 cells per axis, got 16x0"),
+    ],
+    "f1": [
+        ("phi_nu:nan", NON_FINITE_ID),
+        ("phi_nu:inf", NON_FINITE_ID),
+        ("phi_nu:-1", "ValueError: nu must lie in (1, 2), got -1.0"),
+        ("phi_nu:0", "ValueError: nu must lie in (1, 2), got 0.0"),
+        ("hencky:nan:0.3", NON_FINITE_ID),
+        ("hencky:1:inf", NON_FINITE_ID),
+        ("hencky:-1:0.3", "ValueError: k and nu must be positive"),
+        ("hencky:1:0", "ValueError: k and nu must be positive"),
+        ("power:2", "ValueError: 'power:2' is superlinear; not usable as f1"),
+    ],
+    "f2": [
+        ("power:nan", NON_FINITE_ID),
+        ("power:inf", NON_FINITE_ID),
+        ("power:two", "ValueError: each parameter must be a finite number, got 'two'"),
+        ("power:-1", "ValueError: power N-function needs p > 1, got -1.0"),
+        ("power:0", "ValueError: power N-function needs p > 1, got 0.0"),
+        ("power:1", "ValueError: power N-function needs p > 1, got 1.0"),
+        ("phi_nu:1.5", "ValueError: 'phi_nu:1.5' has linear growth; not usable as f2"),
+    ],
+    "u0": [
+        ("affine:nan:1", "ValueError: each parameter of u0 id 'affine:nan:1' must be a finite"),
+        ("step:0:inf", "ValueError: each parameter of u0 id 'step:0:inf' must be a finite"),
+        ("step:0:one", "ValueError: each parameter of u0 id 'step:0:one' must be a finite"),
+        ("affine:1", "ValueError: u0 id 'affine:1' must be affine:<a>:<b>"),
+        *((f"custom-table:{path}", expected) for path, expected in NOT_A_TABLE),
+    ],
+    "deltas": [
+        ("nan", "ValueError: delta schedule must be finite, positive and below 1: (nan,)"),
+        ("inf", "ValueError: delta schedule must be finite, positive and below 1: (inf,)"),
+        ("-1", "ValueError: delta schedule must be finite, positive and below 1: (-1.0,)"),
+        ("0", "ValueError: delta schedule must be finite, positive and below 1: (0.0,)"),
+        (",", "ValueError: delta schedule must be nonempty"),
+        ("1e-2,1e-1", "ValueError: delta schedule must be strictly decreasing"),
+    ],
+    "max_iter": [
+        ("-1", "ValueError: max_iter must be an integer >= 0, got -1"),
+        ("1.5", "ArgumentError: argument --max-iter: invalid int value: '1.5'"),
+        ("nan", "ArgumentError: argument --max-iter: invalid int value: 'nan'"),
+    ],
+    "p_reg": [
+        ("nan", "ValueError: p_reg must be finite and >= 2, got nan"),
+        ("inf", "ValueError: p_reg must be finite and >= 2, got inf"),
+        ("-1", "ValueError: p_reg must be finite and >= 2, got -1.0"),
+        ("0", "ValueError: p_reg must be finite and >= 2, got 0.0"),
+    ],
+    "tol_grad": [
+        ("nan", "ValueError: tol_grad must be finite and positive, got nan"),
+        ("inf", "ValueError: tol_grad must be finite and positive, got inf"),
+        ("-1", "ValueError: tol_grad must be finite and positive, got -1.0"),
+        ("0", "ValueError: tol_grad must be finite and positive, got 0.0"),
+    ],
+    "chis": [
+        ("nan", "ValueError: sweep exponents must be finite, got chis (nan,), kappas (4.0,)"),
+        ("3,inf", "ValueError: sweep exponents must be finite, got chis (3.0, inf)"),
+        (",", "ValueError: need at least one chi exponent"),
+    ],
+    "kappas": [
+        ("nan", "ValueError: sweep exponents must be finite, got chis (3.0,), kappas (nan,)"),
+        ("-inf", "ValueError: sweep exponents must be finite"),
+    ],
+    "widths": [
+        ("nan,1e-2", "ValueError: widths must be finite, positive and below inf: (nan, 0.01)"),
+        ("inf", "ValueError: widths must be finite, positive and below inf: (inf,)"),
+        ("-1", "ValueError: widths must be finite, positive and below inf: (-1.0,)"),
+        ("0", "ValueError: widths must be finite, positive and below inf: (0.0,)"),
+        (",", "ValueError: widths must be nonempty"),
+        ("1e-2,1e-1", "ValueError: widths must be strictly decreasing"),
+        ("3", "ValueError: width exceeds the margin to the lateral boundary"),
+    ],
+    "jump": [
+        ("4.5:1", JUMP_FORM),
+        ("nan:1", JUMP_FORM),
+        ("inf:1", JUMP_FORM),
+        ("8:1:0.5:16", JUMP_FORM),
+        ("8:1:0:16.0", JUMP_FORM),
+        ("8:1:2", JUMP_FORM),
+        ("8:1,", JUMP_FORM),
+        ("-1:1", "CandidateInvariantError: jump line index -1 not an interior grid line"),
+        ("0:1", "CandidateInvariantError: jump line index 0 not an interior grid line"),
+        ("16:1", "CandidateInvariantError: jump line index 16 not an interior grid line"),
+        ("8:nan", "CandidateInvariantError: jump height must be finite"),
+        ("8:inf", "CandidateInvariantError: jump height must be finite"),
+        ("8:1:-1:16", "CandidateInvariantError: bad jump cell range (-1, 16)"),
+        ("8:1:0:0", "CandidateInvariantError: bad jump cell range (0, 0)"),
+        ("8:1:0:17", "CandidateInvariantError: bad jump cell range (0, 17)"),
+    ],
+    "smooth_table": NOT_A_TABLE,
+    "candidate_table": NOT_A_TABLE,
+    "density": [
+        ("power:nan", NON_FINITE_ID),
+        ("phi_nu:inf", NON_FINITE_ID),
+        ("power:0", "ValueError: power N-function needs p > 1, got 0.0"),
+        ("phi_nu:-1", "ValueError: nu must lie in (1, 2), got -1.0"),
+        ("hencky:1", "ValueError: invalid density id 'hencky:1': unknown density id"),
+    ],
+    "s_max": [
+        ("nan", "ValueError: --s-max must be a finite number, got 'nan'"),
+        ("inf", "ValueError: --s-max must be a finite number, got 'inf'"),
+        ("abc", "ValueError: --s-max must be a finite number, got 'abc'"),
+        ("-inf", "ValueError: --s-max must be a finite number, got '-inf'"),
+    ],
+    "n": [
+        ("0", "ValueError: --n must be at least 1, got 0"),
+        ("-1", "ValueError: --n must be at least 1, got -1"),
+        ("1.5", "ArgumentError: argument --n: invalid int value: '1.5'"),
+        ("nan", "ArgumentError: argument --n: invalid int value: 'nan'"),
+    ],
+    "p": [
+        ("nan", "ValueError: p must be finite and exceed 1, got nan"),
+        ("inf", "ValueError: p must be finite and exceed 1, got inf"),
+        ("-1", "ValueError: p must be finite and exceed 1, got -1.0"),
+        ("0", "ValueError: p must be finite and exceed 1, got 0.0"),
+    ],
+    "gamma": [
+        ("nan", "ValueError: gamma must be finite and nonnegative, got nan"),
+        ("inf", "ValueError: gamma must be finite and nonnegative, got inf"),
+        ("-1", "ValueError: gamma must be finite and nonnegative, got -1.0"),
+    ],
+    "mu": [
+        ("nan", "ValueError: mu must be finite and exceed 1, got nan"),
+        ("inf", "ValueError: mu must be finite and exceed 1, got inf"),
+        ("-1", "ValueError: mu must be finite and exceed 1, got -1.0"),
+        ("0", "ValueError: mu must be finite and exceed 1, got 0.0"),
+    ],
+}
+# values that are bad only together with another flag of the base
+CROSS_INPUT = [
+    ("relax-gap", {"jump": "8:2"}, "CandidateInvariantError: bottom trace mismatches"),
+    ("sweep", {"deltas": "1e-1,1e-2", "chis": "4"},
+     "ValueError: need at least 3 schedule levels with stored fields"),
+    ("approx-demo", {"u0": "step:0:5"}, "CandidateInvariantError: bottom trace mismatches"),
+    ("approx-demo", {"jump": "8:1:0:8"}, "ValueError: approximation experiment requires jumps"),
+    ("approx-demo", {"jump": "8:1,9:1", "widths": "0.2"},
+     "ValueError: smoothing zones of distinct jumps overlap"),
+]
+
+
+def bad_input_cases():
+    """One case per bad value of each flag of each command, from the
+    parser's own flag lists; a flag with no bad values is a failing case."""
+    commands = cli.build_parser().commands
+    for command, sub in commands.items():
+        for dest in sorted(sub.flag_dests - FREE_FORM):
+            for value, expected in BAD_VALUES.get(dest, [(None, None)]):
+                yield pytest.param(command, {dest: value}, expected, id=f"{command}-{dest}={value}")
+    for command, change, expected in CROSS_INPUT:
+        name = ",".join(f"{dest}={value}" for dest, value in change.items())
+        yield pytest.param(command, change, expected, id=f"{command}-{name}")
+
+
+def bad_input_argv(command, change, tables):
+    flags = {**BASE[command], **change}
+    # --flag=value, so that a value such as -1 is not read as a flag
+    return [command, *(f"--{dest.replace('_', '-')}={value.format(**tables)}"
+                       for dest, value in flags.items())]
+
+
+class ReachedSolve(Exception):
+    """Raised in place of a Newton level: the command ran a continuation."""
+
+
+@pytest.fixture()
+def no_solve(monkeypatch):
+    # every continuation, from any module, looks the level up in solve's globals
+    def reached(*args, **kwargs):
+        raise ReachedSolve
+
+    monkeypatch.setattr(solve_module, "minimize_J_delta", reached)
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """Paths of a missing table, one on another grid and one holding nan."""
+    folder = tmp_path_factory.mktemp("tables")
+    grid, small = Grid(16, 16), Grid(8, 8)
+    save_csv(GridFunction(small, np.zeros(small.node_shape)), str(folder / "small.csv"))
+    values = np.zeros(grid.node_shape)
+    values[3, 3] = np.nan
+    save_csv(GridFunction(grid, values), str(folder / "nan.csv"))
+    return {name: str(folder / f"{name}.csv") for name in ("missing", "small", "nan")}
+
+
+def test_bad_input_table_covers_every_command(tables, no_solve, tmp_path, monkeypatch, capsys):
+    # each base is valid: a solving command reaches its first Newton level,
+    # the others exit 0
+    assert BASE.keys() == cli.build_parser().commands.keys()
+    monkeypatch.chdir(tmp_path)
+    for command in BASE:
+        argv = bad_input_argv(command, {}, tables)
+        if command in SOLVING:
+            with pytest.raises(ReachedSolve):
+                main(argv)
+        else:
+            assert main(argv) == 0, capsys.readouterr().err
+    ids = {case.id for case in bad_input_cases()}
+    for named in ("relax-gap-jump=8:2", "sweep-deltas=1e-1,1e-2,chis=4", "sweep-chis=,",
+                  "conjugate-table-n=0", "approx-demo-jump=4.5:1"):
+        assert named in ids
+
+
+@pytest.mark.parametrize("command, change, expected", bad_input_cases())
+def test_bad_input_exits_2_before_any_solve(
+    command, change, expected, tables, no_solve, tmp_path, monkeypatch, capsys
+):
+    assert expected is not None, f"no bad values of {change} for {command} in BAD_VALUES"
+    monkeypatch.chdir(tmp_path)
+    try:
+        rc = main(bad_input_argv(command, change, tables))
+    except SystemExit as exc:  # argparse's own errors
+        rc = exc.code
+    except ReachedSolve:
+        pytest.fail("the command ran a solve before rejecting its input")
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    kind, fragment = expected.split(": ", 1)
+    assert (error["type"], error["exit_code"]) == (kind, 2)
+    assert fragment in error["message"]
+    assert list(tmp_path.iterdir()) == []

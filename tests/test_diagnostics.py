@@ -6,6 +6,7 @@ import pytest
 
 from splitvar import (
     BVCandidate,
+    CandidateInvariantError,
     Grid,
     GridFunction,
     JumpSegment,
@@ -79,6 +80,12 @@ def test_sweep_margin_validation(affine_sweep_report):
 def test_sweep_needs_a_chi(affine_sweep_report):
     with pytest.raises(ValueError, match="chi"):
         integrability_sweep(affine_sweep_report, chis=[])
+
+
+@pytest.mark.parametrize("chis, kappas", [([math.nan], []), ([3.0], [math.inf])])
+def test_sweep_exponents_must_be_finite(affine_sweep_report, chis, kappas):
+    with pytest.raises(ValueError, match="sweep exponents must be finite"):
+        integrability_sweep(affine_sweep_report, chis=chis, kappas=kappas)
 
 
 def test_sweep_needs_three_stored_levels(pair_std):
@@ -342,6 +349,17 @@ def test_relax_gap_jump_candidate_stays_above(pair_std):
     assert out["k_best"] == 2.0
     assert out["gap"] > 0.1
     assert out["contract_ok"]
+
+
+def test_relax_gap_prices_candidates_before_the_solve(affine_config, monkeypatch):
+    # unit_jump_candidate's trace does not match the affine data, which is an
+    # input error raised before any continuation
+    def no_solve(cfg):
+        raise AssertionError("relaxation_gap ran the continuation")
+
+    monkeypatch.setattr(diagnostics, "continuation", no_solve)
+    with pytest.raises(CandidateInvariantError, match="trace mismatches"):
+        relaxation_gap([unit_jump_candidate(16)], affine_config)
 
 
 def test_relax_gap_empty_candidates(pair_std, affine_config):

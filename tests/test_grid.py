@@ -47,6 +47,11 @@ def test_grid_rejects_degenerate():
         Grid(1, 4)
     with pytest.raises(ValueError):
         Grid(4, 0)
+    # a float or a bool would build and fail later inside numpy
+    for n1 in (8.5, 8.0, True, "8"):
+        with pytest.raises(ValueError, match="grid sizes must be integers"):
+            Grid(n1, 8)
+    assert Grid(np.int64(8), np.int32(4)).node_shape == (9, 5)
 
 
 def test_gradient_hand_stencil_2x2():
