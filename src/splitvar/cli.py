@@ -1,30 +1,22 @@
-"""Command-line front end.
+"""Command-line front end: batch runs of the continuation solver and of its
+certificates.  Output files are written with repr() floats, so reruns with
+identical inputs are byte identical.
 
-Subcommands cover the continuation solver, the duality report, the
-integrability sweep, the jump-smoothing demo, conjugate tabulation, the
-integrability predictor, and the relaxation-gap check.  All output files are
-written with repr() floats so reruns with identical inputs are byte
-identical.  Input errors exit 2, numerical failures (MemoryError included)
-exit 3 and contract violations exit 4, each with one JSON line on stderr.
-
-Each command builds and checks all of its input before its first solve, so
-exit 2 runs no solve and writes no file; only an output path that cannot be
-written fails when it is written.  Each input domain has one owner,
-the library object that uses it: Grid the sizes, density_from_id and
-make_pair the densities, SolveConfig the schedule and solver settings,
-BVCandidate the jump segments, approximation_experiment the widths,
-integrability_sweep's rule (_sweep_inputs) the exponents, relaxation_gap the
-candidates' traces and predict_integrability its exponents.  This module
-parses ids, lists and tables, and checks --s-max and --n.
+One function, main, decides how a run ends; a command only builds its
+inputs, runs and writes, and raises on failure.  Input errors exit 2,
+numerical failures (MemoryError included) 3 and contract violations 4, each
+with exactly one JSON line on stderr; input notes (a custom table's
+u0_table_lipschitz) print there only on exit 0.  --out-dir is checked as the
+flags are parsed and made when its first file is written, and each command
+checks all of its input before its first solve, so exit 2 runs no solve and
+writes no file.  Each input has one owner, the library object that uses it
+(the README lists them); this module parses ids, lists and tables.
 
 List flags (--deltas, --chis, --kappas, --widths, --jump) take comma lists;
---jump may also repeat, and its lists add up.  --config PATH (or
---config=PATH) reads a JSON object as the flags it stands for: key max_iter
-is --max-iter, delta_schedule --deltas, output_dir --out-dir, "command" the
-subcommand when the command line names none, and a list one comma-joined
-value.  Required flags may come from the file, explicit flags win, and a key
-that is not exactly a flag of the running subcommand exits 2 whatever its
-value, as does a prefix of a flag on the command line.
+--jump may also repeat, and its lists add up.  Flags are named whole.
+--config PATH (or --config=PATH) reads a JSON object as the flags it stands
+for (see the README); explicit flags win, and a key that is not exactly a
+flag of the running subcommand exits 2.
 """
 
 from __future__ import annotations
@@ -51,6 +43,14 @@ EXIT_SOLVER = 3
 EXIT_CONTRACT = 4
 
 
+class WeakDualityViolation(Exception):
+    """dual-report's certified dual value exceeds the primal energy."""
+
+
+class RelaxationGapViolation(Exception):
+    """relax-gap's candidate energy undercuts the continuation limit."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with JSON errors, and with every flag matched only whole:
     subparsers are made by this class too, so no prefix of a flag (--max
@@ -74,13 +74,14 @@ class _Parser(argparse.ArgumentParser):
 
     # argparse prints usage text by default; keep stderr machine readable
     def error(self, message):
-        _emit_error("ArgumentError", message, EXIT_VALIDATION)
-        raise SystemExit(EXIT_VALIDATION)
+        raise SystemExit(_emit_error("ArgumentError", message, EXIT_VALIDATION))
 
 
-def _emit_error(kind: str, message: str, code: int) -> None:
+def _emit_error(kind: str, message: str, code: int) -> int:
+    """Print the one JSON line of a failed run on stderr; returns ``code``."""
     payload = {"error": {"type": kind, "message": message, "exit_code": code}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def _parse_grid(text: str) -> Grid:
@@ -91,13 +92,19 @@ def _parse_grid(text: str) -> Grid:
     return Grid(n1, n2)
 
 
-def _parse_floats(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_floats(args, dest: str) -> list:
+    """The numbers of list flag ``dest``; the list's owner checks them."""
+    text = getattr(args, dest)
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--{dest} must be a comma list of numbers, got {text!r}") from None
 
 
-def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
+def _resolve_u0(spec: str, grid: Grid, notes: list) -> GridFunction:
     """Boundary data ids: affine:<a>:<b>, step:<left>:<right>, zero,
-    custom-table:<path>; the numbers of affine and step must be finite."""
+    custom-table:<path> (its note goes to ``notes``); the numbers of affine
+    and step must be finite."""
     if spec == "zero":
         return GridFunction(grid, np.zeros(grid.node_shape))
     if spec.startswith(("affine:", "step:")):
@@ -114,7 +121,7 @@ def _resolve_u0(spec: str, grid: Grid) -> GridFunction:
         # Lipschitz constant of the table is reported, not enforced
         d1 = np.abs(np.diff(u.values, axis=0)).max(initial=0.0) / grid.h1
         d2 = np.abs(np.diff(u.values, axis=1)).max(initial=0.0) / grid.h2
-        print(json.dumps({"u0_table_lipschitz": max(float(d1), float(d2))}), file=sys.stderr)
+        notes.append({"u0_table_lipschitz": max(float(d1), float(d2))})
         return u
     raise ValueError(f"unknown u0 id {spec!r}")
 
@@ -135,7 +142,7 @@ def _load_table(path: str, grid: Grid) -> GridFunction:
 def _candidate(grid: Grid, table, jump_tokens) -> BVCandidate:
     """A jump candidate: the smooth part from ``table`` (zero without one)
     plus the ``--jump`` segments."""
-    smooth = _load_table(table, grid) if table else _resolve_u0("zero", grid)
+    smooth = _load_table(table, grid) if table else _resolve_u0("zero", grid, [])
     jumps = tuple(_parse_jump(tok, grid) for tok in jump_tokens or ())
     return BVCandidate(smooth_part=smooth, jumps=jumps)
 
@@ -172,8 +179,8 @@ def _build_config(args, store_fields=False) -> SolveConfig:
     return SolveConfig(
         grid=grid,
         densities=_pair(args),
-        u0=_resolve_u0(args.u0, grid),
-        delta_schedule=_parse_floats(args.deltas),
+        u0=_resolve_u0(args.u0, grid, args.notes),
+        delta_schedule=_parse_floats(args, "deltas"),
         p_reg=args.p_reg,
         tol_grad=args.tol_grad,
         max_iter=args.max_iter,
@@ -184,6 +191,23 @@ def _build_config(args, store_fields=False) -> SolveConfig:
 def _echo(args, cfg: SolveConfig) -> dict:
     echo = {name: getattr(args, name) for name in ("f1", "f2", "u0", "grid")}
     return {**echo, "deltas": list(cfg.delta_schedule)}
+
+
+def _out_dir(path: str) -> str:
+    """--out-dir's type, checked as the flags are parsed: a writable folder,
+    or a missing path whose nearest existing ancestor is one."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not (path and os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise argparse.ArgumentTypeError(f"no folder can be written at {path!r}")
+    return path
+
+
+def _out(args, name: str) -> str:
+    """The path of output file ``name`` in --out-dir, made at write time."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -207,25 +231,18 @@ def _parse_jump(text: str, grid: Grid) -> JumpSegment:
     return JumpSegment(line, start, end, height)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     cfg = _build_config(args)
     report = continuation(cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
     payload = {"config": _echo(args, cfg), "report": report.to_dict()}
-    _dump_json(payload, os.path.join(args.out_dir, "report.json"))
-    report.write_records_csv(os.path.join(args.out_dir, "records.csv"))
-    save_csv(report.u_final, os.path.join(args.out_dir, "u_final.csv"))
-    save_vsgf(report.u_final, os.path.join(args.out_dir, "u_final.vsgf"))
+    _dump_json(payload, _out(args, "report.json"))
+    report.write_records_csv(_out(args, "records.csv"))
+    save_csv(report.u_final, _out(args, "u_final.csv"))
+    save_vsgf(report.u_final, _out(args, "u_final.vsgf"))
     print(json.dumps({"j_final": report.records[-1].j_value}, sort_keys=True))
-    return EXIT_OK
 
 
-def _cmd_dual_report(args) -> int:
+def _cmd_dual_report(args) -> None:
     cfg = _build_config(args)
     report = continuation(cfg)
     delta_last = cfg.delta_schedule[-1]
@@ -237,48 +254,39 @@ def _cmd_dual_report(args) -> int:
     )
     payload = {"config": _echo(args, cfg), "dual": dual.to_dict()}
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _dump_json(payload, os.path.join(args.out_dir, "dual_report.json"))
+        _dump_json(payload, _out(args, "dual_report.json"))
     print(json.dumps(payload["dual"], sort_keys=True))
     if dual.gap_absolute < -1e-9 * (1.0 + abs(dual.j_value)):
-        _emit_error(
-            "WeakDualityViolation",
-            f"certified dual value exceeds the primal energy by {-dual.gap_absolute}",
-            EXIT_CONTRACT,
+        raise WeakDualityViolation(
+            f"certified dual value exceeds the primal energy by {-dual.gap_absolute}"
         )
-        return EXIT_CONTRACT
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     cfg = _build_config(args, store_fields=True)
     chis, kappas = _sweep_inputs(
-        _parse_floats(args.chis), _parse_floats(args.kappas), len(cfg.delta_schedule)
+        _parse_floats(args, "chis"), _parse_floats(args, "kappas"), len(cfg.delta_schedule)
     )
     table = integrability_sweep(continuation(cfg), chis, kappas)
-    os.makedirs(args.out_dir, exist_ok=True)
-    table.write_csv(os.path.join(args.out_dir, "sweep.csv"))
-    _dump_json(table.to_dict(), os.path.join(args.out_dir, "sweep.json"))
+    table.write_csv(_out(args, "sweep.csv"))
+    _dump_json(table.to_dict(), _out(args, "sweep.json"))
     flags = {repr(k): v for k, v in [*table.chi_flags.items(), *table.kappa_flags.items()]}
     print(json.dumps(flags, sort_keys=True))
-    return EXIT_OK
 
 
-def _cmd_approx_demo(args) -> int:
+def _cmd_approx_demo(args) -> None:
     grid = _parse_grid(args.grid)
     pair = _pair(args)
     w = _candidate(grid, args.smooth_table, args.jump)
-    u0 = _resolve_u0(args.u0, grid) if args.u0 else None
-    table = approximation_experiment(w, pair, _parse_floats(args.widths), u0=u0)
-    os.makedirs(args.out_dir, exist_ok=True)
-    table.write_csv(os.path.join(args.out_dir, "approx.csv"))
-    _dump_json(table.to_dict(), os.path.join(args.out_dir, "approx.json"))
+    u0 = _resolve_u0(args.u0, grid, args.notes) if args.u0 else None
+    table = approximation_experiment(w, pair, _parse_floats(args, "widths"), u0=u0)
+    table.write_csv(_out(args, "approx.csv"))
+    _dump_json(table.to_dict(), _out(args, "approx.json"))
     summary = {key: getattr(table, key) for key in ("k_reference", "terminal_j_deviation")}
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
 
 
-def _cmd_conjugate_table(args) -> int:
+def _cmd_conjugate_table(args) -> None:
     spec = density_from_id(args.density)
     s_max = _finite_float(args.s_max, "--s-max")
     if args.n < 1:
@@ -288,16 +296,14 @@ def _cmd_conjugate_table(args) -> int:
     with np.errstate(over="raise", invalid="raise"):
         values = [float(spec.conjugate(s)) for s in ss]
     write_csv(args.out or sys.stdout, ["s", "conjugate"], [ss, values])
-    return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> None:
     pred = predict_integrability(args.p, args.gamma, mu=args.mu)
     print(json.dumps(pred.to_dict(), sort_keys=True))
-    return EXIT_OK
 
 
-def _cmd_relax_gap(args) -> int:
+def _cmd_relax_gap(args) -> None:
     cfg = _build_config(args)
     candidates = None  # default: the solver's own final iterate, lifted
     if args.candidate_table or args.jump:
@@ -305,18 +311,9 @@ def _cmd_relax_gap(args) -> int:
     result = relaxation_gap(candidates, cfg)
     print(json.dumps(result, sort_keys=True))
     if not result["contract_ok"]:
-        _emit_error(
-            "RelaxationGapViolation",
-            f"candidate energy undercuts the continuation limit by {-result['gap']}",
-            EXIT_CONTRACT,
+        raise RelaxationGapViolation(
+            f"candidate energy undercuts the continuation limit by {-result['gap']}"
         )
-        return EXIT_CONTRACT
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# driver
-# ---------------------------------------------------------------------------
 
 
 def _config_parser() -> argparse.ArgumentParser:
@@ -332,17 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the continuation solver")
     _add_problem_args(p)
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", default=".", type=_out_dir)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("dual-report", help="duality gap for the continuation output")
     _add_problem_args(p)
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--out-dir", default=None, type=_out_dir)
     p.set_defaults(func=_cmd_dual_report)
 
     p = sub.add_parser("sweep", help="interior integrability sweep over the schedule")
     _add_problem_args(p)
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", default=".", type=_out_dir)
     p.add_argument("--chis", required=True, help="comma list of exponents")
     p.add_argument("--kappas", default="", help="full-gradient exponents")
     p.set_defaults(func=_cmd_sweep)
@@ -353,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jump_arg(p)
     p.add_argument("--u0", default=None, help="boundary data id (optional)")
     p.add_argument("--widths", default="1e-1,1e-2,1e-3,1e-4,1e-5")
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", default=".", type=_out_dir)
     p.set_defaults(func=_cmd_approx_demo)
 
     p = sub.add_parser("conjugate-table", help="tabulate a convex conjugate")
@@ -431,20 +428,22 @@ def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that decides how the run ends."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = _parse(parser, argv)
-        return args.func(args)
-    except ContinuationContractError as exc:
-        _emit_error(type(exc).__name__, str(exc), EXIT_CONTRACT)
-        return EXIT_CONTRACT
+        args.notes = []
+        args.func(args)
+    except (ContinuationContractError, WeakDualityViolation, RelaxationGapViolation) as exc:
+        return _emit_error(type(exc).__name__, str(exc), EXIT_CONTRACT)
     except (ValueError, OSError) as exc:
-        _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
+        return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
     except (ArithmeticError, MemoryError) as exc:
-        _emit_error(type(exc).__name__, str(exc), EXIT_SOLVER)
-        return EXIT_SOLVER
+        return _emit_error(type(exc).__name__, str(exc), EXIT_SOLVER)
+    for note in args.notes:
+        print(json.dumps(note), file=sys.stderr)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

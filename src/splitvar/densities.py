@@ -364,7 +364,7 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
     Its curvature vanishes beyond s0, so it carries no ellipticity exponent
     and is suitable only as an f1.
     """
-    if k <= 0.0 or nu <= 0.0:
+    if not all(math.isfinite(x) and x > 0.0 for x in (k, nu)):
         raise ValueError(f"k and nu must be positive, got k={k}, nu={nu}")
     s0 = k / (math.sqrt(2.0) * nu)
     sl = math.sqrt(2.0) * k
@@ -391,7 +391,7 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
 
 def power_density2(p: float) -> Density2Spec:
     """Superlinear density f2(t) = |t|**p, p > 1, an evenly extended N-function."""
-    if p <= 1.0:
+    if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"power N-function needs p > 1, got {p}")
     q = p / (p - 1.0)
 
@@ -483,7 +483,8 @@ def _positive_decreasing(values, what: str, upper: float = math.inf) -> tuple:
     if not vals:
         raise ValueError(f"{what} must be nonempty")
     if not all(math.isfinite(x) and 0.0 < x < upper for x in vals):
-        raise ValueError(f"{what} must be finite, positive and below {upper:g}: {vals}")
+        bound = f", positive and below {upper:g}" if math.isfinite(upper) else " and positive"
+        raise ValueError(f"{what} must be finite{bound}: {vals}")
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ValueError(f"{what} must be strictly decreasing: {vals}")
     return vals

@@ -15,6 +15,7 @@ R, certifies a scaled stress lambda*tau that lies inside them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,7 +134,8 @@ def duality_gap(
     Df(grad u), the stress the equality refers to.  ``delta``/``p_reg``
     control the reported norm of the vanishing regularization stress
     delta * x_delta in the dual exponent p/(p-1); ``p_reg`` is None (f2's
-    default) or finite and >= 2, the solver's rule (``_resolve_p_reg``).
+    default) or finite and >= 2, the solver's rule (``_resolve_p_reg``);
+    ``delta`` must be finite and >= 0.
 
     The scale lambda (``DualReport.scale``).  f1* is finite only on
     (-r_minus, r_plus), the recession slopes of f1, which tau_1 may leave.
@@ -150,6 +152,8 @@ def duality_gap(
     and certified refer to lambda*tau.
     """
     p_reg = _resolve_p_reg(d, p_reg)
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     # the cell gradients and the divergence residual are formed once each
     g = gradient(u)
     g0 = g if u0 is None else gradient(u0)

@@ -421,12 +421,15 @@ def minimize_J_delta(
     flags = []
     steps = 0
     # the iterate's split energy and cell gradient; after the first, each is
-    # the accepted line-search trial's
+    # the accepted line-search trial's, and so is its residual g when the
+    # rounding tie-break formed it (else None)
     j, delta_term, c1, c2 = prob.split_energy(values)
     energy = j + delta_term
     g_norm_prev = None
+    g = None
     while True:
-        g = prob.residual(c1, c2)
+        if g is None:
+            g = prob.residual(c1, c2)
         res_max = float(np.max(np.abs(g)))
         if res_max <= cfg.tol_grad:
             break
@@ -468,6 +471,7 @@ def minimize_J_delta(
                 continue
             e_trial = split_trial[0] + split_trial[1]
             descent = e_trial <= energy + ARMIJO_SLOPE * alpha * slope
+            g_trial = None
             if not descent and abs(e_trial - energy) <= ROUNDING_REL * (1.0 + abs(energy)):
                 # a tie to rounding (module docstring): compare ||g||_2
                 g_trial = prob.residual(split_trial[2], split_trial[3])
@@ -476,6 +480,7 @@ def minimize_J_delta(
                 values = trial
                 energy = e_trial
                 j, delta_term, c1, c2 = split_trial
+                g = g_trial
                 accepted = True
                 break
             alpha *= ARMIJO_FACTOR
@@ -484,7 +489,7 @@ def minimize_J_delta(
             break
         steps += 1
         # nothing of this step outlives it but the accepted iterate, its
-        # split energy and its cell gradient
+        # split energy, its cell gradient and the tie-break's residual
         k1 = k2 = minus_g = d_dir = trial = split_trial = g_trial = None
 
     record = DeltaRecord(

@@ -588,24 +588,40 @@ def test_exit_2_argparse(capsys):
 
 
 def test_exit_3_energy_overflow(tmp_path, capsys):
+    # the output folder is made at write time, so a failed solve leaves none
     rc, _, err = run(
         ["solve", "--grid", "4x4", "--u0", "affine:0:1e200",
-         "--deltas", "1e-1", "--out-dir", str(tmp_path)],
+         "--deltas", "1e-1", "--out-dir", str(tmp_path / "out")],
         capsys,
     )
     assert rc == 3
-    payload = last_json(err)
-    assert payload["error"]["type"] == "EnergyOverflowError"
-    assert payload["error"]["exit_code"] == 3
+    assert list(tmp_path.iterdir()) == []
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "EnergyOverflowError"
+    assert json.loads(line)["error"]["exit_code"] == 3
 
 
 @pytest.mark.parametrize("flag", ["--tol-grad", "--p-reg"])
 def test_exit_2_nan_solver_setting(flag, tmp_path, capsys):
-    rc, _, err = run(
+    rc, out, err = run(
         ["solve", *AFFINE_ARGS, flag, "nan", "--out-dir", str(tmp_path)], capsys
     )
-    assert rc == 2
-    assert last_json(err)["error"]["type"] == "ValueError"
+    assert (rc, out) == (2, "")
+    assert list(tmp_path.iterdir()) == []
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "args", [["--p", "nan", "--gamma", "0.7"], ["--p", "3", "--gamma", "nan"],
+             ["--p", "3", "--gamma", "0", "--mu", "nan"]],
+    ids=["p", "gamma", "mu"],
+)
+def test_exit_2_predict_non_finite(args, capsys):
+    rc, out, err = run(["predict", *args], capsys)
+    assert (rc, out) == (2, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "ValueError"
 
 
 @pytest.mark.parametrize("max_iter, code", [("-1", 2), ("0", 4)])
@@ -616,8 +632,9 @@ def test_max_iter_below_zero_is_an_input_error(max_iter, code, tmp_path, capsys)
         ["solve", *STEP_ARGS, "--max-iter", max_iter, "--out-dir", str(tmp_path)], capsys
     )
     assert (rc, out) == (code, "")
+    (line,) = err.splitlines()
     if code == 2:
-        assert last_json(err)["error"] == {
+        assert json.loads(line)["error"] == {
             "type": "ValueError", "exit_code": 2,
             "message": "max_iter must be an integer >= 0, got -1",
         }
@@ -649,18 +666,6 @@ def test_exit_2_non_finite_table(use, value, tmp_path, capsys):
     for line in err.strip().splitlines():
         json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
     assert "non-finite" in last_json(err)["error"]["message"]
-
-
-@pytest.mark.parametrize(
-    "args", [["--p", "nan", "--gamma", "0.7"], ["--p", "3", "--gamma", "nan"],
-             ["--p", "3", "--gamma", "0", "--mu", "nan"]],
-    ids=["p", "gamma", "mu"],
-)
-def test_exit_2_predict_non_finite(args, capsys):
-    rc, out, err = run(["predict", *args], capsys)
-    assert rc == 2
-    assert out == ""
-    assert last_json(err)["error"]["type"] == "ValueError"
 
 
 @pytest.mark.filterwarnings("error")
@@ -731,14 +736,18 @@ def test_step_data_default_schedule_succeeds(grid, tmp_path, capsys):
 
 
 def test_exit_4_capped_continuation(converged_step_table, capsys):
+    # the custom table's u0 note prints only on exit 0, so the error line is
+    # the only one
     rc, out, err = run(
-        ["relax-gap", *STEP_ARGS, "--candidate-table", converged_step_table,
+        ["relax-gap", "--grid", "16x16", "--u0", f"custom-table:{converged_step_table}",
+         "--deltas", "1e-1,1e-2,1e-3", "--candidate-table", converged_step_table,
          "--max-iter", "1"],
         capsys,
     )
     assert rc == 4
     assert out == ""
-    assert last_json(err)["error"]["type"] == "ContinuationContractError"
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "ContinuationContractError"
 
 
 def test_exit_4_gap_violation(converged_step_table, capsys):
@@ -754,7 +763,11 @@ def test_exit_4_gap_violation(converged_step_table, capsys):
     assert result["contract_ok"] is False
     assert result["j_final"] == 1.0
     assert result["gap"] < -0.4
-    assert last_json(err)["error"]["type"] == "RelaxationGapViolation"
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "RelaxationGapViolation", "exit_code": 4,
+        "message": f"candidate energy undercuts the continuation limit by {-result['gap']}",
+    }
 
 
 def test_custom_table_u0_reports_its_largest_slope(tmp_path, capsys):
@@ -804,21 +817,44 @@ def test_exit_2_u0_id_arity_names_its_form(spec, form, tmp_path, capsys):
     assert last_json(err)["error"]["message"] == f"u0 id {spec!r} must be {form}"
 
 
+def run_module(argv, cwd):
+    """``python -m splitvar.cli`` in a subprocess: the console entry point."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "splitvar.cli", *argv],
+        env=env, capture_output=True, text=True, cwd=cwd,
+    )
+
+
 def test_exit_3_conjugate_table_overflow(tmp_path):
     # run as a subprocess: numpy's overflow warning would reach stderr, which
     # must hold only the one JSON error line
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "splitvar.cli", "conjugate-table",
-         "--density", "power:1.0000001", "--s-max", "2", "--n", "3", "--out", "table.csv"],
-        env=env, capture_output=True, text=True, cwd=tmp_path,
+    out = run_module(
+        ["conjugate-table", "--density", "power:1.0000001", "--s-max", "2", "--n", "3",
+         "--out", "table.csv"],
+        tmp_path,
     )
     assert out.returncode == 3
     assert out.stdout == ""
     (line,) = out.stderr.splitlines()
     assert json.loads(line)["error"]["type"] == "FloatingPointError"
     assert not (tmp_path / "table.csv").exists()
+
+
+def test_console_entry_point_exit_codes(tmp_path):
+    # the module's SystemExit(main()) carries main's exit code to the shell
+    out = run_module(["predict", "--p", "3", "--gamma", "0.7"], tmp_path)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["feasible"] is True
+    (tmp_path / "afile").write_text("")
+    out = run_module(
+        ["solve", "--grid", "128x128", "--u0", "step:0:1", "--out-dir", "afile"], tmp_path
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    (line,) = out.stderr.splitlines()
+    assert "--out-dir" in json.loads(line)["error"]["message"]
+    assert [path.name for path in tmp_path.iterdir()] == ["afile"]
 
 
 def test_exit_4_weak_duality_violation(tmp_path, capsys, monkeypatch):
@@ -830,9 +866,11 @@ def test_exit_4_weak_duality_violation(tmp_path, capsys, monkeypatch):
     rc, out, err = run(["dual-report", *AFFINE_ARGS, "--out-dir", str(tmp_path)], capsys)
     assert rc == 4
     assert last_json(out)["gap_abs"] == -1.0
-    error = last_json(err)["error"]
-    assert error["type"] == "WeakDualityViolation"
-    assert error["exit_code"] == 4
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "WeakDualityViolation", "exit_code": 4,
+        "message": "certified dual value exceeds the primal energy by 1.0",
+    }
     assert (tmp_path / "dual_report.json").exists()
 
 
@@ -879,8 +917,8 @@ def test_exit_3_out_of_memory(tmp_path, monkeypatch, capsys):
 # every flag of every command, checked before the first solve
 # ---------------------------------------------------------------------------
 
-# flags whose values name files to write, which no input rule constrains
-FREE_FORM = {"help", "out_dir", "out"}
+# flags that no input rule constrains: help, and the file --out names
+FREE_FORM = {"help", "out"}
 # commands that run a continuation once their input is built
 SOLVING = {"solve", "dual-report", "sweep", "relax-gap"}
 
@@ -925,6 +963,7 @@ BAD_VALUES = {
         ("hencky:-1:0.3", "ValueError: k and nu must be positive"),
         ("hencky:1:0", "ValueError: k and nu must be positive"),
         ("power:2", "ValueError: 'power:2' is superlinear; not usable as f1"),
+        ("mystery:1", "ValueError: invalid density id 'mystery:1': unknown density id"),
     ],
     "f2": [
         ("power:nan", NON_FINITE_ID),
@@ -948,6 +987,7 @@ BAD_VALUES = {
         ("-1", "ValueError: delta schedule must be finite, positive and below 1: (-1.0,)"),
         ("0", "ValueError: delta schedule must be finite, positive and below 1: (0.0,)"),
         (",", "ValueError: delta schedule must be nonempty"),
+        ("abc", "ValueError: --deltas must be a comma list of numbers, got 'abc'"),
         ("1e-2,1e-1", "ValueError: delta schedule must be strictly decreasing"),
     ],
     "max_iter": [
@@ -971,17 +1011,20 @@ BAD_VALUES = {
         ("nan", "ValueError: sweep exponents must be finite, got chis (nan,), kappas (4.0,)"),
         ("3,inf", "ValueError: sweep exponents must be finite, got chis (3.0, inf)"),
         (",", "ValueError: need at least one chi exponent"),
+        ("abc", "ValueError: --chis must be a comma list of numbers, got 'abc'"),
     ],
     "kappas": [
         ("nan", "ValueError: sweep exponents must be finite, got chis (3.0,), kappas (nan,)"),
         ("-inf", "ValueError: sweep exponents must be finite"),
+        ("abc", "ValueError: --kappas must be a comma list of numbers, got 'abc'"),
     ],
     "widths": [
-        ("nan,1e-2", "ValueError: widths must be finite, positive and below inf: (nan, 0.01)"),
-        ("inf", "ValueError: widths must be finite, positive and below inf: (inf,)"),
-        ("-1", "ValueError: widths must be finite, positive and below inf: (-1.0,)"),
-        ("0", "ValueError: widths must be finite, positive and below inf: (0.0,)"),
+        ("nan,1e-2", "ValueError: widths must be finite and positive: (nan, 0.01)"),
+        ("inf", "ValueError: widths must be finite and positive: (inf,)"),
+        ("-1", "ValueError: widths must be finite and positive: (-1.0,)"),
+        ("0", "ValueError: widths must be finite and positive: (0.0,)"),
         (",", "ValueError: widths must be nonempty"),
+        ("abc", "ValueError: --widths must be a comma list of numbers, got 'abc'"),
         ("1e-2,1e-1", "ValueError: widths must be strictly decreasing"),
         ("3", "ValueError: width exceeds the margin to the lateral boundary"),
     ],
@@ -1003,6 +1046,11 @@ BAD_VALUES = {
         ("8:1:0:17", "CandidateInvariantError: bad jump cell range (0, 17)"),
     ],
     "smooth_table": NOT_A_TABLE,
+    # an existing file, and a path under one
+    "out_dir": [
+        ("{small}", "ArgumentError: argument --out-dir: no folder can be written at '"),
+        ("{small}/out", "ArgumentError: argument --out-dir: no folder can be written at '"),
+    ],
     "candidate_table": NOT_A_TABLE,
     "density": [
         ("power:nan", NON_FINITE_ID),
@@ -1044,6 +1092,9 @@ BAD_VALUES = {
 # values that are bad only together with another flag of the base
 CROSS_INPUT = [
     ("relax-gap", {"jump": "8:2"}, "CandidateInvariantError: bottom trace mismatches"),
+    # the table's u0 note must not join the error line
+    ("solve", {"u0": "custom-table:{valid}", "deltas": "nan"},
+     "ValueError: delta schedule must be finite, positive and below 1: (nan,)"),
     ("sweep", {"deltas": "1e-1,1e-2", "chis": "4"},
      "ValueError: need at least 3 schedule levels with stored fields"),
     ("approx-demo", {"u0": "step:0:5"}, "CandidateInvariantError: bottom trace mismatches"),
@@ -1088,14 +1139,17 @@ def no_solve(monkeypatch):
 
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
-    """Paths of a missing table, one on another grid and one holding nan."""
+    """Paths of a missing table, one on another grid, one holding nan and a
+    valid one."""
     folder = tmp_path_factory.mktemp("tables")
     grid, small = Grid(16, 16), Grid(8, 8)
     save_csv(GridFunction(small, np.zeros(small.node_shape)), str(folder / "small.csv"))
+    save_csv(GridFunction(grid, np.zeros(grid.node_shape)), str(folder / "valid.csv"))
     values = np.zeros(grid.node_shape)
     values[3, 3] = np.nan
     save_csv(GridFunction(grid, values), str(folder / "nan.csv"))
-    return {name: str(folder / f"{name}.csv") for name in ("missing", "small", "nan")}
+    names = ("missing", "small", "nan", "valid")
+    return {name: str(folder / f"{name}.csv") for name in names}
 
 
 def test_bad_input_table_covers_every_command(tables, no_solve, tmp_path, monkeypatch, capsys):
@@ -1112,7 +1166,8 @@ def test_bad_input_table_covers_every_command(tables, no_solve, tmp_path, monkey
             assert main(argv) == 0, capsys.readouterr().err
     ids = {case.id for case in bad_input_cases()}
     for named in ("relax-gap-jump=8:2", "sweep-deltas=1e-1,1e-2,chis=4", "sweep-chis=,",
-                  "conjugate-table-n=0", "approx-demo-jump=4.5:1"):
+                  "conjugate-table-n=0", "approx-demo-jump=4.5:1", "solve-out_dir={small}",
+                  "solve-u0=custom-table:{valid},deltas=nan"):
         assert named in ids
 
 

@@ -484,10 +484,19 @@ def test_hencky_sandwich_and_curvature(k, nu):
         assert recession(h.eval, sign) == pytest.approx(sl, rel=1e-4)
 
 
-@pytest.mark.parametrize("k,nu", [(0.0, 1.0), (1.0, -2.0)])
+@pytest.mark.parametrize(
+    "k,nu", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)]
+)
 def test_hencky_domain(k, nu):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k and nu must be positive"):
         make_hencky(k, nu)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
+def test_power_domain(p):
+    # nan built a spec whose every value was nan, and inf one of nan slopes
+    with pytest.raises(ValueError, match="power N-function needs p > 1"):
+        power_density2(p)
 
 
 def test_hencky_not_usable_as_f2():

@@ -437,6 +437,34 @@ def test_benchmark_problems_pin_solver_work(
         assert rec.j_value == pytest.approx(j, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "make_cfg",
+    [
+        lambda pair: step_config(pair, 64, [1e-1, 1e-2, 1e-3, 1e-4]),
+        lambda pair: tanh_config(pair, n=96),
+    ],
+    ids=["jump", "smooth"],
+)
+def test_benchmark_problems_one_residual_per_iterate(pair_std, make_cfg, monkeypatch):
+    # a trial accepted by the rounding tie-break hands its residual to the
+    # next step, so each iterate's residual is formed once
+    calls = []
+    original = solve._DeltaProblem.residual
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(solve._DeltaProblem, "residual", counted)
+    cfg = make_cfg(pair_std)
+    u = None
+    for delta in cfg.delta_schedule:
+        calls.clear()
+        u, rec = minimize_J_delta(cfg, delta, warm_start=u)
+        assert rec.converged and rec.flags == ()
+        assert len(calls) == rec.iterations + 1
+
+
 def test_forcing_terms_cut_hessian_products(pair_std, monkeypatch):
     # CG to a fixed 1e-8 relative residual made 126 products here; the
     # Eisenstat-Walker forcing terms stop each solve once it is accurate enough
