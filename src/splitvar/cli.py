@@ -6,11 +6,12 @@ One function, main, decides how a run ends; a command only builds its
 inputs, runs and writes, and raises on failure.  Input errors exit 2,
 numerical failures (MemoryError included) 3 and contract violations 4, each
 with exactly one JSON line on stderr; input notes (a custom table's
-u0_table_lipschitz) print there only on exit 0.  --out-dir is checked as the
-flags are parsed and made when its first file is written, and each command
-checks all of its input before its first solve, so exit 2 runs no solve and
-writes no file.  Each input has one owner, the library object that uses it
-(the README lists them); this module parses ids, lists and tables.
+u0_table_lipschitz) print there only on exit 0.  --out-dir and --out are
+checked as the flags are parsed and their folders made when the first file
+is written, and each command checks all of its input before its first
+solve, so exit 2 runs no solve and writes no file.  Each input has one
+owner, the library object that uses it (the README lists them); this module
+parses ids, lists and tables.
 
 List flags (--deltas, --chis, --kappas, --widths, --jump) take comma lists;
 --jump may also repeat, and its lists add up.  Flags are named whole.
@@ -204,10 +205,25 @@ def _out_dir(path: str) -> str:
     return path
 
 
+def _out_file(path: str) -> str:
+    """--out's type, checked as the flags are parsed: a path that is not a
+    folder, in a folder that --out-dir would take."""
+    folder, name = os.path.split(path)
+    if not name or os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"no file can be written at {path!r}")
+    _out_dir(folder or ".")
+    return path
+
+
+def _made(path: str) -> str:
+    """``path`` with its folder made: output folders are made at write time."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
 def _out(args, name: str) -> str:
     """The path of output file ``name`` in --out-dir, made at write time."""
-    os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    return _made(os.path.join(args.out_dir, name))
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -295,7 +311,7 @@ def _cmd_conjugate_table(args) -> None:
     # an overflow is a numerical failure (exit 3), not an inf row
     with np.errstate(over="raise", invalid="raise"):
         values = [float(spec.conjugate(s)) for s in ss]
-    write_csv(args.out or sys.stdout, ["s", "conjugate"], [ss, values])
+    write_csv(_made(args.out) if args.out else sys.stdout, ["s", "conjugate"], [ss, values])
 
 
 def _cmd_predict(args) -> None:
@@ -357,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", required=True, help="f1 or f2 density id")
     p.add_argument("--s-max", default=0.9, help="the table spans [-s_max, s_max]")
     p.add_argument("--n", type=int, default=33)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, type=_out_file)
     p.set_defaults(func=_cmd_conjugate_table)
 
     p = sub.add_parser("predict", help="integrability exponent prediction")

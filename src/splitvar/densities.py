@@ -9,12 +9,15 @@ slopes, the Fenchel-Young residual, the delta-regularizer with its stress,
 and the exponent bookkeeping that predicts how much integrability of the
 second gradient component the a-priori machinery yields.
 
-All ``eval``/``deriv``/``second_deriv`` maps are numpy ufunc style: they
-accept floats or arrays and broadcast, and a float in gives a float out.
-Every built-in density is even, so each family is written once, as a
-profile g on [0, inf) with its slope g', curvature g'' and, where one
-exists, closed conjugate g*; the public maps are the even extension
-t -> g(|t|), the odd slope t -> sign(t) g'(|t|), and s -> g*(|s|).
+All ``eval``/``deriv``/``second_deriv``/``conjugate`` maps are numpy ufunc
+style: they accept floats or arrays and broadcast, and a float in gives a
+float out.  A spec carries its conjugate as the field ``conjugate``: each
+family builds its own, and a custom spec passes one.  For an f2 with no
+closed conjugate, ``conjugate_via_slope_inversion`` at |s| is the helper
+(``tlog_density2`` uses it).  Every built-in density is even, so each family
+is written once, as a profile g on [0, inf) with its slope g', curvature g''
+and conjugate g*; the public maps are the even extension t -> g(|t|), the
+odd slope t -> sign(t) g'(|t|), and s -> g*(|s|).
 """
 
 from __future__ import annotations
@@ -83,7 +86,9 @@ class ConjugateBoundaryWarning(UserWarning):
 class Density1Spec:
     """Convex density of linear growth acting on the first gradient component.
 
-    ``recession_plus``/``recession_minus`` are the slopes at +/- infinity.
+    ``recession_plus``/``recession_minus`` are the slopes at +/- infinity;
+    ``conjugate`` is f1*, which raises ConjugateRangeError where it is
+    infinite, beyond the recession slopes.
     """
 
     eval: ScalarMap
@@ -91,29 +96,8 @@ class Density1Spec:
     second_deriv: ScalarMap
     recession_plus: float
     recession_minus: float
+    conjugate: ScalarMap
     name: str = "density1"
-    conjugate_closed: Optional[ScalarMap] = None
-
-    def conjugate(self, s):
-        """Convex conjugate f1*(s).
-
-        Finite only for slopes strictly inside (-recession_minus,
-        recession_plus); outside, the conjugate is +infinity and a
-        ConjugateRangeError is raised.
-        """
-        if self.conjugate_closed is not None:
-            return self.conjugate_closed(s)
-        s_arr = np.asarray(s, dtype=np.float64)
-        lo, hi = -self.recession_minus, self.recession_plus
-        if np.any(s_arr <= lo) or np.any(s_arr >= hi):
-            raise ConjugateRangeError(
-                f"{self.name}: conjugate finite only on ({lo}, {hi})"
-            )
-        flat = s_arr.ravel()
-        # f1 is convex on the whole line: the bracket starts at [-1, 1]
-        t_star = _invert_slope(self.deriv, flat, -1.0)
-        out = flat * t_star - np.asarray(self.eval(t_star))
-        return out.reshape(s_arr.shape) if s_arr.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -122,22 +106,16 @@ class Density2Spec:
 
     ``p`` is the power-growth exponent (1 for nearly-linear N-functions such
     as t*log(1+t)); the solver's default regularizer exponent reads it.
+    ``conjugate`` is f2*; for an f2 with no closed conjugate,
+    ``conjugate_via_slope_inversion`` at |s| builds it.
     """
 
     eval: ScalarMap
     deriv: ScalarMap
     second_deriv: ScalarMap
     p: float
+    conjugate: ScalarMap
     name: str = "density2"
-    conjugate_closed: Optional[ScalarMap] = None
-
-    def conjugate(self, s):
-        """Convex conjugate f2*(|s|) of the even density f2: the closed form
-        when there is one, else slope inversion at |s|."""
-        if self.conjugate_closed is not None:
-            return self.conjugate_closed(s)
-        s_abs = np.abs(np.asarray(s, dtype=np.float64))
-        return conjugate_via_slope_inversion(self.eval, self.deriv, s_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +130,8 @@ def conjugate_scalar(g: ScalarMap, s: float, t_max: float = 1e6) -> float:
     The derivative-free reference conjugate, one slope at a time: acceptance
     criterion 1 checks the power-density conjugates against it, and the
     biconjugate tests conjugate a conjugate with it.  The package's own
-    conjugates without a closed form invert the slope map instead
-    (``conjugate_via_slope_inversion``, ``Density1Spec.conjugate``).
+    conjugate without a closed form inverts the slope map instead
+    (``conjugate_via_slope_inversion``).
 
     The objective must be concave (g convex); a unimodality violation on the
     coarse grid raises NonConcaveObjectiveError.  When the maximizer lands
@@ -219,40 +197,33 @@ def conjugate_via_slope_inversion(g: ScalarMap, dg: ScalarMap, s) -> np.ndarray:
     # is inverted and comes back NaN
     inner = np.flatnonzero(~(flat <= float(dg(0.0))))
     if inner.size:
-        t_star = _invert_slope(dg, flat[inner], 0.0)
+        t_star = _invert_slope(dg, flat[inner])
         out[inner] = flat[inner] * t_star - np.asarray(g(t_star))
     return out.reshape(s_arr.shape) if s_arr.ndim else float(out[0])
 
 
-def _invert_slope(deriv: ScalarMap, s: np.ndarray, lo: float) -> np.ndarray:
-    """Solve deriv(t) = s entrywise for a nondecreasing deriv; s is 1-D.
+def _invert_slope(deriv: ScalarMap, s: np.ndarray) -> np.ndarray:
+    """Solve deriv(t) = s entrywise for a nondecreasing deriv; s is 1-D and
+    every slope exceeds deriv(0).
 
-    Every bracket starts at [lo, 1] (lo is 0 or -1); its upper end, and its
-    lower end when lo < 0, doubles per entry until the bracket encloses the
-    slope, and an end beyond |t| = 1e12 raises ConjugateRangeError.
-    Bisection then halves each bracket, freezing an entry once
-    hi - lo <= 1e-15*max(1, |hi|), and returns the midpoints.  Only the
-    entries still moving are passed to ``deriv``.
+    Every bracket starts at [0, 1]; its upper end doubles per entry until
+    the bracket encloses the slope, and an end beyond t = 1e12 raises
+    ConjugateRangeError.  Bisection then halves each bracket, freezing an
+    entry once hi - lo <= 1e-15*max(1, |hi|), and returns the midpoints.
+    Only the entries still moving are passed to ``deriv``.
     """
-    a = np.full(s.shape, float(lo))
+    a = np.zeros(s.shape)
     b = np.ones(s.shape)
-
-    def widen(end, outside):
-        idx = np.flatnonzero(outside(deriv(end), s))
-        while idx.size:
-            end[idx] *= 2.0
-            beyond = np.abs(end[idx]) > _T_CAP
-            if np.any(beyond):
-                raise ConjugateRangeError(
-                    f"slope {s[idx][beyond][0]:g} not attained for |t| <= "
-                    f"{_T_CAP:g}; conjugate infinite"
-                )
-            idx = idx[outside(deriv(end[idx]), s[idx])]
-
-    if lo < 0.0:
-        # a NaN slope is never enclosed and runs into the cap
-        widen(a, lambda d, sl: ~(d <= sl))
-    widen(b, lambda d, sl: d < sl)
+    idx = np.flatnonzero(deriv(b) < s)
+    while idx.size:
+        b[idx] *= 2.0
+        beyond = b[idx] > _T_CAP
+        if np.any(beyond):
+            raise ConjugateRangeError(
+                f"slope {s[idx][beyond][0]:g} not attained for |t| <= "
+                f"{_T_CAP:g}; conjugate infinite"
+            )
+        idx = idx[deriv(b[idx]) < s[idx]]
     idx = np.arange(s.size)
     for _ in range(200):
         mid = 0.5 * (a[idx] + b[idx])
@@ -351,8 +322,8 @@ def make_phi_nu(nu: float) -> Density1Spec:
         second_deriv=_of_abs(lambda s: (nu - 1.0) * (1.0 + s) ** (-nu)),
         recession_plus=1.0,
         recession_minus=1.0,
+        conjugate=_of_abs(conj),
         name=f"phi_nu:{nu:g}",
-        conjugate_closed=_of_abs(conj),
     )
 
 
@@ -384,8 +355,8 @@ def make_hencky(k: float, nu: float) -> Density1Spec:
         second_deriv=_of_abs(lambda s: np.where(s <= s0, 2.0 * nu, 0.0)),
         recession_plus=sl,
         recession_minus=sl,
+        conjugate=_of_abs(conj),
         name=f"hencky:{k:g}:{nu:g}",
-        conjugate_closed=_of_abs(conj),
     )
 
 
@@ -404,19 +375,23 @@ def power_density2(p: float) -> Density2Spec:
         deriv=_odd(lambda s: p * s ** (p - 1.0)),
         second_deriv=_of_abs(d2),
         p=p,
-        name=f"power:{p:g}",
         # sup_t s*t - t**p attained at t = (s/p)**(1/(p-1))
-        conjugate_closed=_of_abs(lambda s: (p - 1.0) * (s / p) ** q),
+        conjugate=_of_abs(lambda s: (p - 1.0) * (s / p) ** q),
+        name=f"power:{p:g}",
     )
 
 
 def tlog_density2() -> Density2Spec:
-    """Nearly-linear superlinear density f2(t) = |t|*log(1+|t|)."""
+    """Nearly-linear superlinear density f2(t) = |t|*log(1+|t|); its
+    conjugate, which has no closed form, inverts the slope map at |s|."""
+    f2 = _of_abs(lambda s: s * np.log1p(s))
+    df2 = _odd(lambda s: np.log1p(s) + s / (1.0 + s))
     return Density2Spec(
-        eval=_of_abs(lambda s: s * np.log1p(s)),
-        deriv=_odd(lambda s: np.log1p(s) + s / (1.0 + s)),
+        eval=f2,
+        deriv=df2,
         second_deriv=_of_abs(lambda s: (2.0 + s) / (1.0 + s) ** 2),
         p=1.0,
+        conjugate=lambda s: conjugate_via_slope_inversion(f2, df2, np.abs(s)),
         name="nfun_tlog",
     )
 
@@ -456,10 +431,7 @@ def make_pair(f1: Density1Spec, f2: Density2Spec) -> DensityPair:
         raise ValueError(
             f"{f2.name}: linear growth detected; the second slot must be superlinear"
         )
-    # each spec's conjugate dispatches to its closed form when it has one
-    return DensityPair(
-        f1=f1, f2=f2, conjugate_f1=f1.conjugate, conjugate_f2=f2.conjugate
-    )
+    return DensityPair(f1=f1, f2=f2, conjugate_f1=f1.conjugate, conjugate_f2=f2.conjugate)
 
 
 def _finite_float(text, what: str = "each parameter") -> float:

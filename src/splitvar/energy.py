@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .densities import DensityPair, _resolve_p_reg, regularizer
-from .grid import CellField2, Grid, GridFunction, gradient
+from .grid import CellField2, GridFunction, gradient
 
 __all__ = [
     "EnergyOverflowError",
@@ -172,36 +172,27 @@ def lift_to_candidate(u: GridFunction) -> BVCandidate:
     return BVCandidate(smooth_part=u.copy())
 
 
-def _resolve_boundary(u0, grid: Grid) -> np.ndarray:
-    if isinstance(u0, GridFunction):
-        if u0.grid != grid:
-            raise ValueError("boundary data grid does not match the candidate grid")
-        return u0.values
-    arr = np.asarray(u0, dtype=np.float64)
-    if arr.shape != grid.node_shape:
-        raise ValueError("boundary data array must have full nodal shape")
-    return arr
-
-
 def _recession_of_sign(d: DensityPair, x: np.ndarray) -> np.ndarray:
     """f1 recession slope applied to the sign of x (one-homogeneous pricing)."""
     return np.where(x >= 0.0, d.f1.recession_plus, d.f1.recession_minus)
 
 
-def eval_K(w: BVCandidate, d: DensityPair, u0) -> EnergyBreakdown:
+def eval_K(w: BVCandidate, d: DensityPair, u0: GridFunction) -> EnergyBreakdown:
     """Relaxed energy of a jump candidate.
 
     Absolutely continuous part from the smooth nodal field, interior jumps
     priced at recession-slope times jump mass, detachment from the boundary
     data on the two vertical sides priced the same way with trapezoid
-    weights.  ``u0`` is a GridFunction or a full nodal array; only its ring
-    is read.  The top and bottom edges of ``w.boundary()`` (nodes on jump
-    lines and corners excluded) must match the boundary data to TRACE_TOL
-    relative; the first mismatch, bottom edge before top, raises
+    weights.  ``u0`` is a GridFunction on the candidate's grid; only its
+    ring is read.  The top and bottom edges of ``w.boundary()`` (nodes on
+    jump lines and corners excluded) must match the boundary data to
+    TRACE_TOL relative; the first mismatch, bottom edge before top, raises
     CandidateInvariantError.
     """
     g = w.smooth_part.grid
-    u0_vals = _resolve_boundary(u0, g)
+    if u0.grid != g:
+        raise ValueError("boundary data grid does not match the candidate grid")
+    u0_vals = u0.values
     ring = w.boundary().values
 
     # corner nodes are exempt: they have zero boundary measure and sit on the

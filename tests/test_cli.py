@@ -212,12 +212,36 @@ def test_conjugate_table(tmp_path, capsys):
     # conjugate of t^2 is s^2/4
     assert np.allclose([r[1] for r in rows], [4.0, 1.0, 0.0, 1.0, 4.0], rtol=1e-6)
 
-    path = tmp_path / "table.csv"
-    rc, _, _ = run(argv + ["--out", str(path)], capsys)
-    assert rc == 0
+    # --out's missing folders are made when the table is written
+    path = tmp_path / "adir" / "x" / "table.csv"
+    rc, out_file, _ = run(argv + ["--out", str(path)], capsys)
+    assert (rc, out_file) == (0, "")
     # the same CSV bytes as every other writer: CRLF line ends
     assert out.startswith("s,conjugate\r\n")
     assert path.read_bytes() == out.encode()
+
+
+def test_conjugate_table_bad_out_evaluates_no_conjugate(tmp_path, monkeypatch, capsys):
+    # --out is checked as the flags are parsed, before the first conjugate
+    def no_conjugate(s):
+        raise AssertionError("a conjugate was evaluated")
+
+    spec = cli.density_from_id("power:2")
+    monkeypatch.setattr(cli, "density_from_id", lambda ident: dataclasses.replace(
+        spec, conjugate=no_conjugate))
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    argv = ["conjugate-table", "--density", "power:2", "--out"]
+    with pytest.raises(AssertionError, match="a conjugate was evaluated"):
+        main([*argv, str(tmp_path / "adir" / "t.csv")])
+    for out in (tmp_path / "adir", tmp_path / "afile" / "t.csv"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(out)])
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "argument --out:" in json.loads(line)["error"]["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def test_conjugate_table_nfun_tlog_needs_no_slot(capsys):
@@ -917,8 +941,8 @@ def test_exit_3_out_of_memory(tmp_path, monkeypatch, capsys):
 # every flag of every command, checked before the first solve
 # ---------------------------------------------------------------------------
 
-# flags that no input rule constrains: help, and the file --out names
-FREE_FORM = {"help", "out"}
+# flags that no input rule constrains
+FREE_FORM = {"help"}
 # commands that run a continuation once their input is built
 SOLVING = {"solve", "dual-report", "sweep", "relax-gap"}
 
@@ -1052,6 +1076,11 @@ BAD_VALUES = {
         ("{small}/out", "ArgumentError: argument --out-dir: no folder can be written at '"),
     ],
     "candidate_table": NOT_A_TABLE,
+    # an existing folder, and a path under a file
+    "out": [
+        ("{folder}", "ArgumentError: argument --out: no file can be written at '"),
+        ("{small}/t.csv", "ArgumentError: argument --out: no folder can be written at '"),
+    ],
     "density": [
         ("power:nan", NON_FINITE_ID),
         ("phi_nu:inf", NON_FINITE_ID),
@@ -1139,8 +1168,8 @@ def no_solve(monkeypatch):
 
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
-    """Paths of a missing table, one on another grid, one holding nan and a
-    valid one."""
+    """Paths of a missing table, one on another grid, one holding nan, a
+    valid one and the folder that holds them."""
     folder = tmp_path_factory.mktemp("tables")
     grid, small = Grid(16, 16), Grid(8, 8)
     save_csv(GridFunction(small, np.zeros(small.node_shape)), str(folder / "small.csv"))
@@ -1149,7 +1178,7 @@ def tables(tmp_path_factory):
     values[3, 3] = np.nan
     save_csv(GridFunction(grid, values), str(folder / "nan.csv"))
     names = ("missing", "small", "nan", "valid")
-    return {name: str(folder / f"{name}.csv") for name in names}
+    return {"folder": str(folder), **{name: str(folder / f"{name}.csv") for name in names}}
 
 
 def test_bad_input_table_covers_every_command(tables, no_solve, tmp_path, monkeypatch, capsys):
@@ -1167,6 +1196,7 @@ def test_bad_input_table_covers_every_command(tables, no_solve, tmp_path, monkey
     ids = {case.id for case in bad_input_cases()}
     for named in ("relax-gap-jump=8:2", "sweep-deltas=1e-1,1e-2,chis=4", "sweep-chis=,",
                   "conjugate-table-n=0", "approx-demo-jump=4.5:1", "solve-out_dir={small}",
+                  "conjugate-table-out={folder}",
                   "solve-u0=custom-table:{valid},deltas=nan"):
         assert named in ids
 

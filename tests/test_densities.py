@@ -40,12 +40,16 @@ SIGNED_GRID = np.concatenate([-FIT_GRID[:0:-1], FIT_GRID])
 
 def smooth_power3():
     """f2(t) = rho_3(t) - 1, an f2 with no closed-form conjugate; the value is
-    expm1(3/2 log1p(t**2)), which keeps full relative accuracy at small t."""
+    expm1(3/2 log1p(t**2)), which keeps full relative accuracy at small t,
+    and the conjugate inverts the slope map at |s|."""
+    f2 = _pointwise(lambda t: np.expm1(1.5 * np.log1p(t * t)))
+    df2 = _pointwise(lambda t: regularizer_deriv(t, 3.0))
     return Density2Spec(
-        eval=_pointwise(lambda t: np.expm1(1.5 * np.log1p(t * t))),
-        deriv=_pointwise(lambda t: regularizer_deriv(t, 3.0)),
+        eval=f2,
+        deriv=df2,
         second_deriv=_pointwise(lambda t: regularizer_second_deriv(t, 3.0)),
         p=3.0,
+        conjugate=lambda s: conjugate_via_slope_inversion(f2, df2, np.abs(s)),
         name="smooth_power:3",
     )
 
@@ -61,13 +65,11 @@ def scan_conjugate(g, s, t_hi, n=2_000_001):
     return float(np.max(s * ts - np.asarray(g(ts))))
 
 
-def loop_inversion(deriv, slopes, lo):
+def loop_inversion(deriv, slopes):
     """One bracketed bisection per slope, the loop ``_invert_slope`` replaces."""
     out = []
     for s in slopes:
-        a, b = lo, 1.0
-        while lo < 0.0 and float(deriv(a)) > s:
-            a *= 2.0
+        a, b = 0.0, 1.0
         while float(deriv(b)) < s:
             b *= 2.0
         for _ in range(200):
@@ -154,42 +156,48 @@ def test_slope_inversion_matches_closed_forms(phi15):
 
 
 @pytest.mark.parametrize(
-    "deriv,lo,s_lo,s_hi",
-    [
-        (tlog_density2().deriv, 0.0, 1e-3, 25.0),
-        (smooth_power3().deriv, 0.0, 1e-3, 1e4),
-        (make_phi_nu(1.5).deriv, -1.0, -0.999, 0.999),
-        (make_hencky(1.0, 0.3).deriv, -1.0, -1.41, 1.41),
-    ],
-    ids=["nfun_tlog", "smooth_power_3", "phi_nu_1.5", "hencky_1_0.3"],
+    "deriv,s_hi",
+    [(tlog_density2().deriv, 25.0), (smooth_power3().deriv, 1e4)],
+    ids=["nfun_tlog", "smooth_power_3"],
 )
-def test_invert_slope_matches_per_entry_bisection(deriv, lo, s_lo, s_hi):
-    slopes = np.random.default_rng(11).uniform(s_lo, s_hi, 200)
-    got = _invert_slope(deriv, slopes, lo)
-    want = loop_inversion(deriv, slopes, lo)
+def test_invert_slope_matches_per_entry_bisection(deriv, s_hi):
+    slopes = np.random.default_rng(11).uniform(1e-3, s_hi, 200)
+    got = _invert_slope(deriv, slopes)
+    want = loop_inversion(deriv, slopes)
     # array and scalar calls of deriv may round apart, which can move a
     # bisection step by one bracket width: 1e-15*max(1, |t|), twice over
     assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want)))
 
 
-def test_signed_inversion_matches_closed_forms():
-    # with the closed form stripped, the signed f1 conjugate inverts f1'
-    for spec in (make_phi_nu(1.5), make_hencky(1.0, 0.3)):
-        bare = dataclasses.replace(spec, conjugate_closed=None)
-        rec = spec.recession_plus
-        slopes = np.linspace(-0.999 * rec, 0.999 * rec, 48).reshape(6, 8)
-        got = bare.conjugate(slopes)
-        want = spec.conjugate_closed(slopes)
-        assert got.shape == slopes.shape
-        # near s = 0 the density's own evaluation cancels, so the bound is
-        # relative to 1 + |f1*|
-        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
-        scalar = bare.conjugate(np.float64(0.3 * rec))
-        assert isinstance(scalar, float)
-        assert scalar == pytest.approx(spec.conjugate_closed(0.3 * rec), rel=1e-13)
-        for edge in (-rec, rec):
-            with pytest.raises(ConjugateRangeError):
-                bare.conjugate(np.array([0.0, edge]))
+@pytest.mark.parametrize(
+    "ident,s_max,floor",
+    [
+        ("power:1.5", 6.0, 0.0),
+        ("power:2", 6.0, 0.0),
+        ("power:3", 6.0, 0.0),
+        # the closed phi_nu conjugate cancels near s = 0, so the f1 bounds
+        # are relative to 1 + |f1*|
+        ("phi_nu:1.5", 0.999, 1.0),
+        ("hencky:1:0.3", 0.999 * math.sqrt(2.0), 1.0),
+    ],
+    ids=["power:1.5", "power:2", "power:3", "phi_nu:1.5", "hencky:1:0.3"],
+)
+def test_family_conjugates_match_slope_inversion(ident, s_max, floor):
+    # each family's own conjugate against inverting its slope map at |s|
+    spec = density_from_id(ident)
+    slopes = np.linspace(-s_max, s_max, 48).reshape(6, 8)
+    got = spec.conjugate(slopes)
+    want = conjugate_via_slope_inversion(spec.eval, spec.deriv, np.abs(slopes))
+    assert got.shape == slopes.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * (floor + np.abs(want)))
+
+
+def test_tlog_conjugate_is_the_slope_inversion():
+    a = tlog_density2()
+    slopes = np.random.default_rng(5).uniform(-20.0, 20.0, (6, 8))
+    want = conjugate_via_slope_inversion(a.eval, a.deriv, np.abs(slopes))
+    assert a.conjugate(slopes).tobytes() == want.tobytes()
+    assert a.conjugate(-2.5) == conjugate_via_slope_inversion(a.eval, a.deriv, 2.5)
 
 
 @pytest.mark.parametrize(
@@ -226,10 +234,9 @@ def test_inversion_deriv_call_budget():
         calls.append(np.size(t))
         return a.deriv(t)
 
-    counted = dataclasses.replace(a, deriv=deriv)
     slopes = np.random.default_rng(7).uniform(0.0, 20.0, (64, 64))
-    counted.conjugate(slopes)
-    assert len(calls) <= 300
+    conjugate_via_slope_inversion(a.eval, deriv, slopes)
+    assert 1 <= len(calls) <= 300
 
 
 # ---------------------------------------------------------------------------

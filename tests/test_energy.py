@@ -136,8 +136,7 @@ def zero_candidate_with_unit_jump(n=8):
 
 
 def step_boundary(grid):
-    x1, _ = grid.node_coords()
-    return np.broadcast_to((x1 > 0.0).astype(float)[:, None], grid.node_shape)
+    return GridFunction.from_callable(grid, lambda x1, x2: np.where(x1 > 0.0, 1.0, 0.0))
 
 
 def test_candidate_rejects_boundary_jump_line():
@@ -204,7 +203,7 @@ def test_eval_k_lateral_detachment(pair_std):
     u0[0, :] = 1.0
     u0[-1, :] = 1.0
     w = lift_to_candidate(GridFunction(g, np.zeros(g.node_shape)))
-    bd = eval_K(w, pair_std, u0)
+    bd = eval_K(w, pair_std, GridFunction(g, u0))
     assert bd.k_boundary == 4.0
     assert bd.k_singular == 0.0
 
@@ -227,7 +226,7 @@ def test_eval_k_signed_recession(pair_std):
     w = BVCandidate(smooth, jumps=(JumpSegment(4, 0, 8, -0.75),))
     x1, _ = g.node_coords()
     u0 = np.broadcast_to(np.where(x1 > 0.0, -0.75, 0.0)[:, None], g.node_shape)
-    bd = eval_K(w, pair_std, u0)
+    bd = eval_K(w, pair_std, GridFunction(g, u0))
     assert bd.k_singular == pytest.approx(1.5, abs=1e-15)
 
 
@@ -239,7 +238,7 @@ def test_eval_k_partial_span_prices_by_length(pair_std):
     x1, _ = g.node_coords()
     u0 = np.zeros(g.node_shape)
     u0[:, 0] = (x1 > 0.0).astype(float)  # bottom must match the shifted trace
-    bd = eval_K(w, pair_std, u0)
+    bd = eval_K(w, pair_std, GridFunction(g, u0))
     assert bd.k_singular == pytest.approx(1.0, abs=1e-15)
 
 
@@ -247,7 +246,7 @@ def test_eval_k_trace_violation(pair_std):
     w = zero_candidate_with_unit_jump(8)
     # plain floats in the message, not numpy reprs
     with pytest.raises(CandidateInvariantError, match="1.0 vs 0.0"):
-        eval_K(w, pair_std, np.zeros(w.smooth_part.grid.node_shape))
+        eval_K(w, pair_std, w.smooth_part)  # the zero field
 
 
 def test_eval_k_boundary_grid_mismatch(pair_std):
@@ -255,9 +254,3 @@ def test_eval_k_boundary_grid_mismatch(pair_std):
     other = GridFunction(Grid(4, 4), np.zeros((5, 5)))
     with pytest.raises(ValueError):
         eval_K(w, pair_std, other)
-
-
-def test_eval_k_boundary_array_shape(pair_std):
-    w = zero_candidate_with_unit_jump(8)
-    with pytest.raises(ValueError, match="full nodal shape"):
-        eval_K(w, pair_std, np.zeros((9, 8)))
