@@ -125,7 +125,6 @@ def integrability_sweep(
 
     grid = report.u_final.grid
     mask = _inset_mask(grid, margin)
-    area = grid.cell_area
 
     deltas = [r.delta for r in stored]
     chi_integrals = {chi: [] for chi in chis}
@@ -136,9 +135,9 @@ def integrability_sweep(
         base2 = 1.0 + g.comp2[mask] ** 2
         base1 = 1.0 + g.comp1[mask] ** 2
         for chi in chi_integrals:
-            chi_integrals[chi].append(area * float(np.sum(base2 ** (0.5 * chi))))
+            chi_integrals[chi].append(grid.integrate(base2 ** (0.5 * chi)))
         for kappa in kappa_integrals:
-            kappa_integrals[kappa].append(area * float(np.sum(base1 ** (0.5 * kappa))))
+            kappa_integrals[kappa].append(grid.integrate(base1 ** (0.5 * kappa)))
 
     chi_flags = {chi: _bounded_flag(vals) for chi, vals in chi_integrals.items()}
     kappa_flags = {k: _bounded_flag(vals) for k, vals in kappa_integrals.items()}
@@ -265,7 +264,7 @@ def approximation_experiment(
 
     grad_smooth = gradient(w.smooth_part)
     c1, c2 = grad_smooth.comp1, grad_smooth.comp2
-    base_area = g.cell_area * float(np.sum(np.sqrt(1.0 + c1**2 + c2**2)))
+    base_area = g.integrate(np.sqrt(1.0 + c1**2 + c2**2))
     jump_mass = sum(
         abs(seg.height) * (seg.cell_end - seg.cell_start) * g.h2 for seg in w.jumps
     )

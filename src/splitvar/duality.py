@@ -84,7 +84,7 @@ def _dual_value(tau: CellField2, d: DensityPair, g0: CellField2) -> float:
     conj1 = np.asarray(d.conjugate_f1(tau.comp1), dtype=np.float64)
     conj2 = np.asarray(d.conjugate_f2(tau.comp2), dtype=np.float64)
     pairing = tau.comp1 * g0.comp1 + tau.comp2 * g0.comp2
-    return g0.grid.cell_area * float(np.sum(pairing - conj1 - conj2))
+    return g0.grid.integrate(pairing - conj1 - conj2)
 
 
 def _extremality(g: CellField2, sigma: CellField2, d: DensityPair) -> float:
@@ -170,9 +170,7 @@ def duality_gap(
 
     if delta > 0.0:
         q = p_reg / (p_reg - 1.0)
-        norm_q = (
-            u.grid.cell_area * float(np.sum(np.abs(delta * x_delta) ** q))
-        ) ** (1.0 / q)
+        norm_q = u.grid.integrate(np.abs(delta * x_delta) ** q) ** (1.0 / q)
     else:
         norm_q = 0.0
 

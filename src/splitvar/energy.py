@@ -1,14 +1,14 @@
 """Discrete energies: the split functional, its regularization and the relaxed
 functional on jump candidates.
 
-All area integrals use midpoint quadrature on cell-centered gradient values
-with weight h1*h2.  The relaxed functional prices interior jumps along
-vertical grid lines at recession-slope times jump mass, and boundary
-detachment on the two vertical sides the same way with trapezoid weights.
-A candidate's trace is one nodal ring, ``BVCandidate.boundary()``, whose
-top and bottom edges must match the data and whose vertical sides price
-detachment.  Each energy comes back as an ``EnergyBreakdown`` of its parts,
-and ``j_total`` sums them.
+All area integrals are ``Grid.integrate``'s midpoint quadrature on
+cell-centered gradient values.  The relaxed functional prices interior
+jumps along vertical grid lines at recession-slope times jump mass, and
+boundary detachment on the two vertical sides the same way with trapezoid
+weights.  A candidate's trace is one nodal ring, ``BVCandidate.boundary()``,
+whose top and bottom edges must match the data and whose vertical sides
+price detachment.  Each energy comes back as an ``EnergyBreakdown`` of its
+parts, and ``j_total`` sums them.
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ def _cell_sums(
     The one place the split energy is summed: the solver's line search and
     the certificates call it alike, so their J and J_delta agree bitwise.
     """
-    w = g.grid.cell_area
+    integrate = g.grid.integrate
     # overflow surfaces as the non-finite check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        j1 = w * float(np.sum(d.f1.eval(g.comp1)))
-        j2 = w * float(np.sum(d.f2.eval(g.comp2)))
-        i_reg = 0.0 if p_reg is None else w * float(np.sum(regularizer(g.comp1, p_reg)))
+        j1 = integrate(d.f1.eval(g.comp1))
+        j2 = integrate(d.f2.eval(g.comp2))
+        i_reg = 0.0 if p_reg is None else integrate(regularizer(g.comp1, p_reg))
     if not math.isfinite(j1 + j2 + i_reg):
         raise EnergyOverflowError("non-finite cell energy")
     return j1, j2, i_reg

@@ -72,6 +72,11 @@ class Grid:
     def cell_area(self) -> float:
         return self.h1 * self.h2
 
+    def integrate(self, cells) -> float:
+        """Midpoint quadrature of a per-cell array: h1*h2 times its numpy
+        (pairwise) sum.  The one rule for every area integral of the package."""
+        return self.cell_area * float(np.sum(cells))
+
     @property
     def node_shape(self) -> tuple[int, int]:
         return (self.n1 + 1, self.n2 + 1)
@@ -107,7 +112,8 @@ class GridFunction:
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
         x1, x2 = grid.node_coords()
         vals = fn(x1[:, None], x2[None, :])
-        return cls(grid, np.broadcast_to(vals, grid.node_shape).astype(np.float64).copy())
+        # astype copies; order="C" keeps a field of x2 alone row-major
+        return cls(grid, np.broadcast_to(vals, grid.node_shape).astype(np.float64, order="C"))
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())

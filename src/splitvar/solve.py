@@ -237,22 +237,18 @@ class _DeltaProblem:
         return w1, w2
 
 
-def _dst1(x: np.ndarray, ext: np.ndarray, neg_out: Optional[np.ndarray] = None):
+def _dst1(x: np.ndarray, ext: np.ndarray, out: Optional[np.ndarray] = None):
     """Unnormalized DST-I along the last axis, y_k = 2 sum_i x_i sin(pi k i / n)
-    with n = m + 1 for m entries, from the real FFT of the odd extension
-    [0, x, 0, -x reversed].  Applied twice it is 2n times the identity.
-    ``ext`` is the buffer of the extension: last axis 2m + 2, zero in columns
-    0 and m + 1, so that one buffer serves every transform of one shape.
-    Returns a new array, or with ``neg_out`` writes -y there, with no
-    temporary beyond the FFT's own, and returns ``neg_out``."""
+    with n = m + 1 for m entries: minus the imaginary part of the real FFT of
+    the odd extension [0, x, 0, -x reversed].  Applied twice it is 2n times
+    the identity.  ``ext`` is the buffer of the extension: last axis 2m + 2,
+    zero in columns 0 and m + 1, so that one buffer serves every transform of
+    one shape.  Returns y in a new array, or in ``out``, with no temporary
+    beyond the FFT's own."""
     m = x.shape[-1]
     ext[..., 1 : m + 1] = x
     np.negative(x[..., ::-1], out=ext[..., m + 2 :])
-    neg_y = np.fft.rfft(ext)[..., 1 : m + 1].imag
-    if neg_out is None:
-        return -neg_y
-    neg_out[...] = neg_y
-    return neg_out
+    return np.negative(np.fft.rfft(ext)[..., 1 : m + 1].imag, out=out)
 
 
 def _line_preconditioner(grid: Grid) -> SimpleNamespace:
@@ -280,9 +276,7 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
     and D^-1 once; ``factor(w1, w2)`` refactors them in place at each Newton
     step, with T's off-diagonal held in y until the next apply overwrites
     it, and ``apply(r)`` returns a new array.  The first DST of an apply
-    writes -(r S) straight into y, and the factor stores -D^-1 in place of
-    D^-1.  Negation commutes with rounding, so the two sign flips cancel
-    exactly and z is bitwise the unfolded product.
+    writes r S straight into y.
     """
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     t2 = np.arange(1, n2) * (math.pi / n2)
@@ -309,10 +303,10 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
         for o, d, low, d_next in factor_rows:
             np.divide(o, d, out=low)
             d_next -= low * o
-        np.divide(-1.0, diag, out=inv_diag)
+        np.divide(1.0, diag, out=inv_diag)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        _dst1(r, ext, neg_out=y)
+        _dst1(r, ext, out=y)
         for row, low, prev in sweep_rows:
             row -= low * prev
         y[...] *= inv_diag

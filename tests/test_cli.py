@@ -1196,7 +1196,8 @@ def test_bad_input_table_covers_every_command(tables, no_solve, tmp_path, monkey
     ids = {case.id for case in bad_input_cases()}
     for named in ("relax-gap-jump=8:2", "sweep-deltas=1e-1,1e-2,chis=4", "sweep-chis=,",
                   "conjugate-table-n=0", "approx-demo-jump=4.5:1", "solve-out_dir={small}",
-                  "conjugate-table-out={folder}",
+                  "conjugate-table-out={folder}", "solve-grid=8", "solve-f1=mystery:1",
+                  "solve-u0=custom-table:{small}",
                   "solve-u0=custom-table:{valid},deltas=nan"):
         assert named in ids
 

@@ -141,6 +141,10 @@ def test_from_callable_broadcasts_constant():
     g = Grid(3, 3)
     u = GridFunction.from_callable(g, lambda x1, x2: 2.5)
     assert np.array_equal(u.values, np.full(g.node_shape, 2.5))
+    # a field of x2 alone is stored row-major, as every other field is
+    v = GridFunction.from_callable(g, lambda x1, x2: x2)
+    assert v.values.flags.c_contiguous
+    assert np.array_equal(v.values, np.broadcast_to(g.node_coords()[1], g.node_shape))
 
 
 def test_csv_round_trip_bitwise(tmp_path):

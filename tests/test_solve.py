@@ -218,11 +218,16 @@ def test_affine_oracle_from_perturbed_interior(pair_std):
 
 
 def test_dst1_matches_reference_transform():
-    sfft = pytest.importorskip("scipy.fft")
     x = np.random.default_rng(0).standard_normal((95, 63))
     ext = np.zeros((95, 128))
     y = solve._dst1(x, ext)
-    assert np.array_equal(y, sfft.dst(x, type=1))
+    # the definition, y_k = 2 sum_i x_i sin(pi k i / n), as a dense product
+    k = np.arange(1, 64)
+    dense = x @ (2.0 * np.sin(np.pi * np.outer(k, k) / 64))
+    assert np.allclose(y, dense, rtol=0.0, atol=1e-12)
+    out = np.empty_like(x)
+    assert solve._dst1(x, ext, out=out) is out
+    assert np.array_equal(out, y)
     # DST-I is its own inverse up to 2n along each axis, with the buffer reused
     assert np.allclose(solve._dst1(y, ext), 2 * 64 * x, rtol=0.0, atol=1e-12)
 
@@ -896,8 +901,8 @@ def test_solver_matches_certificate_quantities_bitwise(pair_std, p_reg, schedule
 def test_continuation_loads_no_package_beyond_numpy(tmp_path):
     # a continuation, the conjugates without a closed form (the nfun_tlog
     # certificate, the conjugate along A'), the node CSV round trip and the
-    # approximation experiment need numpy alone; scipy is a test-only
-    # dependency (scipy.fft alone adds about 24 MiB of resident memory)
+    # approximation experiment need numpy alone (an FFT package beside
+    # numpy's would add tens of MiB of resident memory)
     code = (
         "import sys, numpy as np\n"
         "top = lambda: {m.split('.')[0] for m in sys.modules}\n"
