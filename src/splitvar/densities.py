@@ -594,60 +594,35 @@ def predict_integrability(
     if mu is not None and not (math.isfinite(mu) and mu > 1.0):
         raise ValueError(f"mu must be finite and exceed 1, got {mu}")
 
+    tau_s = tau_alpha = margin = None
+    which_case = "infeasible"
     if gamma == 0.0:
-        full = mu is not None and mu < 2.0
-        margin = None
+        tau_s, tau_alpha = 0.5, 0.25
+        which_case = "full-gradient" if mu is not None and mu < 2.0 else "gamma-zero"
         if mu is not None:
             margin = 3.0 * (2.0 - mu) - (p - 2.0)
-        return IntegrabilityPrediction(
-            p=p,
-            gamma=gamma,
-            mu=mu,
-            tau_s=0.5,
-            tau_alpha=0.25,
-            s=(p - 2.0) / 2.0 + 0.5,
-            alpha=-0.25,
-            chi=math.inf,
-            feasible=True,
-            which_case="full-gradient" if full else "gamma-zero",
-            full_gradient=full,
-            full_gradient_margin=margin,
-        )
+    else:
+        taus = np.linspace(0.01, 2.0, 200)
+        t_s, t_a = (g.ravel() for g in np.meshgrid(taus, taus, indexing="ij"))
+        # near-degenerate candidates guarantee chi > p+1 whenever gamma <
+        # p/(p+1); appended after the grid, so the first argmax prefers a grid
+        # pair and a degenerate pair wins only by a strictly larger tau_s
+        t_deg = np.array([1e-3, 1e-6, 1e-9, 1e-12])
+        t_s = np.concatenate([t_s, 0.5 + 0.5 * t_deg])
+        t_a = np.concatenate([t_a, t_deg])
+        diff = t_s - t_a
+        mask = (np.abs(diff) < 0.5) & (gamma < (p - 1.0 + 2.0 * diff) / (p + 2.0 * t_s))
+        if np.any(mask):
+            k = int(np.argmax(np.where(mask, t_s, -np.inf)))
+            tau_s, tau_alpha = float(t_s[k]), float(t_a[k])
+            which_case = "gamma-small"
 
-    taus = np.linspace(0.01, 2.0, 200)
-    t_s, t_a = (g.ravel() for g in np.meshgrid(taus, taus, indexing="ij"))
-    # near-degenerate candidates guarantee chi > p+1 whenever gamma < p/(p+1);
-    # appended after the grid, so the first argmax prefers a grid pair and a
-    # degenerate pair wins only by a strictly larger tau_s
-    t_deg = np.array([1e-3, 1e-6, 1e-9, 1e-12])
-    t_s = np.concatenate([t_s, 0.5 + 0.5 * t_deg])
-    t_a = np.concatenate([t_a, t_deg])
-    diff = t_s - t_a
-    mask = (np.abs(diff) < 0.5) & (gamma < (p - 1.0 + 2.0 * diff) / (p + 2.0 * t_s))
-    if not np.any(mask):
-        return IntegrabilityPrediction(
-            p=p,
-            gamma=gamma,
-            mu=mu,
-            tau_s=None,
-            tau_alpha=None,
-            s=None,
-            alpha=None,
-            chi=None,
-            feasible=False,
-            which_case="infeasible",
-        )
-    k = int(np.argmax(np.where(mask, t_s, -np.inf)))
-    tau_s, tau_alpha = float(t_s[k]), float(t_a[k])
+    feasible = tau_s is not None
     return IntegrabilityPrediction(
-        p=p,
-        gamma=gamma,
-        mu=mu,
-        tau_s=tau_s,
-        tau_alpha=tau_alpha,
-        s=(p - 2.0) / 2.0 + tau_s,
-        alpha=-0.5 + tau_alpha,
-        chi=p + 2.0 * tau_s,
-        feasible=True,
-        which_case="gamma-small",
+        p, gamma, mu, tau_s, tau_alpha,
+        s=(p - 2.0) / 2.0 + tau_s if feasible else None,
+        alpha=-0.5 + tau_alpha if feasible else None,
+        chi=(math.inf if gamma == 0.0 else p + 2.0 * tau_s) if feasible else None,
+        feasible=feasible, which_case=which_case,
+        full_gradient=which_case == "full-gradient", full_gradient_margin=margin,
     )

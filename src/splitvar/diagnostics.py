@@ -161,9 +161,11 @@ def _kernel(u: np.ndarray) -> np.ndarray:
     return np.where(inside, 1.5 * (1.0 - 4.0 * u * u), 0.0)
 
 
-# 16-point Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(16)
-# written out, digit for digit (repr round trips), so that importing the
-# package does not load numpy.polynomial
+# the ramp integrals' composite rule: GAUSS_PANELS equal panels of each cell's
+# share of a ramp, each with the 16-point Gauss-Legendre rule on [-1, 1],
+# numpy.polynomial.legendre.leggauss(16) written out digit for digit (repr
+# round trips), so that importing the package does not load numpy.polynomial
+GAUSS_PANELS = 8
 _GAUSS_NODES = np.array(
     [
         -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
@@ -185,8 +187,8 @@ _GAUSS_WEIGHTS = np.array(
 )
 
 
-def _gauss_panels(a: float, b: float, n_panels: int = 8):
-    edges = np.linspace(a, b, n_panels + 1)
+def _gauss_panels(a: float, b: float):
+    edges = np.linspace(a, b, GAUSS_PANELS + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     xs = (mids[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()

@@ -67,14 +67,23 @@ class DualReport:
         }
 
 
+def _stress_inputs(d: DensityPair, delta: float, p_reg: Optional[float]) -> float:
+    """``p_reg`` resolved by the solver's rule (``_resolve_p_reg``); then
+    ``delta`` must be finite and >= 0, where 0 gives the plain stress Df."""
+    p_reg = _resolve_p_reg(d, p_reg)
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    return p_reg
+
+
 def stress(
     u: GridFunction, d: DensityPair, delta: float, p_reg: Optional[float]
 ) -> tuple[CellField2, CellField2, np.ndarray]:
     """Stress fields (sigma_delta, tau, x_delta) of a primal iterate: the
     ``regularized_stress`` of its cell gradient, with sigma_delta = tau +
-    delta * (x_delta, 0) and tau = Df, as cell fields.  ``p_reg`` is None
-    (f2's default) or finite and >= 2, the solver's rule (``_resolve_p_reg``)."""
-    p_reg = _resolve_p_reg(d, p_reg)
+    delta * (x_delta, 0) and tau = Df, as cell fields.  ``delta`` and
+    ``p_reg`` follow ``_stress_inputs``."""
+    p_reg = _stress_inputs(d, delta, p_reg)
     g = gradient(u)
     sigma1, t1, t2, x_delta = regularized_stress(d, g.comp1, g.comp2, delta, p_reg)
     return CellField2(u.grid, sigma1, t2), CellField2(u.grid, t1, t2), x_delta
@@ -133,9 +142,8 @@ def duality_gap(
     while the pointwise Fenchel-equality check always pairs u with
     Df(grad u), the stress the equality refers to.  ``delta``/``p_reg``
     control the reported norm of the vanishing regularization stress
-    delta * x_delta in the dual exponent p/(p-1); ``p_reg`` is None (f2's
-    default) or finite and >= 2, the solver's rule (``_resolve_p_reg``);
-    ``delta`` must be finite and >= 0.
+    delta * x_delta in the dual exponent p/(p-1), and follow the rule of
+    ``stress`` (``_stress_inputs``).
 
     The scale lambda (``DualReport.scale``).  f1* is finite only on
     (-r_minus, r_plus), the recession slopes of f1, which tau_1 may leave.
@@ -151,9 +159,7 @@ def duality_gap(
     lambda = 1 and tau is certified as given.  The reported r, div_residual
     and certified refer to lambda*tau.
     """
-    p_reg = _resolve_p_reg(d, p_reg)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    p_reg = _stress_inputs(d, delta, p_reg)
     # the cell gradients and the divergence residual are formed once each
     g = gradient(u)
     g0 = g if u0 is None else gradient(u0)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densities import DensityPair, _resolve_p_reg, regularizer
+from .densities import DensityPair, _positive_decreasing, _resolve_p_reg, regularizer
 from .grid import CellField2, GridFunction, gradient
 
 __all__ = [
@@ -100,11 +100,11 @@ def eval_J_delta(
     """Regularized energy: adds delta * sum of rho_p(comp1) = (1+comp1**2)**(p_reg/2).
 
     The added term is linear in delta by construction (the delta-independent
-    integral is formed first and scaled).  ``p_reg`` is None (f2's
-    default) or finite and >= 2, the solver's rule (``_resolve_p_reg``).
+    integral is formed first and scaled).  ``delta`` lies in (0, 1) and
+    ``p_reg`` is None (f2's default) or finite and >= 2, the solver's rules
+    (``_positive_decreasing``, ``_resolve_p_reg``).
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _positive_decreasing((delta,), "delta", upper=1.0)
     j1, j2, i_reg = _cell_sums(gradient(u), d, _resolve_p_reg(d, p_reg))
     return EnergyBreakdown(j_f1=j1, j_f2=j2, delta_term=delta * i_reg)
 

@@ -113,16 +113,17 @@ class ContinuationContractError(RuntimeError):
     schedule bound derived in ``continuation``."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
-    """Problem and solver parameters.
+    """Problem and solver parameters, frozen once checked.
 
     ``u0`` is a full nodal field: its boundary ring is the Dirichlet data,
     its interior the initial guess.  ``delta_schedule`` must be strictly
     decreasing within (0, 1) (``_positive_decreasing``).  ``p_reg``
     defaults to the power-growth exponent of f2 when that is at least 2,
     else to 2, and must be finite and >= 2 (``_resolve_p_reg``, the rule of
-    ``eval_J_delta``, ``stress`` and ``duality_gap`` too).
+    ``eval_J_delta``, ``stress`` and ``duality_gap`` too).  Both are stored
+    as checked; ``dataclasses.replace`` checks a changed copy again.
     """
 
     grid: Grid
@@ -135,10 +136,9 @@ class SolveConfig:
     store_fields: bool = False
 
     def __post_init__(self):
-        self.delta_schedule = _positive_decreasing(
-            self.delta_schedule, "delta schedule", upper=1.0
-        )
-        self.p_reg = _resolve_p_reg(self.densities, self.p_reg)
+        schedule = _positive_decreasing(self.delta_schedule, "delta schedule", upper=1.0)
+        object.__setattr__(self, "delta_schedule", schedule)
+        object.__setattr__(self, "p_reg", _resolve_p_reg(self.densities, self.p_reg))
         if not (math.isfinite(self.tol_grad) and self.tol_grad > 0.0):
             raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
         if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
@@ -392,8 +392,10 @@ def minimize_J_delta(
     stress, which coincides with the energy gradient by construction.
     Hitting the iteration cap or a stalled line search is reported through
     record flags (the best iterate is still returned); negative curvature
-    raises NonConvexDetected.
+    raises NonConvexDetected, and a delta outside (0, 1), the schedule's
+    rule, ValueError before any array work.
     """
+    _positive_decreasing((delta,), "delta", upper=1.0)
     grid = cfg.grid
     prob = _DeltaProblem(grid, cfg.densities, delta, cfg.p_reg)
     start = warm_start if warm_start is not None else cfg.u0

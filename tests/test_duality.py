@@ -350,11 +350,14 @@ def test_invalid_p_reg_is_an_input_error(pair_std, p_reg):
 
 @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")])
 def test_invalid_delta_is_an_input_error(pair_std, delta):
-    # nan and -1 reported a delta_stress_norm of 0.0
+    # nan and -1 reported a delta_stress_norm of 0.0, and stress returned
+    # a NaN field for nan
     u = affine_field(Grid(4, 4), 1.0, 1.0)
     _, tau, _ = stress(u, pair_std, 0.1, 2.0)
     with pytest.raises(ValueError, match="delta must be finite and >= 0"):
         duality_gap(u, tau, pair_std, u0=u, delta=delta)
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        stress(u, pair_std, delta, 2.0)
 
 
 def test_stress_none_p_reg_is_f2_default(phi15):

@@ -100,6 +100,27 @@ def test_config_rejects_non_finite_settings(pair_std, setting):
     u0 = affine_field(g, 1.0, 0.0)
     with pytest.raises(ValueError):
         SolveConfig(grid=g, densities=pair_std, u0=u0, delta_schedule=[1e-1], **setting)
+    # a config stays as checked: no assignment, and a changed copy is checked
+    cfg = SolveConfig(grid=g, densities=pair_std, u0=u0, delta_schedule=[1e-1])
+    (name, value), = setting.items()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, value)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, **setting)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -0.5, 0.0, 1.0, 2.0])
+def test_minimize_rejects_a_level_delta_outside_the_schedule_rule(pair_std, delta, monkeypatch):
+    # a level's delta lies in (0, 1), as the schedule's do; nan and inf ran a
+    # NaN CG, -0.5 raised NonConvexDetected, and 0, 1 and 2 converged
+    cfg = tanh_config(pair_std, n=8)
+
+    def no_array_work(*args):
+        raise AssertionError("minimize_J_delta formed a cell gradient before its check")
+
+    monkeypatch.setattr(_kernels, "cell_gradient", no_array_work)
+    with pytest.raises(ValueError, match="delta must be finite, positive and below 1"):
+        minimize_J_delta(cfg, delta)
 
 
 def test_config_grid_mismatch(pair_std):
