@@ -5,9 +5,9 @@ convex of linear growth and f2 grows superlinearly.  The paper takes f2
 given by, or bounded below by, an N-function A; every built-in f2 is
 f2(t) = A(|t|), so one spec type, ``Density2Spec``, carries it.  This module
 provides the built-in density families, their convex conjugates, recession
-slopes, the Fenchel-Young residual, the delta-regularizer with its stress,
-and the exponent bookkeeping that predicts how much integrability of the
-second gradient component the a-priori machinery yields.
+slopes, the delta-regularizer with its stress, and the exponent bookkeeping
+that predicts how much integrability of the second gradient component the
+a-priori machinery yields.
 
 All ``eval``/``deriv``/``second_deriv``/``conjugate`` maps are numpy ufunc
 style: they accept floats or arrays and broadcast, and a float in gives a
@@ -23,7 +23,6 @@ odd slope t -> sign(t) g'(|t|), and s -> g*(|s|).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -32,8 +31,6 @@ import numpy as np
 __all__ = [
     "ConjugateRangeError",
     "NonLinearGrowthError",
-    "NonConcaveObjectiveError",
-    "ConjugateBoundaryWarning",
     "Density1Spec",
     "Density2Spec",
     "DensityPair",
@@ -48,9 +45,7 @@ __all__ = [
     "regularized_stress",
     "make_pair",
     "density_from_id",
-    "conjugate_scalar",
     "conjugate_via_slope_inversion",
-    "young_residual",
     "recession",
     "predict_integrability",
 ]
@@ -67,14 +62,6 @@ class ConjugateRangeError(ValueError):
 
 class NonLinearGrowthError(ArithmeticError):
     """Recession slope requested for a density of superlinear growth."""
-
-
-class NonConcaveObjectiveError(RuntimeError):
-    """Conjugate search detected a non-concave objective (density not convex)."""
-
-
-class ConjugateBoundaryWarning(UserWarning):
-    """Conjugate maximizer landed at the search boundary; result may be truncated."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,66 +108,6 @@ class Density2Spec:
 # ---------------------------------------------------------------------------
 # conjugation machinery
 # ---------------------------------------------------------------------------
-
-
-def conjugate_scalar(g: ScalarMap, s: float, t_max: float = 1e6) -> float:
-    """sup_{0 <= t <= t_max} of s*t - g(t) by coarse bracketing (96 points)
-    plus 90 golden-section steps.
-
-    The derivative-free reference conjugate, one slope at a time: acceptance
-    criterion 1 checks the power-density conjugates against it, and the
-    biconjugate tests conjugate a conjugate with it.  The package's own
-    conjugate without a closed form inverts the slope map instead
-    (``conjugate_via_slope_inversion``).
-
-    The objective must be concave (g convex); a unimodality violation on the
-    coarse grid raises NonConcaveObjectiveError.  When the maximizer lands
-    within 1e-6*t_max of t_max a ConjugateBoundaryWarning is emitted (the true
-    supremum may live beyond the cap).
-    """
-    ts = np.concatenate([[0.0], np.geomspace(t_max * 1e-9, t_max, 95)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = s * ts - np.asarray(g(ts), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("conjugate objective not finite on the search grid")
-    k = int(np.argmax(vals))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    tol = 1e-9 * scale
-    before, after = vals[: k + 1], vals[k:]
-    if np.any(np.diff(before) < -tol) or np.any(np.diff(after) > tol):
-        raise NonConcaveObjectiveError(
-            "objective s*t - g(t) is not unimodal; g does not look convex"
-        )
-    lo = ts[k - 1] if k > 0 else ts[0]
-    hi = ts[k + 1] if k + 1 < len(ts) else ts[-1]
-
-    t_star, best = _golden_max(lambda t: s * t - float(g(t)), float(lo), float(hi), 90)
-    value = max(best, float(vals[k]))
-    if t_star >= t_max * (1.0 - 1e-6):
-        warnings.warn(
-            f"conjugate maximizer at search cap t_max={t_max:g} (s={s:g})",
-            ConjugateBoundaryWarning,
-        )
-    return float(value)
-
-
-def _golden_max(f: Callable[[float], float], a: float, b: float, steps: int):
-    """Maximize a unimodal f on [a, b] by ``steps`` golden-section steps; returns
-    the best point (x, f(x)) evaluated, strictly inside (a, b)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(steps):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def conjugate_via_slope_inversion(g: ScalarMap, dg: ScalarMap, s) -> np.ndarray:
@@ -234,12 +161,6 @@ def _invert_slope(deriv: ScalarMap, s: np.ndarray) -> np.ndarray:
         if not idx.size:
             break
     return 0.5 * (a + b)
-
-
-def young_residual(a: Density2Spec, t: float) -> float:
-    """|A(t) + A*(A'(t)) - t*A'(t)|, the Fenchel-Young equality defect at t >= 0."""
-    slope = float(a.deriv(t))
-    return abs(float(a.eval(t)) + float(a.conjugate(slope)) - t * slope)
 
 
 def recession(f1_eval: ScalarMap, sign: int) -> float:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .densities import DensityPair, _golden_max, _resolve_p_reg, regularized_stress
+from .densities import DensityPair, _resolve_p_reg, regularized_stress
 from .energy import _cell_sums
 from .grid import CellField2, GridFunction, divergence_residual, gradient
 
@@ -110,6 +110,25 @@ def _extremality(g: CellField2, sigma: CellField2, d: DensityPair) -> float:
     return float(np.max(viol))
 
 
+def _golden_max(f: Callable[[float], float], a: float, b: float, steps: int):
+    """Maximize a unimodal f on [a, b] by ``steps`` golden-section steps; returns
+    the best point (x, f(x)) evaluated, strictly inside (a, b)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(steps):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
 def _certified_stress(tau: CellField2, d: DensityPair, g0: CellField2) -> tuple:
     """(lambda, lambda*tau), the scaled stress ``duality_gap`` certifies."""
     r_plus, r_minus = d.f1.recession_plus, d.f1.recession_minus
@@ -157,9 +176,13 @@ def duality_gap(
     maximum, found by ``SCALE_STEPS`` golden-section steps strictly inside
     (0, lambda_max).  If tau_1 lies strictly inside (-r_minus, r_plus),
     lambda = 1 and tau is certified as given.  The reported r, div_residual
-    and certified refer to lambda*tau.
+    and certified refer to lambda*tau.  ``tau`` and ``u0`` must lie on the
+    grid of ``u``, else ValueError naming the argument.
     """
     p_reg = _stress_inputs(d, delta, p_reg)
+    for name, arg in (("tau", tau), ("u0", u0)):
+        if arg is not None and arg.grid != u.grid:
+            raise ValueError(f"{name} grid does not match the grid of u")
     # the cell gradients and the divergence residual are formed once each
     g = gradient(u)
     g0 = g if u0 is None else gradient(u0)

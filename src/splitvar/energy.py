@@ -14,6 +14,7 @@ parts, and ``j_total`` sums them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -140,6 +141,13 @@ class BVCandidate:
     def __post_init__(self):
         g = self.smooth_part.grid
         for seg in self.jumps:
+            # Grid's rule: a bool is an Integral, but no index
+            indices = (seg.line_index, seg.cell_start, seg.cell_end)
+            if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                       for i in indices):
+                raise CandidateInvariantError(
+                    f"jump indices must be integers, got {indices!r}"
+                )
             if not (1 <= seg.line_index <= g.n1 - 1):
                 raise CandidateInvariantError(
                     f"jump line index {seg.line_index} not an interior grid line"

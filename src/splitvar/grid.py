@@ -153,10 +153,18 @@ def divergence_residual(tau: CellField2) -> np.ndarray:
 
 
 def _inset_mask(grid: Grid, margin: float) -> np.ndarray:
-    """Cells whose centers lie in the window inset by ``margin`` of each side."""
+    """Cells whose centers lie in the window inset by ``margin`` of each side;
+    a window that holds no cell center raises ValueError, since every
+    integral over it would be a vacuous 0."""
     xc, yc = grid.cell_centers()
     inset = 1.0 - 2.0 * margin
-    return (np.abs(xc)[:, None] <= inset) & (np.abs(yc)[None, :] <= inset)
+    mask = (np.abs(xc)[:, None] <= inset) & (np.abs(yc)[None, :] <= inset)
+    if not mask.any():
+        raise ValueError(
+            f"margin {margin:g} leaves no cell center of the {grid.n1}x{grid.n2} grid "
+            "in the window"
+        )
+    return mask
 
 
 def zero_ring(arr: np.ndarray) -> np.ndarray:

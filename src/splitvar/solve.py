@@ -392,10 +392,13 @@ def minimize_J_delta(
     stress, which coincides with the energy gradient by construction.
     Hitting the iteration cap or a stalled line search is reported through
     record flags (the best iterate is still returned); negative curvature
-    raises NonConvexDetected, and a delta outside (0, 1), the schedule's
-    rule, ValueError before any array work.
+    raises NonConvexDetected.  A delta outside (0, 1), the schedule's rule,
+    and a warm start off the config grid raise ValueError before any array
+    work.
     """
     _positive_decreasing((delta,), "delta", upper=1.0)
+    if warm_start is not None and warm_start.grid != cfg.grid:
+        raise ValueError("warm_start grid does not match the config grid")
     grid = cfg.grid
     prob = _DeltaProblem(grid, cfg.densities, delta, cfg.p_reg)
     start = warm_start if warm_start is not None else cfg.u0

@@ -16,7 +16,6 @@ from splitvar import (
     GridFunction,
     SolveConfig,
     approximation_experiment,
-    conjugate_scalar,
     continuation,
     duality_gap,
     eval_K,
@@ -29,9 +28,9 @@ from splitvar import (
     predict_integrability,
     recession,
     stress,
-    young_residual,
 )
 from splitvar.energy import BVCandidate, JumpSegment
+from tests.reference_conjugate import conjugate_scalar, young_residual
 
 AFFINE_J = 20.0 - 8.0 * math.sqrt(3.0)  # 4*(phi_1.5(2) + 1)
 

@@ -13,9 +13,9 @@ import pytest
 from splitvar import cli
 from splitvar import solve as solve_module
 from splitvar.cli import main
-from splitvar.densities import conjugate_scalar
 from splitvar.duality import duality_gap
 from splitvar.grid import Grid, GridFunction, load_csv, load_vsgf, save_csv
+from tests.reference_conjugate import conjugate_scalar
 
 AFFINE_J = 20.0 - 8.0 * math.sqrt(3.0)
 

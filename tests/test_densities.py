@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from splitvar import (
-    ConjugateBoundaryWarning,
     ConjugateRangeError,
     Density1Spec,
     Density2Spec,
-    NonConcaveObjectiveError,
     NonLinearGrowthError,
-    conjugate_scalar,
     conjugate_via_slope_inversion,
     density_from_id,
     make_hencky,
@@ -21,7 +18,6 @@ from splitvar import (
     predict_integrability,
     recession,
     tlog_density2,
-    young_residual,
 )
 from splitvar.densities import (
     _invert_slope,
@@ -29,6 +25,12 @@ from splitvar.densities import (
     regularizer,
     regularizer_deriv,
     regularizer_second_deriv,
+)
+from tests.reference_conjugate import (
+    ConjugateBoundaryWarning,
+    NonConcaveObjectiveError,
+    conjugate_scalar,
+    young_residual,
 )
 
 # zero plus a log-spaced sweep, where the hypothesis constants are checked

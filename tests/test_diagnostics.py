@@ -77,6 +77,24 @@ def test_sweep_margin_validation(affine_sweep_report):
             integrability_sweep(affine_sweep_report, chis=[3.0], margin=bad)
 
 
+def test_sweep_rejects_a_window_without_cells(pair_std):
+    # at 8x8 a 0.45 margin leaves |x| <= 0.1, which holds no cell center
+    # (the nearest lie at +-0.125); every integral was 0.0 and every
+    # exponent was flagged BOUNDED
+    g = Grid(8, 8)
+    cfg = SolveConfig(
+        grid=g,
+        densities=pair_std,
+        u0=affine_field(g, 2.0, -1.0),
+        delta_schedule=[1e-1, 1e-2, 1e-3],
+        store_fields=True,
+    )
+    report = continuation(cfg)
+    with pytest.raises(ValueError, match="leaves no cell center of the 8x8 grid"):
+        integrability_sweep(report, chis=[3.0], kappas=[4.0], margin=0.45)
+    assert integrability_sweep(report, chis=[3.0], margin=0.4).chi_integrals[3.0][0] > 0.0
+
+
 def test_sweep_needs_a_chi(affine_sweep_report):
     with pytest.raises(ValueError, match="chi"):
         integrability_sweep(affine_sweep_report, chis=[])

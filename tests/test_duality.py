@@ -360,6 +360,22 @@ def test_invalid_delta_is_an_input_error(pair_std, delta):
         stress(u, pair_std, delta, 2.0)
 
 
+def test_duality_gap_rejects_tau_or_u0_off_the_grid_of_u(pair_std):
+    # a 4x4 u0 with an 8x8 u failed in the dual value with a numpy broadcast error
+    u = affine_field(Grid(8, 8), 1.0, 1.0)
+    small = affine_field(Grid(4, 4), 1.0, 1.0)
+    tau, small_tau = (stress(v, pair_std, 0.1, 2.0)[1] for v in (u, small))
+
+    def no_conjugate(s):
+        raise AssertionError("duality_gap evaluated a conjugate before its check")
+
+    pair = dataclasses.replace(pair_std, conjugate_f1=no_conjugate, conjugate_f2=no_conjugate)
+    with pytest.raises(ValueError, match="^tau grid does not match the grid of u$"):
+        duality_gap(u, small_tau, pair, u0=u)
+    with pytest.raises(ValueError, match="^u0 grid does not match the grid of u$"):
+        duality_gap(u, tau, pair, u0=small)
+
+
 def test_stress_none_p_reg_is_f2_default(phi15):
     pair = make_pair(phi15, power_density2(3.0))
     u = GridFunction.from_callable(Grid(8, 8), lambda x, y: np.tanh(3.0 * x) + 0.2 * y)

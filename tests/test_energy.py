@@ -155,6 +155,20 @@ def test_candidate_rejects_bad_cell_range():
             BVCandidate(smooth, jumps=(JumpSegment(2, start, end, 1.0),))
 
 
+@pytest.mark.parametrize(
+    "seg",
+    [(3.5, 0, 8, 1.0), (True, 0, 8, 1.0), (3, 0.0, 8, 1.0), (3, 0, 8.0, 1.0), (3, False, 8, 1.0)],
+)
+def test_candidate_rejects_non_integer_indices(seg):
+    # 3.5 passed the range checks and boundary() then raised TypeError on a
+    # float slice index; True was read as line 1.  Grid's rule: Integral, no bool
+    smooth = GridFunction(Grid(8, 8), np.zeros((9, 9)))
+    with pytest.raises(CandidateInvariantError, match="jump indices must be integers"):
+        BVCandidate(smooth, jumps=(JumpSegment(*seg),))
+    # a numpy integer is an Integral
+    BVCandidate(smooth, jumps=(JumpSegment(np.int64(3), np.int32(0), np.int64(8), 1.0),))
+
+
 def test_candidate_rejects_nonfinite_height():
     g = Grid(4, 4)
     smooth = GridFunction(g, np.zeros(g.node_shape))

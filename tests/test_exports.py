@@ -34,3 +34,12 @@ def test_package_all_is_the_module_lists():
     assert splitvar.__all__ == ["__version__", *(n for mod in modules for n in mod.__all__)]
     for mod in modules:
         assert all(getattr(splitvar, n) is getattr(mod, n) for n in mod.__all__)
+
+
+def test_reference_conjugate_is_a_test_helper():
+    # the derivative-free conjugate is a test oracle, tests/reference_conjugate.py
+    moved = {
+        "conjugate_scalar", "NonConcaveObjectiveError", "ConjugateBoundaryWarning", "young_residual"
+    }
+    exported = set(splitvar.__all__) | set(dir(splitvar)) | set(dir(splitvar.densities))
+    assert not moved & exported

@@ -123,6 +123,19 @@ def test_minimize_rejects_a_level_delta_outside_the_schedule_rule(pair_std, delt
         minimize_J_delta(cfg, delta)
 
 
+def test_minimize_rejects_a_warm_start_off_the_config_grid(pair_std, monkeypatch):
+    # a 16x16 warm start on an 8x8 config failed inside numpy's broadcast
+    cfg = tanh_config(pair_std, n=8)
+    warm = affine_field(Grid(16, 16), 1.0, 0.0)
+
+    def no_array_work(*args):
+        raise AssertionError("minimize_J_delta formed a cell gradient before its check")
+
+    monkeypatch.setattr(_kernels, "cell_gradient", no_array_work)
+    with pytest.raises(ValueError, match="warm_start grid does not match the config grid"):
+        minimize_J_delta(cfg, 1e-1, warm_start=warm)
+
+
 def test_config_grid_mismatch(pair_std):
     u0 = affine_field(Grid(4, 4), 1.0, 0.0)
     with pytest.raises(ValueError):
