@@ -4,8 +4,9 @@ identical inputs are byte identical.
 
 One function, main, decides how a run ends; a command only builds its
 inputs, runs and writes, and raises on failure.  Input errors exit 2,
-numerical failures (MemoryError included) 3 and contract violations 4, each
-with exactly one JSON line on stderr; input notes (a custom table's
+numerical failures 3 (MemoryError, and in every command a numpy overflow
+or invalid value, raised as FloatingPointError) and contract violations 4,
+each with exactly one JSON line on stderr; input notes (a custom table's
 u0_table_lipschitz) print there only on exit 0.  --out-dir and --out are
 checked as the flags are parsed and their folders made when the first file
 is written, and each command checks all of its input before its first
@@ -308,9 +309,7 @@ def _cmd_conjugate_table(args) -> None:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     ss = np.linspace(-s_max, s_max, args.n)
-    # an overflow is a numerical failure (exit 3), not an inf row
-    with np.errstate(over="raise", invalid="raise"):
-        values = [float(spec.conjugate(s)) for s in ss]
+    values = [float(spec.conjugate(s)) for s in ss]
     write_csv(_made(args.out) if args.out else sys.stdout, ["s", "conjugate"], [ss, values])
 
 
@@ -450,7 +449,10 @@ def main(argv=None) -> int:
     try:
         args = _parse(parser, argv)
         args.notes = []
-        args.func(args)
+        # a numpy overflow or invalid value is a numerical failure, not an
+        # inf or nan in the output
+        with np.errstate(over="raise", invalid="raise"):
+            args.func(args)
     except (ContinuationContractError, WeakDualityViolation, RelaxationGapViolation) as exc:
         return _emit_error(type(exc).__name__, str(exc), EXIT_CONTRACT)
     except (ValueError, OSError) as exc:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .densities import DensityPair, _positive_decreasing
-from .energy import BVCandidate, eval_K, lift_to_candidate
+from .energy import BVCandidate, EnergyOverflowError, eval_K, lift_to_candidate
 from .grid import GridFunction, _inset_mask, gradient, write_csv
 from .solve import SolveConfig, SolveReport, continuation
 
@@ -43,37 +43,39 @@ SWEEP_MARGIN = 0.1
 
 @dataclass
 class SweepTable:
-    """Interior integrals of gradient powers along the schedule, per exponent."""
+    """Interior integrals of gradient powers along the schedule, per
+    exponent; each exponent's flag is read from its integrals."""
 
     deltas: list
     margin: float
     chi_integrals: dict
     kappa_integrals: dict
-    chi_flags: dict
-    kappa_flags: dict
+
+    @property
+    def chi_flags(self) -> dict:
+        return {k: _bounded_flag(v) for k, v in self.chi_integrals.items()}
+
+    @property
+    def kappa_flags(self) -> dict:
+        return {k: _bounded_flag(v) for k, v in self.kappa_integrals.items()}
+
+    def _kinds(self):
+        """(JSON key, CSV kind, integrals) of the two kinds of exponent."""
+        return (("chi", "second_component", self.chi_integrals),
+                ("kappa", "full_gradient", self.kappa_integrals))
 
     def to_dict(self) -> dict:
-        return {
-            "deltas": self.deltas,
-            "margin": self.margin,
-            "chi": {
-                repr(k): {"integrals": v, "flag": self.chi_flags[k]}
-                for k, v in self.chi_integrals.items()
-            },
-            "kappa": {
-                repr(k): {"integrals": v, "flag": self.kappa_flags[k]}
-                for k, v in self.kappa_integrals.items()
-            },
-        }
+        out = {"deltas": self.deltas, "margin": self.margin}
+        for key, _, integrals in self._kinds():
+            out[key] = {repr(k): {"integrals": v, "flag": _bounded_flag(v)}
+                        for k, v in integrals.items()}
+        return out
 
     def write_csv(self, path: str) -> None:
         rows = [
-            (delta, kind, expo, val, flags[expo])
-            for kind, table, flags in (
-                ("second_component", self.chi_integrals, self.chi_flags),
-                ("full_gradient", self.kappa_integrals, self.kappa_flags),
-            )
-            for expo, vals in table.items()
+            (delta, kind, expo, val, _bounded_flag(vals))
+            for _, kind, integrals in self._kinds()
+            for expo, vals in integrals.items()
             for delta, val in zip(self.deltas, vals)
         ]
         write_csv(
@@ -118,37 +120,26 @@ def integrability_sweep(
     by that fraction of each side.  Optional ``kappas`` add the analogous
     integrals of the first gradient component (the full-gradient
     diagnostics).  An exponent is flagged BOUNDED when the last two levels
-    agree within 10%.
+    agree within 10%.  A non-finite integral raises EnergyOverflowError: an
+    overflow says nothing of growth.
     """
     stored = [r for r in report.records if r.u is not None]
     chis, kappas = _sweep_inputs(chis, kappas, len(stored), margin)
 
     grid = report.u_final.grid
     mask = _inset_mask(grid, margin)
-
-    deltas = [r.delta for r in stored]
-    chi_integrals = {chi: [] for chi in chis}
-    kappa_integrals = {k: [] for k in kappas}
+    table = SweepTable([r.delta for r in stored], margin,
+                       {chi: [] for chi in chis}, {k: [] for k in kappas})
     for rec in stored:
-        u = GridFunction(grid, rec.u)
-        g = gradient(u)
-        base2 = 1.0 + g.comp2[mask] ** 2
-        base1 = 1.0 + g.comp1[mask] ** 2
-        for chi in chi_integrals:
-            chi_integrals[chi].append(grid.integrate(base2 ** (0.5 * chi)))
-        for kappa in kappa_integrals:
-            kappa_integrals[kappa].append(grid.integrate(base1 ** (0.5 * kappa)))
-
-    chi_flags = {chi: _bounded_flag(vals) for chi, vals in chi_integrals.items()}
-    kappa_flags = {k: _bounded_flag(vals) for k, vals in kappa_integrals.items()}
-    return SweepTable(
-        deltas=deltas,
-        margin=margin,
-        chi_integrals=chi_integrals,
-        kappa_integrals=kappa_integrals,
-        chi_flags=chi_flags,
-        kappa_flags=kappa_flags,
-    )
+        g = gradient(GridFunction(grid, rec.u))
+        for (key, _, integrals), comp in zip(table._kinds(), (g.comp2, g.comp1)):
+            base = 1.0 + comp[mask] ** 2
+            for expo, vals in integrals.items():
+                vals.append(grid.integrate(base ** (0.5 * expo)))
+                if not math.isfinite(vals[-1]):
+                    raise EnergyOverflowError(f"the sweep integral of {key} = {expo!r} "
+                                              f"is not finite at delta = {rec.delta!r}")
+    return table
 
 
 # ---------------------------------------------------------------------------

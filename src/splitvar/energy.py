@@ -14,14 +14,13 @@ parts, and ``j_total`` sums them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .densities import DensityPair, _positive_decreasing, _resolve_p_reg, regularizer
-from .grid import CellField2, GridFunction, gradient
+from .grid import CellField2, GridFunction, _is_integer, gradient
 
 __all__ = [
     "EnergyOverflowError",
@@ -141,10 +140,8 @@ class BVCandidate:
     def __post_init__(self):
         g = self.smooth_part.grid
         for seg in self.jumps:
-            # Grid's rule: a bool is an Integral, but no index
             indices = (seg.line_index, seg.cell_start, seg.cell_end)
-            if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
-                       for i in indices):
+            if not all(_is_integer(i) for i in indices):
                 raise CandidateInvariantError(
                     f"jump indices must be integers, got {indices!r}"
                 )

@@ -45,6 +45,12 @@ _CSV_BLOCK_ROWS = 1024
 _NODE_TOL = 0.25
 
 
+def _is_integer(value) -> bool:
+    """The package's rule for a count or an index: an Integral (numpy's
+    integers too) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     """n1 x n2 cells on (-1,1)^2; spacings are exactly 2/n1 and 2/n2."""
@@ -53,9 +59,7 @@ class Grid:
     n2: int
 
     def __post_init__(self):
-        # a bool is an Integral, but no grid size
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                   for n in (self.n1, self.n2)):
+        if not (_is_integer(self.n1) and _is_integer(self.n2)):
             raise ValueError(f"grid sizes must be integers, got {self.n1!r} and {self.n2!r}")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError(f"need at least 2 cells per axis, got {self.n1}x{self.n2}")

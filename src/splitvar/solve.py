@@ -49,8 +49,7 @@ Problems, 2004, section 3).
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -70,6 +69,7 @@ from .grid import (
     Grid,
     GridFunction,
     _inset_mask,
+    _is_integer,
     divergence_residual,
     gradient,
     write_csv,
@@ -141,7 +141,7 @@ class SolveConfig:
         object.__setattr__(self, "p_reg", _resolve_p_reg(self.densities, self.p_reg))
         if not (math.isfinite(self.tol_grad) and self.tol_grad > 0.0):
             raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
+        if not (_is_integer(self.max_iter) and self.max_iter >= 0):
             raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
         if self.u0.grid != self.grid:
             raise ValueError("u0 grid does not match the config grid")
@@ -174,21 +174,10 @@ class SolveReport:
     u_final: GridFunction
 
     def to_dict(self) -> dict:
-        return {
-            "records": [
-                {
-                    "delta": r.delta,
-                    "j_value": r.j_value,
-                    "j_delta_value": r.j_delta_value,
-                    "delta_term": r.delta_term,
-                    "euler_residual_max": r.euler_residual_max,
-                    "iterations": r.iterations,
-                    "converged": r.converged,
-                    "flags": list(r.flags),
-                }
-                for r in self.records
-            ]
-        }
+        """Each record's fields but its stored field ``u``, flags as a list."""
+        keys = [f.name for f in fields(DeltaRecord) if f.name != "u"]
+        return {"records": [{**{k: getattr(r, k) for k in keys}, "flags": list(r.flags)}
+                            for r in self.records]}
 
     def write_records_csv(self, path: str) -> None:
         header = ["delta", "j", "j_delta", "delta_term", "euler_residual", "iterations"]
@@ -576,9 +565,10 @@ def multi_start(cfg: SolveConfig, n_starts: int) -> dict:
     Initial interiors are uniform on (-1, 1), drawn with the seeds 0, ...,
     n_starts - 1.  Returns the runs and their seeds plus the maximum over
     interior cells (inset by 10% of each side) and start pairs of the 2-norm
-    difference of the final discrete gradients.
+    difference of the final discrete gradients.  ``n_starts`` must be an
+    integer >= 2.
     """
-    if n_starts < 2:
+    if not (_is_integer(n_starts) and n_starts >= 2):
         raise ValueError(f"need at least 2 starts, got {n_starts}")
     seeds = range(n_starts)
 

@@ -597,6 +597,27 @@ def test_exit_3_energy_overflow(tmp_path, capsys):
     assert json.loads(line)["error"]["exit_code"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--grid", "16x16", "--u0", "step:0:1", "--chis", "3", "--kappas", "4000"],
+        ["approx-demo", "--grid", "16x16", "--jump", "8:1e306"],
+    ],
+    ids=["sweep-kappas=4000", "approx-demo-jump=8:1e306"],
+)
+def test_exit_3_numpy_overflow_in_any_command(tmp_path, capsys, argv):
+    # main raises numpy's overflow and invalid value for every command, so
+    # the sweep no longer writes Infinity and flags it GROWING, and the
+    # approximation table no longer prints a NaN deviation
+    out_dir = tmp_path / "out"
+    rc, out, err = run([*argv, "--out-dir", str(out_dir)], capsys)
+    assert rc == 3
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "FloatingPointError"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("max_iter, code", [("0", 4)])
 def test_max_iter_below_zero_is_an_input_error(max_iter, code, tmp_path, capsys):
     # a negative cap is a bad input (exit 2, the table row

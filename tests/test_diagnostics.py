@@ -7,6 +7,7 @@ import pytest
 from splitvar import (
     BVCandidate,
     CandidateInvariantError,
+    EnergyOverflowError,
     Grid,
     GridFunction,
     JumpSegment,
@@ -77,10 +78,8 @@ def test_sweep_margin_validation(affine_sweep_report):
             integrability_sweep(affine_sweep_report, chis=[3.0], margin=bad)
 
 
-def test_sweep_rejects_a_window_without_cells(pair_std):
-    # at 8x8 a 0.45 margin leaves |x| <= 0.1, which holds no cell center
-    # (the nearest lie at +-0.125); every integral was 0.0 and every
-    # exponent was flagged BOUNDED
+@pytest.fixture(scope="module")
+def affine_sweep_report_8(pair_std):
     g = Grid(8, 8)
     cfg = SolveConfig(
         grid=g,
@@ -89,10 +88,25 @@ def test_sweep_rejects_a_window_without_cells(pair_std):
         delta_schedule=[1e-1, 1e-2, 1e-3],
         store_fields=True,
     )
-    report = continuation(cfg)
+    return continuation(cfg)
+
+
+def test_sweep_rejects_a_window_without_cells(affine_sweep_report_8):
+    # at 8x8 a 0.45 margin leaves |x| <= 0.1, which holds no cell center
+    # (the nearest lie at +-0.125); every integral was 0.0 and every
+    # exponent was flagged BOUNDED
+    report = affine_sweep_report_8
     with pytest.raises(ValueError, match="leaves no cell center of the 8x8 grid"):
         integrability_sweep(report, chis=[3.0], kappas=[4.0], margin=0.45)
     assert integrability_sweep(report, chis=[3.0], margin=0.4).chi_integrals[3.0][0] > 0.0
+
+
+def test_sweep_rejects_a_non_finite_integral(affine_sweep_report_8):
+    # every cell's base 1 + 2**2 is 5, and 5**2000 overflows on every level;
+    # inf - inf is nan, so the exponent was flagged GROWING
+    with np.errstate(over="ignore"):
+        with pytest.raises(EnergyOverflowError, match=r"kappa = 4000\.0 is not finite"):
+            integrability_sweep(affine_sweep_report_8, chis=[3.0], kappas=[4000.0])
 
 
 def test_sweep_needs_a_chi(affine_sweep_report):

@@ -72,7 +72,7 @@ def test_config_p_reg_and_tol_validation(pair_std):
         )
 
 
-@pytest.mark.parametrize("max_iter", [-1, 2.0, 2.5, "3", None])
+@pytest.mark.parametrize("max_iter", [-1, 2.0, 2.5, "3", None, True, False])
 def test_config_rejects_max_iter_not_a_count(pair_std, max_iter):
     # a cap below 0 is a bad input, not a level that failed to converge
     g = Grid(4, 4)
@@ -980,9 +980,11 @@ def test_continuation_loads_no_package_beyond_numpy(tmp_path):
 
 
 def test_multi_start_validation(pair_std):
+    # Grid's integer rule; 2.5 and 3.0 raised TypeError from range
     cfg = tanh_config(pair_std)
-    with pytest.raises(ValueError):
-        multi_start(cfg, 1)
+    for n_starts in (1, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"need at least 2 starts, got {n_starts}"):
+            multi_start(cfg, n_starts)
 
 
 def test_multi_start_identical_seeds_agree_exactly(pair_std):
