@@ -159,9 +159,9 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     _add_density_args(p)
     p.add_argument("--u0", default="zero", help="boundary data id")
     p.add_argument("--deltas", default="1e-1,1e-2,1e-3", help="decreasing schedule")
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=int, default=None, help="default: SolveConfig's")
     p.add_argument("--p-reg", type=float, default=None, help="default: growth of f2")
-    p.add_argument("--tol-grad", type=float, default=1e-10)
+    p.add_argument("--tol-grad", type=float, default=None, help="default: SolveConfig's")
 
 
 def _add_jump_arg(p: argparse.ArgumentParser) -> None:
@@ -178,15 +178,16 @@ def _pair(args) -> DensityPair:
 
 def _build_config(args, store_fields=False) -> SolveConfig:
     grid = _parse_grid(args.grid)
+    # a setting not given keeps SolveConfig's default, which it alone owns
+    settings = {"tol_grad": args.tol_grad, "max_iter": args.max_iter}
     return SolveConfig(
         grid=grid,
         densities=_pair(args),
         u0=_resolve_u0(args.u0, grid, args.notes),
         delta_schedule=_parse_floats(args, "deltas"),
         p_reg=args.p_reg,
-        tol_grad=args.tol_grad,
-        max_iter=args.max_iter,
         store_fields=store_fields,
+        **{key: val for key, val in settings.items() if val is not None},
     )
 
 

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densities import DensityPair, _positive_decreasing
+from .densities import DensityPair, _positive_decreasing, regularizer
 from .energy import BVCandidate, EnergyOverflowError, eval_K, lift_to_candidate
-from .grid import GridFunction, _inset_mask, gradient, write_csv
+from .grid import INSET_MARGIN, GridFunction, _inset_mask, gradient, write_csv
 from .solve import SolveConfig, SolveReport, continuation
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
 ]
 
 BOUNDED_REL_TOL = 0.10
-# fraction of each side that the sweep's integration window is inset by
-SWEEP_MARGIN = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +86,7 @@ def _bounded_flag(vals: Sequence[float]) -> str:
     return "BOUNDED" if abs(last - prev) <= BOUNDED_REL_TOL * abs(prev) else "GROWING"
 
 
-def _sweep_inputs(chis, kappas, n_stored: int, margin: float = SWEEP_MARGIN):
+def _sweep_inputs(chis, kappas, n_stored: int, margin: float = INSET_MARGIN):
     """The input rule of ``integrability_sweep``: ``margin`` in (0, 0.5), at
     least one chi, finite exponents and at least 3 stored levels, else
     ValueError.  Returns the exponents as two tuples of floats.  The CLI
@@ -110,18 +108,19 @@ def integrability_sweep(
     report: SolveReport,
     chis: Sequence[float],
     kappas: Sequence[float] = (),
-    margin: float = SWEEP_MARGIN,
+    margin: float = INSET_MARGIN,
 ) -> SweepTable:
-    """Track interior integrals of (1+|grad_2 u|^2)^(chi/2) along the schedule.
+    """Track interior integrals of rho_chi(grad_2 u) = (1+|grad_2 u|^2)^(chi/2),
+    the delta-regularizer's profile (``regularizer``), along the schedule.
 
     ``report`` must come from a continuation run with stored fields and at
     least three levels, and ``chis`` must be nonempty; every exponent must
-    be finite (``_sweep_inputs``).  ``margin`` insets the integration window
-    by that fraction of each side.  Optional ``kappas`` add the analogous
-    integrals of the first gradient component (the full-gradient
-    diagnostics).  An exponent is flagged BOUNDED when the last two levels
-    agree within 10%.  A non-finite integral raises EnergyOverflowError: an
-    overflow says nothing of growth.
+    be finite (``_sweep_inputs``).  ``margin`` insets the window of
+    ``_inset_mask`` by that fraction of each side.  Optional ``kappas`` add
+    the integrals of rho_kappa(grad_1 u) (the full-gradient diagnostics).
+    An exponent is flagged BOUNDED when the last two levels agree within
+    10%.  A non-finite integral raises EnergyOverflowError: an overflow
+    says nothing of growth.
     """
     stored = [r for r in report.records if r.u is not None]
     chis, kappas = _sweep_inputs(chis, kappas, len(stored), margin)
@@ -133,9 +132,9 @@ def integrability_sweep(
     for rec in stored:
         g = gradient(GridFunction(grid, rec.u))
         for (key, _, integrals), comp in zip(table._kinds(), (g.comp2, g.comp1)):
-            base = 1.0 + comp[mask] ** 2
+            inner = comp[mask]
             for expo, vals in integrals.items():
-                vals.append(grid.integrate(base ** (0.5 * expo)))
+                vals.append(grid.integrate(regularizer(inner, expo)))
                 if not math.isfinite(vals[-1]):
                     raise EnergyOverflowError(f"the sweep integral of {key} = {expo!r} "
                                               f"is not finite at delta = {rec.delta!r}")
@@ -257,7 +256,9 @@ def approximation_experiment(
 
     grad_smooth = gradient(w.smooth_part)
     c1, c2 = grad_smooth.comp1, grad_smooth.comp2
-    base_area = g.integrate(np.sqrt(1.0 + c1**2 + c2**2))
+    f1_cells = np.asarray(d.f1.eval(c1))
+    area_cells = np.sqrt(1.0 + c1**2 + c2**2)
+    base_area = g.integrate(area_cells)
     jump_mass = sum(
         abs(seg.height) * (seg.cell_end - seg.cell_start) * g.h2 for seg in w.jumps
     )
@@ -278,15 +279,11 @@ def approximation_experiment(
                 b = min(zone_b, float(cell_right[i]))
                 xs, ws = _gauss_panels(a, b)
                 ramp = (seg.height / eps) * _kernel((xs - x_line) / eps)
-                c1_row = c1[i, :]
-                c2_row = c2[i, :]
-                shifted = c1_row[None, :] + ramp[:, None]
+                shifted = c1[i, None] + ramp[:, None]
                 f1_new = np.asarray(d.f1.eval(shifted))
-                f1_old = np.asarray(d.f1.eval(c1_row))[None, :]
-                j_corr += g.h2 * float(np.sum(ws[:, None] * (f1_new - f1_old)))
-                area_new = np.sqrt(1.0 + shifted**2 + c2_row[None, :] ** 2)
-                area_old = np.sqrt(1.0 + c1_row**2 + c2_row**2)[None, :]
-                area_corr += g.h2 * float(np.sum(ws[:, None] * (area_new - area_old)))
+                j_corr += g.h2 * float(np.sum(ws[:, None] * (f1_new - f1_cells[i, None])))
+                area_new = np.sqrt(1.0 + shifted**2 + c2[i, None] ** 2)
+                area_corr += g.h2 * float(np.sum(ws[:, None] * (area_new - area_cells[i, None])))
         rows_l1.append(jump_mass * eps * _KERNEL_L1)
         rows_area.append(base_area + area_corr)
         rows_f2.append(k_ref.j_f2)

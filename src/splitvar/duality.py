@@ -177,12 +177,18 @@ def duality_gap(
     (0, lambda_max).  If tau_1 lies strictly inside (-r_minus, r_plus),
     lambda = 1 and tau is certified as given.  The reported r, div_residual
     and certified refer to lambda*tau.  ``tau`` and ``u0`` must lie on the
-    grid of ``u``, else ValueError naming the argument.
+    grid of ``u`` and hold finite values, else ValueError naming the
+    argument: a nan or inf would give a nan or infinite report that
+    certifies nothing.
     """
     p_reg = _stress_inputs(d, delta, p_reg)
     for name, arg in (("tau", tau), ("u0", u0)):
         if arg is not None and arg.grid != u.grid:
             raise ValueError(f"{name} grid does not match the grid of u")
+    u0_arrays = () if u0 is None else (u0.values,)
+    for name, arrays in (("tau", (tau.comp1, tau.comp2)), ("u0", u0_arrays)):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"{name} holds a non-finite value")
     # the cell gradients and the divergence residual are formed once each
     g = gradient(u)
     g0 = g if u0 is None else gradient(u0)

@@ -43,6 +43,8 @@ _FLOAT_TYPES = (float, np.floating)
 _CSV_BLOCK_ROWS = 1024
 # how far load_csv lets a coordinate lie from its node, in spacings
 _NODE_TOL = 0.25
+# _inset_mask's default inset per side, for the sweep and multi_start alike
+INSET_MARGIN = 0.1
 
 
 def _is_integer(value) -> bool:
@@ -156,7 +158,7 @@ def divergence_residual(tau: CellField2) -> np.ndarray:
     return zero_ring(_kernels.scatter_adjoint(tau.comp1, tau.comp2, g.h1, g.h2))
 
 
-def _inset_mask(grid: Grid, margin: float) -> np.ndarray:
+def _inset_mask(grid: Grid, margin: float = INSET_MARGIN) -> np.ndarray:
     """Cells whose centers lie in the window inset by ``margin`` of each side;
     a window that holds no cell center raises ValueError, since every
     integral over it would be a vacuous 0."""

@@ -564,9 +564,9 @@ def multi_start(cfg: SolveConfig, n_starts: int) -> dict:
 
     Initial interiors are uniform on (-1, 1), drawn with the seeds 0, ...,
     n_starts - 1.  Returns the runs and their seeds plus the maximum over
-    interior cells (inset by 10% of each side) and start pairs of the 2-norm
-    difference of the final discrete gradients.  ``n_starts`` must be an
-    integer >= 2.
+    interior cells (``_inset_mask``'s default window) and start pairs of
+    the 2-norm difference of the final discrete gradients.  ``n_starts``
+    must be an integer >= 2.
     """
     if not (_is_integer(n_starts) and n_starts >= 2):
         raise ValueError(f"need at least 2 starts, got {n_starts}")
@@ -586,7 +586,7 @@ def multi_start(cfg: SolveConfig, n_starts: int) -> dict:
         reports.append(report)
         grads.append(gradient(report.u_final))
 
-    mask = _inset_mask(grid, 0.1)
+    mask = _inset_mask(grid)
     worst = 0.0
     for a in range(n_starts):
         for b in range(a + 1, n_starts):

@@ -14,11 +14,14 @@ from splitvar import (
     SolveConfig,
     approximation_experiment,
     continuation,
+    gradient,
     integrability_sweep,
     lift_to_candidate,
+    regularizer,
     relaxation_gap,
 )
 from splitvar import diagnostics
+from splitvar.grid import _inset_mask
 from tests.conftest import affine_field
 
 
@@ -155,6 +158,24 @@ def test_sweep_csv_layout(affine_sweep_report, tmp_path):
     kinds = {r[1] for r in rows[1:]}
     assert kinds == {"second_component", "full_gradient"}
     assert all(r[4] == "BOUNDED" for r in rows[1:])
+
+
+def test_sweep_integrand_is_the_regularizer_profile(pair_std):
+    # the sweep's (1+t^2)^(chi/2) is rho_chi, the delta-regularizer's
+    # profile: on tanh data both kinds match it bit for bit, in the default
+    # window, so the two formulas cannot drift apart
+    g = Grid(16, 16)
+    u0 = GridFunction.from_callable(g, lambda x, y: np.tanh(3.0 * x) + 0.2 * y)
+    cfg = SolveConfig(g, pair_std, u0, [1e-1, 1e-2, 1e-3], store_fields=True)
+    report = continuation(cfg)
+    table = integrability_sweep(report, chis=[2.5, 3.0, 4.0, 6.0, 8.0], kappas=[4.0, 8.0])
+    mask = _inset_mask(g)
+    for level, rec in enumerate(report.records):
+        grad = gradient(GridFunction(g, rec.u))
+        for integrals, comp in ((table.chi_integrals, grad.comp2),
+                                (table.kappa_integrals, grad.comp1)):
+            for expo, vals in integrals.items():
+                assert vals[level] == g.integrate(regularizer(comp[mask], expo))
 
 
 def test_sweep_dict_round_trip(affine_sweep_report):

@@ -376,6 +376,29 @@ def test_duality_gap_rejects_tau_or_u0_off_the_grid_of_u(pair_std):
         duality_gap(u, tau, pair, u0=small)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_duality_gap_rejects_a_non_finite_tau_or_u0(pair_std, bad):
+    # a nan cell of tau gave r = nan, gap = nan and certified False, and a
+    # nan cell of u0 r = nan with certified True, with no error or warning
+    u = affine_field(Grid(8, 8), 2.0, -1.0)
+    _, tau, _ = stress(u, pair_std, 0.0, 2.0)
+
+    def no_conjugate(s):
+        raise AssertionError("duality_gap evaluated a conjugate before its check")
+
+    pair = dataclasses.replace(pair_std, conjugate_f1=no_conjugate, conjugate_f2=no_conjugate)
+    for comp in ("comp1", "comp2"):
+        arrays = {"comp1": tau.comp1.copy(), "comp2": tau.comp2.copy()}
+        arrays[comp][3, 4] = bad
+        with pytest.raises(ValueError, match="^tau holds a non-finite value$"):
+            duality_gap(u, CellField2(u.grid, **arrays), pair, u0=u)
+    u0 = u.copy()
+    u0.values[4, 4] = bad
+    with pytest.raises(ValueError, match="^u0 holds a non-finite value$"):
+        duality_gap(u, tau, pair, u0=u0)
+    assert duality_gap(u, tau, pair_std, u0=u).certified
+
+
 def test_stress_none_p_reg_is_f2_default(phi15):
     pair = make_pair(phi15, power_density2(3.0))
     u = GridFunction.from_callable(Grid(8, 8), lambda x, y: np.tanh(3.0 * x) + 0.2 * y)
