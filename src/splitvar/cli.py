@@ -307,6 +307,8 @@ def _cmd_approx_demo(args) -> None:
 def _cmd_conjugate_table(args) -> None:
     spec = density_from_id(args.density)
     s_max = _finite_float(args.s_max, "--s-max")
+    if s_max <= 0.0:
+        raise ValueError(f"--s-max must be positive, got {s_max}")
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     ss = np.linspace(-s_max, s_max, args.n)

@@ -44,6 +44,14 @@ Armijo test then ranks steps by noise.  A trial that fails it with
 |E_trial - E| <= ROUNDING_REL (1 + |E|) is accepted if it decreases ||g||_2,
 Deuflhard's natural monotonicity test (Newton Methods for Nonlinear
 Problems, 2004, section 3).
+
+Every inner product and squared norm of the solver, in CG, the line search
+and the tie-break, is one reduction, ``_dot``: numpy's own einsum loop,
+never BLAS.  A threaded BLAS ``ddot`` splits long vectors across its threads
+and sums their parts in an order that depends on how many there are, so
+the iterates, and every file written from them, would differ from one
+machine to the next; with ``_dot`` they are the same bits whatever the
+thread count.
 """
 
 from __future__ import annotations
@@ -306,6 +314,13 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
     return SimpleNamespace(factor=factor, apply=apply)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Inner product of two arrays of one 2-D shape, summed in an order that
+    no thread count changes (see the module docstring).  ``optimize`` stays
+    False: the optimized path may hand the contraction to BLAS."""
+    return float(np.einsum("ij,ij->", x, y))
+
+
 def _pcg(apply_h, b, precond, tol):
     """Preconditioned CG on interior arrays, from x = 0 to the first iterate
     whose residual b - H x has 2-norm at most ``tol``, within CG_MAXITER
@@ -317,7 +332,8 @@ def _pcg(apply_h, b, precond, tol):
     ``precond`` maps a residual r to a new array z = M^-1 r with M symmetric
     positive definite (here the ``apply`` of ``_line_preconditioner``).
     Returns (x, converged); raises NonConvexDetected on negative curvature.
-    The search direction is updated in place, and ||p||^2 is formed only
+    Its inner products are ``_dot``'s (see the module docstring).  The
+    search direction is updated in place, and ||p||^2 is formed only
     when p^T H p <= 0, since the curvature floor below is negative.
 
     Between iterations only x, r and p are kept: the product H p is released
@@ -333,15 +349,15 @@ def _pcg(apply_h, b, precond, tol):
     """
     x = np.zeros_like(b)
     r = b.copy()
-    if math.sqrt(float(np.vdot(b, b))) <= tol:
+    if math.sqrt(_dot(b, b)) <= tol:
         return x, True
     p = precond(r)
-    rz = float(np.vdot(r, p))
+    rz = _dot(r, p)
     for _ in range(CG_MAXITER):
         hp = apply_h(p)
-        php = float(np.vdot(p, hp))
+        php = _dot(p, hp)
         if php <= 0.0:
-            pp = float(np.vdot(p, p))
+            pp = _dot(p, p)
             if php < CURVATURE_FLOOR * pp:
                 raise NonConvexDetected(
                     f"negative curvature {php / max(pp, 1e-300):.3e} in CG"
@@ -352,10 +368,10 @@ def _pcg(apply_h, b, precond, tol):
         x += alpha * p
         r -= alpha * hp
         del hp
-        if math.sqrt(float(np.vdot(r, r))) <= tol:
+        if math.sqrt(_dot(r, r)) <= tol:
             return x, True
         z = precond(r)
-        rz_new = float(np.vdot(r, z))
+        rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         del z
@@ -424,7 +440,7 @@ def minimize_J_delta(
         if steps >= cfg.max_iter:
             flags.append("iteration_cap_exceeded")
             break
-        g_sq = float(np.sum(g * g))
+        g_sq = _dot(g, g)
         g_norm = math.sqrt(g_sq)
         eta = _forcing_term(g_norm, g_norm_prev)
         g_norm_prev = g_norm
@@ -440,7 +456,7 @@ def minimize_J_delta(
         del g
         cg_tol = max(eta * g_norm, FORCING_FLOOR * cfg.tol_grad)
         d_dir, cg_ok = _pcg(apply_h, minus_g, precond.apply, cg_tol)
-        slope = -float(np.vdot(minus_g, d_dir))
+        slope = -_dot(minus_g, d_dir)
         if not cg_ok or slope >= 0.0:
             if "cg_fallback" not in flags:
                 flags.append("cg_fallback")
@@ -463,7 +479,7 @@ def minimize_J_delta(
             if not descent and abs(e_trial - energy) <= ROUNDING_REL * (1.0 + abs(energy)):
                 # a tie to rounding (module docstring): compare ||g||_2
                 g_trial = prob.residual(split_trial[2], split_trial[3])
-                descent = math.sqrt(float(np.sum(g_trial * g_trial))) < g_norm
+                descent = math.sqrt(_dot(g_trial, g_trial)) < g_norm
             if descent:
                 values = trial
                 energy = e_trial

@@ -1007,6 +1007,8 @@ BAD_VALUES = {
         ("inf", "ValueError: --s-max must be a finite number, got 'inf'"),
         ("abc", "ValueError: --s-max must be a finite number, got 'abc'"),
         ("-inf", "ValueError: --s-max must be a finite number, got '-inf'"),
+        ("-1", "ValueError: --s-max must be positive, got -1.0"),
+        ("0", "ValueError: --s-max must be positive, got 0.0"),
     ],
     "n": [
         ("0", "ValueError: --n must be at least 1, got 0"),

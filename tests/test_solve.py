@@ -865,6 +865,55 @@ def test_continuation_determinism(pair_std):
     assert [r.j_value for r in a.records] == [r.j_value for r in b.records]
 
 
+def run_python(code, cwd, **env):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    splitvar, with ``env`` added to the environment; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(splitvar.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True, text=True, cwd=cwd,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_level_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # CG's vectors at 128^2 have 127^2 > 10^4 entries, which OpenBLAS's ddot
+    # splits across its threads, summing in an order the thread count sets
+    code = (
+        "import hashlib, numpy as np, splitvar as s\n"
+        "g = s.Grid(128, 128)\n"
+        "u0 = s.GridFunction.from_callable(g, lambda x, y: np.where(x < 0.0, 0.0, 1.0) + 0.0 * y)\n"
+        "pair = s.make_pair(s.make_phi_nu(1.5), s.power_density2(2.0))\n"
+        "u, rec = s.minimize_J_delta(s.SolveConfig(g, pair, u0, [1e-1]), 1e-1)\n"
+        "assert rec.converged\n"
+        "print(hashlib.sha1(u.values.tobytes()).hexdigest())\n"
+    )
+    one, two = (
+        run_python(code, tmp_path, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+        for n in ("1", "2")
+    )
+    assert one == two
+
+
+def test_solver_reduces_without_blas(pair_std, monkeypatch):
+    # the same fence on a runner with one core, where thread counts cannot
+    # differ: every reduction of a level is _dot's, none is BLAS's
+    cfg = step_config(pair_std, 32, [1e-1])
+    u_ref, rec_ref = minimize_J_delta(cfg, 1e-1)
+
+    def blas(*args, **kwargs):
+        raise AssertionError("the solver reduced with BLAS")
+
+    for name in ("vdot", "dot", "inner", "matmul"):
+        monkeypatch.setattr(np, name, blas)
+    u, rec = minimize_J_delta(cfg, 1e-1)
+    assert rec.converged and rec.flags == ()
+    assert rec == rec_ref
+    assert np.array_equal(u.values, u_ref.values)
+
+
 def test_store_fields_toggle(pair_std):
     cfg = tanh_config(pair_std, store_fields=True)
     report = continuation(cfg)
@@ -960,18 +1009,11 @@ def test_continuation_loads_no_package_beyond_numpy(tmp_path):
         "print('numpy.polynomial' in sys.modules)\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(splitvar.__file__)))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        cwd=tmp_path,
-    )
-    assert out.returncode == 0, out.stderr
+    out = run_python(code, tmp_path)
     # numpy.polynomial too stays unloaded: the Gauss rule is written out;
     # and numpy.random, about 6 MiB of resident memory once loaded, which
     # only the seeded starts of multi_start need
-    assert out.stdout.split() == ["['splitvar']", "False", "False", "False"]
+    assert out.split() == ["['splitvar']", "False", "False", "False"]
 
 
 # ---------------------------------------------------------------------------
