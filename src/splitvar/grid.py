@@ -28,7 +28,6 @@ __all__ = [
     "CellField2",
     "gradient",
     "divergence_residual",
-    "zero_ring",
     "write_csv",
     "save_csv",
     "load_csv",
@@ -102,7 +101,8 @@ class Grid:
 
 @dataclass
 class GridFunction:
-    """Nodal scalar field on the (n1+1) x (n2+1) lattice."""
+    """Nodal scalar field on the (n1+1) x (n2+1) lattice.  Its values are
+    finite, else ValueError: every reader of a nodal field needs finite data."""
 
     grid: Grid
     values: np.ndarray
@@ -113,6 +113,8 @@ class GridFunction:
             raise ValueError(
                 f"values shape {self.values.shape} != node shape {self.grid.node_shape}"
             )
+        if not np.isfinite(self.values).all():
+            raise ValueError("nodal field holds a non-finite value")
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
@@ -155,7 +157,10 @@ def divergence_residual(tau: CellField2) -> np.ndarray:
     supported on interior nodes.  Constant fields have zero residual.
     """
     g = tau.grid
-    return zero_ring(_kernels.scatter_adjoint(tau.comp1, tau.comp2, g.h1, g.h2))
+    r = _kernels.scatter_adjoint(tau.comp1, tau.comp2, g.h1, g.h2)
+    r[[0, -1], :] = 0.0
+    r[:, [0, -1]] = 0.0
+    return r
 
 
 def _inset_mask(grid: Grid, margin: float = INSET_MARGIN) -> np.ndarray:
@@ -171,13 +176,6 @@ def _inset_mask(grid: Grid, margin: float = INSET_MARGIN) -> np.ndarray:
             "in the window"
         )
     return mask
-
-
-def zero_ring(arr: np.ndarray) -> np.ndarray:
-    """Zero the boundary ring of a nodal array in place and return it."""
-    arr[[0, -1], :] = 0.0
-    arr[:, [0, -1]] = 0.0
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,8 @@ def load_csv(path: str) -> GridFunction:
 
     A ValueError is raised for a short row, a cell that is not a float, a
     row count other than (n1+1)(n2+1), a coordinate farther than h/4 from
-    its nearest node, or a repeated node.  The tolerance h/4 is under h/2,
+    its nearest node, a repeated node, or a value that is not finite (the
+    rule of GridFunction).  The tolerance h/4 is under h/2,
     so the windows of neighbouring nodes are h/2 apart and a coordinate off
     the grid cannot pass as a node.  It still admits coordinates rounded by
     another writer: rounding to d significant digits moves a coordinate in
@@ -312,6 +311,7 @@ def save_vsgf(u: GridFunction, path: str) -> None:
 
 
 def load_vsgf(path: str) -> GridFunction:
+    """Inverse of save_vsgf; a non-finite value raises ValueError, as in GridFunction."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != VSGF_MAGIC:

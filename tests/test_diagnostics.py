@@ -374,7 +374,7 @@ def test_relax_gap_of_lifted_minimizer(pair_std):
     )
     report = continuation(cfg)
     out = relaxation_gap([lift_to_candidate(report.u_final)], cfg)
-    assert abs(out["gap"]) <= 1e-9
+    assert out["gap"] == 0.0
     assert out["contract_ok"]
     assert out["k_best"] == out["k_values"][0]
 

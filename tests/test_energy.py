@@ -263,6 +263,21 @@ def test_eval_k_trace_violation(pair_std):
         eval_K(w, pair_std, w.smooth_part)  # the zero field
 
 
+def test_eval_k_boundary_data_is_finite_by_type(pair_std):
+    # a nan at top-edge node 6 compared false against the trace, so it
+    # passed the match and K = 2.0 came back; now the data cannot be built
+    w = zero_candidate_with_unit_jump(8)
+    u0 = step_boundary(w.smooth_part.grid)
+    assert eval_K(w, pair_std, u0).j_total == 2.0
+    values = u0.values.copy()
+    values[6, -1] = 5.0
+    with pytest.raises(CandidateInvariantError, match="top trace mismatches .* node 6"):
+        eval_K(w, pair_std, GridFunction(u0.grid, values))
+    values[6, -1] = np.nan
+    with pytest.raises(ValueError, match="holds a non-finite value$"):
+        GridFunction(u0.grid, values)
+
+
 def test_eval_k_boundary_grid_mismatch(pair_std):
     w = zero_candidate_with_unit_jump(8)
     other = GridFunction(Grid(4, 4), np.zeros((5, 5)))

@@ -1,5 +1,6 @@
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -460,17 +461,27 @@ def test_vsgf_rejects_short_header(tmp_path, size):
         load_vsgf(str(path))
 
 
-def test_csv_round_trips_non_finite_values(tmp_path):
-    # rejecting NaN and infinities is left to the callers that need finite
-    # tables (the CLI's table options); the file format keeps any float64
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nodal_fields_reject_non_finite_values(tmp_path, bad):
+    # a nodal field is finite by type, however it is built or read; the
+    # files are written without a GridFunction, which could not hold one
     g = Grid(2, 3)
     values = np.zeros(g.node_shape)
-    values[0, 0], values[1, 2], values[2, 3] = np.nan, np.inf, -np.inf
-    path = tmp_path / "u.csv"
-    save_csv(GridFunction(g, values), str(path))
-    back = load_csv(str(path))
-    assert back.grid == g
-    assert np.array_equal(back.values, values, equal_nan=True)
+    values[1, 2] = bad
+    message = "holds a non-finite value$"
+    with pytest.raises(ValueError, match=message):
+        GridFunction(g, values)
+    with pytest.raises(ValueError, match=message):
+        GridFunction.from_callable(g, lambda x1, x2: np.where(x1 + x2 == 0.0, bad, x1))
+    x1, x2 = g.node_coords()
+    columns = [np.repeat(x1, len(x2)), np.tile(x2, len(x1)), values.ravel()]
+    write_csv(str(tmp_path / "u.csv"), ["x1", "x2", "value"], columns)
+    with pytest.raises(ValueError, match=message):
+        load_csv(str(tmp_path / "u.csv"))
+    payload = struct.pack("<II", g.n1, g.n2) + values.astype("<f8").tobytes()
+    (tmp_path / "u.vsgf").write_bytes(b"VSGF" + payload)
+    with pytest.raises(ValueError, match=message):
+        load_vsgf(str(tmp_path / "u.vsgf"))
 
 
 def test_write_csv_to_a_stream_writes_the_file_bytes(tmp_path):
