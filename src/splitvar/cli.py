@@ -14,8 +14,9 @@ solve, so exit 2 runs no solve and writes no file.  Each input has one
 owner, the library object that uses it (the README lists them); this module
 parses ids, lists and tables.
 
-List flags (--deltas, --chis, --kappas, --widths, --jump) take comma lists;
---jump may also repeat, and its lists add up.  Flags are named whole.
+List flags (--deltas, --chis, --kappas, --widths, --jump) take comma lists,
+in which a blank entry exits 2; --jump may also repeat, and its lists add
+up.  Flags are named whole.
 --config PATH (or --config=PATH) reads a JSON object as the flags it stands
 for (see the README); explicit flags win, and a key that is not exactly a
 flag of the running subcommand exits 2.
@@ -95,10 +96,11 @@ def _parse_grid(text: str) -> Grid:
 
 
 def _parse_floats(args, dest: str) -> list:
-    """The numbers of list flag ``dest``; the list's owner checks them."""
+    """The numbers of list flag ``dest``, none for an empty value; a blank
+    entry is malformed, as in --jump.  The list's owner checks the numbers."""
     text = getattr(args, dest)
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",")] if text.strip() else []
     except ValueError:
         raise ValueError(f"--{dest} must be a comma list of numbers, got {text!r}") from None
 

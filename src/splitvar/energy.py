@@ -14,7 +14,7 @@ parts, and ``j_total`` sums them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,19 +125,23 @@ class JumpSegment:
     height: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class BVCandidate:
     """Piecewise-smooth candidate: a nodal part plus vertical jump segments.
 
-    ``boundary()`` is the candidate's trace on the boundary ring: the smooth
-    part plus the height of each segment on the side of its line toward
-    x1 = +1, where the segment reaches that edge.
+    The candidate is frozen, and ``jumps`` is stored as a tuple of the
+    segments given (any iterable, read once) before they are checked, so the
+    segments checked are the segments priced.  ``boundary()`` is the
+    candidate's trace on the boundary ring: the smooth part plus the height
+    of each segment on the side of its line toward x1 = +1, where the
+    segment reaches that edge.
     """
 
     smooth_part: GridFunction
-    jumps: Sequence[JumpSegment] = field(default_factory=tuple)
+    jumps: Sequence[JumpSegment] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "jumps", tuple(self.jumps))
         g = self.smooth_part.grid
         for seg in self.jumps:
             indices = (seg.line_index, seg.cell_start, seg.cell_end)
@@ -173,8 +177,9 @@ class BVCandidate:
 
 
 def lift_to_candidate(u: GridFunction) -> BVCandidate:
-    """Wrap a nodal field as a jump-free candidate (its own trace)."""
-    return BVCandidate(smooth_part=u.copy())
+    """Wrap a nodal field as a jump-free candidate (its own trace).  The
+    candidate shares the field, whose values are read-only."""
+    return BVCandidate(smooth_part=u)
 
 
 def _recession_of_sign(d: DensityPair, x: np.ndarray) -> np.ndarray:

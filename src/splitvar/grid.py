@@ -99,45 +99,61 @@ class Grid:
         return x1, x2
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridFunction:
     """Nodal scalar field on the (n1+1) x (n2+1) lattice.  Its values are
-    finite, else ValueError: every reader of a nodal field needs finite data."""
+    finite, else ValueError, and read-only for the life of the field: every
+    reader of a nodal field needs finite data, and a write after the check
+    would undo it.
+
+    The field takes the array it is given.  An ndarray that owns float64
+    data is made read-only in place and kept, so the caller's own array is
+    frozen along with the field, and a field built on another's values
+    shares them.  Any other input (a view, a list, another dtype) is first
+    copied into a new row-major float64 array.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.node_shape:
-            raise ValueError(
-                f"values shape {self.values.shape} != node shape {self.grid.node_shape}"
-            )
-        if not np.isfinite(self.values).all():
+        values = self.values
+        if not (
+            isinstance(values, np.ndarray) and values.dtype == np.float64 and values.flags.owndata
+        ):
+            values = np.array(values, dtype=np.float64, order="C")
+        if values.shape != self.grid.node_shape:
+            raise ValueError(f"values shape {values.shape} != node shape {self.grid.node_shape}")
+        if not np.isfinite(values).all():
             raise ValueError("nodal field holds a non-finite value")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild the field through the check above,
+        # which would otherwise hand back writable values
+        return (GridFunction, (self.grid, self.values))
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
         x1, x2 = grid.node_coords()
-        vals = fn(x1[:, None], x2[None, :])
-        # astype copies; order="C" keeps a field of x2 alone row-major
-        return cls(grid, np.broadcast_to(vals, grid.node_shape).astype(np.float64, order="C"))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
+        # a broadcast view, which the field copies into a row-major array
+        return cls(grid, np.broadcast_to(fn(x1[:, None], x2[None, :]), grid.node_shape))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellField2:
-    """Two-component field on cell centers (a discrete gradient or stress)."""
+    """Two-component field on cell centers (a discrete gradient or stress).
+    Its fields cannot be reassigned, but its arrays stay writable: the
+    solver builds them as scratch, and a reader checks their values itself."""
 
     grid: Grid
     comp1: np.ndarray
     comp2: np.ndarray
 
     def __post_init__(self):
-        self.comp1 = np.asarray(self.comp1, dtype=np.float64)
-        self.comp2 = np.asarray(self.comp2, dtype=np.float64)
+        object.__setattr__(self, "comp1", np.asarray(self.comp1, dtype=np.float64))
+        object.__setattr__(self, "comp2", np.asarray(self.comp2, dtype=np.float64))
         shape = (self.grid.n1, self.grid.n2)
         if self.comp1.shape != shape or self.comp2.shape != shape:
             raise ValueError(f"cell field components must have shape {shape}")
@@ -296,9 +312,9 @@ def load_csv(path: str) -> GridFunction:
     flat = index[0] * (n2 + 1) + index[1]
     if np.bincount(flat, minlength=len(body)).max() > 1:
         raise ValueError("CSV repeats a node")
-    values = np.empty(len(body))
-    values[flat] = body[:, 2]
-    return GridFunction(grid, values.reshape(grid.node_shape))
+    values = np.empty(grid.node_shape)
+    np.put(values, flat, body[:, 2])
+    return GridFunction(grid, values)
 
 
 def save_vsgf(u: GridFunction, path: str) -> None:
@@ -324,5 +340,5 @@ def load_vsgf(path: str) -> GridFunction:
     expected = (n1 + 1) * (n2 + 1) * 8
     if len(payload) != expected:
         raise ValueError(f"payload has {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(n1 + 1, n2 + 1).copy()
-    return GridFunction(Grid(n1, n2), values)
+    # a read-only view of the payload, which the field copies
+    return GridFunction(Grid(n1, n2), np.frombuffer(payload, dtype="<f8").reshape(n1 + 1, n2 + 1))

@@ -163,7 +163,8 @@ class SolveConfig:
 
 @dataclass
 class DeltaRecord:
-    """Per-level continuation record."""
+    """Per-level continuation record.  With ``store_fields``, ``u`` is the
+    read-only nodal array of the field the level returned, not a copy."""
 
     delta: float
     j_value: float
@@ -496,6 +497,7 @@ def minimize_J_delta(
         # split energy, its cell gradient and the tie-break's residual
         k1 = k2 = minus_g = d_dir = trial = split_trial = g_trial = None
 
+    u = GridFunction(grid, values)
     record = DeltaRecord(
         delta=delta,
         j_value=j,
@@ -505,9 +507,9 @@ def minimize_J_delta(
         iterations=steps,
         converged=res_max <= cfg.tol_grad,
         flags=tuple(flags),
-        u=values.copy() if cfg.store_fields else None,
+        u=u.values if cfg.store_fields else None,
     )
-    return GridFunction(grid, values), record
+    return u, record
 
 
 def continuation(cfg: SolveConfig) -> SolveReport:
@@ -593,11 +595,9 @@ def multi_start(cfg: SolveConfig, n_starts: int) -> dict:
     grads = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        u_init = cfg.u0.copy()
-        u_init.values[1:-1, 1:-1] = rng.uniform(
-            -1.0, 1.0, size=(grid.n1 - 1, grid.n2 - 1)
-        )
-        run_cfg = replace(cfg, u0=u_init)
+        values = cfg.u0.values.copy()
+        values[1:-1, 1:-1] = rng.uniform(-1.0, 1.0, size=(grid.n1 - 1, grid.n2 - 1))
+        run_cfg = replace(cfg, u0=GridFunction(grid, values))
         report = continuation(run_cfg)
         reports.append(report)
         grads.append(gradient(report.u_final))

@@ -163,6 +163,17 @@ def test_sweep_command(tmp_path, capsys):
     assert json.loads((tmp_path / "sweep.json").read_text())["margin"] == 0.1
 
 
+@pytest.mark.parametrize("kappas", [[], ["--kappas="], ["--kappas", " "]],
+                         ids=["default", "empty", "blank"])
+def test_sweep_empty_kappas_is_no_kappa(kappas, tmp_path, capsys):
+    # an empty or blank value is the empty list; a blank entry beside
+    # numbers exits 2 (BAD_VALUES)
+    argv = ["sweep", *AFFINE_ARGS, "--chis", "3", *kappas, "--out-dir", str(tmp_path)]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0, err
+    assert json.loads(out) == {"3.0": "BOUNDED"}
+
+
 def test_approx_demo(tmp_path, capsys):
     rc, out, _ = run(
         [
@@ -925,7 +936,9 @@ BAD_VALUES = {
         ("inf", "ValueError: delta schedule must be finite, positive and below 1: (inf,)"),
         ("-1", "ValueError: delta schedule must be finite, positive and below 1: (-1.0,)"),
         ("0", "ValueError: delta schedule must be finite, positive and below 1: (0.0,)"),
-        (",", "ValueError: delta schedule must be nonempty"),
+        ("", "ValueError: delta schedule must be nonempty"),
+        (",", "ValueError: --deltas must be a comma list of numbers, got ','"),
+        ("1e-1,,1e-2,", "ValueError: --deltas must be a comma list of numbers, got '1e-1,,1e-2,'"),
         ("abc", "ValueError: --deltas must be a comma list of numbers, got 'abc'"),
         ("1e-2,1e-1", "ValueError: delta schedule must be strictly decreasing"),
     ],
@@ -949,12 +962,15 @@ BAD_VALUES = {
     "chis": [
         ("nan", "ValueError: sweep exponents must be finite, got chis (nan,), kappas (4.0,)"),
         ("3,inf", "ValueError: sweep exponents must be finite, got chis (3.0, inf)"),
-        (",", "ValueError: need at least one chi exponent"),
+        ("", "ValueError: need at least one chi exponent"),
+        (",", "ValueError: --chis must be a comma list of numbers, got ','"),
+        ("3,,4", "ValueError: --chis must be a comma list of numbers, got '3,,4'"),
         ("abc", "ValueError: --chis must be a comma list of numbers, got 'abc'"),
     ],
     "kappas": [
         ("nan", "ValueError: sweep exponents must be finite, got chis (3.0,), kappas (nan,)"),
         ("-inf", "ValueError: sweep exponents must be finite"),
+        ("4,", "ValueError: --kappas must be a comma list of numbers, got '4,'"),
         ("abc", "ValueError: --kappas must be a comma list of numbers, got 'abc'"),
     ],
     "widths": [
@@ -962,7 +978,9 @@ BAD_VALUES = {
         ("inf", "ValueError: widths must be finite and positive: (inf,)"),
         ("-1", "ValueError: widths must be finite and positive: (-1.0,)"),
         ("0", "ValueError: widths must be finite and positive: (0.0,)"),
-        (",", "ValueError: widths must be nonempty"),
+        ("", "ValueError: widths must be nonempty"),
+        (",", "ValueError: --widths must be a comma list of numbers, got ','"),
+        ("1e-1,,1e-2", "ValueError: --widths must be a comma list of numbers, got '1e-1,,1e-2'"),
         ("abc", "ValueError: --widths must be a comma list of numbers, got 'abc'"),
         ("1e-2,1e-1", "ValueError: widths must be strictly decreasing"),
         ("3", "ValueError: width exceeds the margin to the lateral boundary"),
@@ -1116,6 +1134,8 @@ def test_bad_input_table_covers_every_command(tables, no_solve, tmp_path, monkey
             assert main(argv) == 0, capsys.readouterr().err
     ids = {case.id for case in bad_input_cases()}
     for named in ("relax-gap-jump=8:2", "sweep-deltas=1e-1,1e-2,chis=4", "sweep-chis=,",
+                  "solve-deltas=1e-1,,1e-2,", "sweep-chis=3,,4", "sweep-kappas=4,",
+                  "approx-demo-widths=1e-1,,1e-2", "solve-deltas=",
                   "conjugate-table-n=0", "approx-demo-jump=4.5:1", "solve-out_dir={small}",
                   "conjugate-table-out={folder}", "solve-grid=8", "solve-f1=mystery:1",
                   "solve-u0=custom-table:{small}",

@@ -141,8 +141,9 @@ def test_weak_duality_random_admissible_fields(pair_std, affine_run):
     assert dr.certified
     rng = np.random.default_rng(8)
     for _ in range(5):
-        v = cfg.u0.copy()
-        v.values[1:-1, 1:-1] += rng.standard_normal((15, 15))
+        values = cfg.u0.values.copy()
+        values[1:-1, 1:-1] += rng.standard_normal((15, 15))
+        v = GridFunction(cfg.grid, values)
         assert eval_J(v, pair_std).j_total >= dr.r_value - 1e-9
 
 
@@ -397,6 +398,9 @@ def test_duality_gap_rejects_a_non_finite_tau_or_u0(pair_std, bad):
     values[4, 4] = bad
     with pytest.raises(ValueError, match="holds a non-finite value$"):
         GridFunction(u.grid, values)
+    # nor can a built one take a non-finite value: the write itself fails
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[4, 4] = bad
     assert duality_gap(u, tau, pair_std, u0=u).certified
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -269,13 +270,28 @@ def test_eval_k_boundary_data_is_finite_by_type(pair_std):
     w = zero_candidate_with_unit_jump(8)
     u0 = step_boundary(w.smooth_part.grid)
     assert eval_K(w, pair_std, u0).j_total == 2.0
-    values = u0.values.copy()
-    values[6, -1] = 5.0
+    # one array per case: a field freezes the array it is built on
+    wrong, missing = u0.values.copy(), u0.values.copy()
+    wrong[6, -1] = 5.0
     with pytest.raises(CandidateInvariantError, match="top trace mismatches .* node 6"):
-        eval_K(w, pair_std, GridFunction(u0.grid, values))
-    values[6, -1] = np.nan
+        eval_K(w, pair_std, GridFunction(u0.grid, wrong))
+    missing[6, -1] = np.nan
     with pytest.raises(ValueError, match="holds a non-finite value$"):
-        GridFunction(u0.grid, values)
+        GridFunction(u0.grid, missing)
+
+
+def test_candidate_is_frozen_and_reads_its_jumps_once(pair_std):
+    # the check must not use up a one-pass iterable of segments, or K would
+    # price none: the candidate stores the tuple it checked
+    g = Grid(8, 8)
+    zero = GridFunction(g, np.zeros(g.node_shape))
+    w = BVCandidate(zero, (s for s in [JumpSegment(4, 2, 6, 1.0)]))
+    assert w.jumps == (JumpSegment(4, 2, 6, 1.0),)
+    assert eval_K(w, pair_std, zero).j_total == 2.25
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.jumps = ()
+    # a lifted field is shared, not copied: its values are read-only
+    assert lift_to_candidate(zero).smooth_part is zero
 
 
 def test_eval_k_boundary_grid_mismatch(pair_std):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import pytest
@@ -43,3 +44,17 @@ def test_reference_conjugate_is_a_test_helper():
     }
     exported = set(splitvar.__all__) | set(dir(splitvar)) | set(dir(splitvar.densities))
     assert not moved & exported
+
+
+def test_checked_dataclasses_are_frozen():
+    # a type that checks its input in __post_init__ keeps the check for its
+    # life only if no field can be reassigned after it
+    exported = [getattr(splitvar, n) for n in splitvar.__all__]
+    checked = [
+        cls for cls in exported
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and hasattr(cls, "__post_init__")
+    ]
+    assert {"Grid", "GridFunction", "CellField2", "BVCandidate", "SolveConfig"} <= {
+        cls.__name__ for cls in checked
+    }
+    assert [cls.__name__ for cls in checked if not cls.__dataclass_params__.frozen] == []

@@ -1,5 +1,8 @@
+import copy
 import csv
+import dataclasses
 import io
+import pickle
 import struct
 
 import numpy as np
@@ -136,6 +139,43 @@ def test_gridfunction_shape_validation():
     g = Grid(4, 4)
     with pytest.raises(ValueError):
         GridFunction(g, np.zeros((4, 4)))
+
+
+def test_nodal_field_takes_its_array_and_freezes_it(tmp_path):
+    # the finite check holds for the field's life only if no write follows
+    # it: an owned float64 array is kept and frozen, any other input copied
+    g = Grid(3, 2)
+    owned = np.zeros(g.node_shape)
+    u = GridFunction(g, owned)
+    assert u.values is owned and not owned.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        owned[1, 1] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.values = np.ones(g.node_shape)
+    assert GridFunction(g, u.values).values is owned
+    base = np.zeros((5, 3))
+    for given in (base[:4], owned.tolist(), owned.astype(np.float32), np.asfortranarray(owned)[:]):
+        v = GridFunction(g, given)
+        assert v.values is not given and v.values.flags.owndata
+        assert v.values.flags.c_contiguous and not v.values.flags.writeable
+    base[0, 0] = 1.0
+    assert GridFunction(g, base[:4]).values[0, 0] == 1.0
+    # a deep copy or an unpickled field is built, and frozen, the same way
+    for twin in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert twin.grid == g and np.array_equal(twin.values, owned)
+        assert not twin.values.flags.writeable
+    save_vsgf(u, str(tmp_path / "u.vsgf"))
+    back = load_vsgf(str(tmp_path / "u.vsgf"))
+    assert back.values.flags.owndata and not back.values.flags.writeable
+
+
+def test_cell_field_is_frozen_but_its_arrays_are_scratch():
+    g = Grid(2, 2)
+    tau = CellField2(g, np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tau.comp1 = np.ones((2, 2))
+    tau.comp1[0, 0] = 1.0
+    assert tau.comp1[0, 0] == 1.0
 
 
 def test_from_callable_broadcasts_constant():

@@ -232,9 +232,10 @@ def test_bilinear_interpolant_is_stationary(pair_std):
 def test_affine_oracle_from_perturbed_interior(pair_std):
     # the preconditioned Newton solve must land back on the affine interpolant
     g = Grid(32, 32)
-    u0 = affine_field(g, 2.0, -1.0)
-    exact = u0.values.copy()
-    u0.values[1:-1, 1:-1] += np.random.default_rng(3).uniform(-0.5, 0.5, (31, 31))
+    exact = affine_field(g, 2.0, -1.0).values
+    values = exact.copy()
+    values[1:-1, 1:-1] += np.random.default_rng(3).uniform(-0.5, 0.5, (31, 31))
+    u0 = GridFunction(g, values)
     cfg = SolveConfig(
         grid=g, densities=pair_std, u0=u0, delta_schedule=[1e-1, 1e-2, 1e-3]
     )
@@ -661,9 +662,10 @@ def test_minimizer_fd_gradient_vanishes(pair_std, tanh_report):
     for _ in range(10):
         i = int(rng.integers(1, cfg.grid.n1))
         j = int(rng.integers(1, cfg.grid.n2))
-        up, um = u.copy(), u.copy()
-        up.values[i, j] += h
-        um.values[i, j] -= h
+        bump = np.zeros(cfg.grid.node_shape)
+        bump[i, j] = h
+        up = GridFunction(cfg.grid, u.values + bump)
+        um = GridFunction(cfg.grid, u.values - bump)
         fd = (
             eval_J_delta(up, pair_std, delta, cfg.p_reg).j_total
             - eval_J_delta(um, pair_std, delta, cfg.p_reg).j_total
@@ -682,8 +684,7 @@ def test_minimizer_beats_perturbations(pair_std, tanh_report):
             (cfg.grid.n1 - 1, cfg.grid.n2 - 1)
         )
         for t in (1e-3, 1e-2, 1e-1):
-            trial = u.copy()
-            trial.values += t * phi
+            trial = GridFunction(cfg.grid, u.values + t * phi)
             assert (
                 eval_J_delta(trial, pair_std, delta, cfg.p_reg).j_total
                 >= base - 1e-12
@@ -922,6 +923,27 @@ def test_store_fields_toggle(pair_std):
     assert np.array_equal(report.records[-1].u, report.u_final.values)
     lean = continuation(tanh_config(pair_std))
     assert all(rec.u is None for rec in lean.records)
+
+
+def test_stored_fields_are_the_levels_own_read_only_arrays(pair_std, monkeypatch):
+    # a record's u is the array of the field its level returned, not a copy,
+    # so it must be read-only, and no later level may write into it
+    returned = []
+    level = solve.minimize_J_delta
+
+    def spy(*args, **kwargs):
+        u, rec = level(*args, **kwargs)
+        returned.append(u.values.copy())
+        return u, rec
+
+    monkeypatch.setattr(solve, "minimize_J_delta", spy)
+    report = continuation(tanh_config(pair_std, store_fields=True))
+    assert len(returned) == len(report.records) == 3
+    assert not np.array_equal(returned[0], returned[-1])
+    for rec, values in zip(report.records, returned):
+        assert not rec.u.flags.writeable
+        assert np.array_equal(rec.u, values)
+    assert np.shares_memory(report.records[-1].u, report.u_final.values)
 
 
 def test_records_csv_layout(pair_std, tmp_path):
