@@ -11,9 +11,9 @@ product copies its vector into the interior of one zero-ringed nodal buffer
 per level, and ``_kernels.hessvec`` returns the interior of H v.  CG is
 preconditioned by the exact inverse of H with the curvatures W1, W2
 replaced by their means across x2, applied with a sine transform along x2
-and one tridiagonal solve per sine mode along x1 (see
-``_line_preconditioner``, one workspace per level, refactored in place at
-each Newton step).
+and one tridiagonal solve per sine mode along x1, each line eliminated from
+both ends toward its middle node (see ``_line_preconditioner``, one
+workspace per level, refactored in place at each Newton step).
 
 A level holds nothing of a Newton step past that step.  Between steps it
 keeps the iterate with its split energy and cell gradient, the padded buffer
@@ -235,18 +235,37 @@ class _DeltaProblem:
         return w1, w2
 
 
-def _dst1(x: np.ndarray, ext: np.ndarray, out: Optional[np.ndarray] = None):
-    """Unnormalized DST-I along the last axis, y_k = 2 sum_i x_i sin(pi k i / n)
+def _stacked(blocks):
+    """(rows, block) for each of a sequence of arrays whose rows, stacked in
+    order, make one array: ``rows`` is the slice of that array ``block``
+    holds."""
+    first = 0
+    for block in blocks:
+        yield slice(first, first + len(block)), block
+        first += len(block)
+
+
+def _dst1(
+    x: Sequence[np.ndarray], ext: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
+):
+    """Unnormalized DST-I along the last axis, y_k = sum_i x_i sin(pi k i / n)
     with n = m + 1 for m entries: minus the imaginary part of the real FFT of
-    the odd extension [0, x, 0, -x reversed].  Applied twice it is 2n times
-    the identity.  ``ext`` is the buffer of the extension: last axis 2m + 2,
-    zero in columns 0 and m + 1, so that one buffer serves every transform of
-    one shape.  Returns y in a new array, or in ``out``, with no temporary
-    beyond the FFT's own."""
-    m = x.shape[-1]
-    ext[..., 1 : m + 1] = x
-    np.negative(x[..., ::-1], out=ext[..., m + 2 :])
-    return np.negative(np.fft.rfft(ext)[..., 1 : m + 1].imag, out=out)
+    the zero-tailed row [0, x, 0, ..., 0] of length 2n.  Applied twice it is
+    n/2 times the identity.  ``ext`` is the buffer of those rows, last axis
+    2n and zero outside columns 1..m; only those columns are written, so one
+    buffer serves every transform of one shape.  ``x`` is a sequence of
+    arrays whose rows, stacked in order (``_stacked``), are the rows to
+    transform, and ``out``, if given, one that the rows of y are written to
+    in the same way; without it y is returned in a new array.  No temporary
+    is made beyond the FFT's own."""
+    n = ext.shape[-1] // 2
+    for rows, block in _stacked(x):
+        ext[rows, 1:n] = block
+    y = np.fft.rfft(ext)[:, 1:n].imag
+    if out is None:
+        return np.negative(y)
+    for rows, block in _stacked(out):
+        np.negative(y[rows], out=block)
 
 
 def _line_preconditioner(grid: Grid) -> SimpleNamespace:
@@ -260,57 +279,97 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
 
     A^T A = tridiag(1, 2, 1) / 4 and D^T D = tridiag(-1, 2, -1) have the sine
     eigenvectors, eigenvalues cos^2(t/2) and 4 sin^2(t/2), t = k pi / n2, so
-    the DST-I S along x2 (S^2 = 2 n2 I) gives M^-1 r = [T^-1 (r S)] S / (2 n2)
+    the DST-I S along x2 (S^2 = (n2/2) I) gives M^-1 r = [T^-1 (r S)] S / (n2/2)
     with T_k = h1 h2 [cos^2(t/2) K1(a) + 4 sin^2(t/2) / h2^2 A^T diag(b) A]
     tridiagonal in x1 for each mode k (Buzbee, Golub & Nielson, SIAM J. Numer.
-    Anal. 7, 1970).  All T_k are factored as L D L^T at once, with 2 n2 folded
-    into a and b; an apply is a DST, a forward and a backward sweep, a DST,
-    and both DSTs share one odd-extension buffer.  Since a >= delta p > 0
-    (the regularizer) and b >= 0, every T_k is SPD; where w1 and w2 vary only
-    in x1, M is the Hessian.
+    Anal. 7, 1970); n2/2 is folded into a and b.  Since a >= delta p > 0 (the
+    regularizer) and b >= 0, every T_k is SPD; where w1 and w2 vary only in
+    x1, M is the Hessian.
+
+    All T_k are factored at once, each line of N = n1 - 1 nodes from both
+    ends toward its middle node h = floor(N / 2) (van der Vorst's "burn at
+    both ends", Parallel Comput. 5, 1987; a twisted factorization in
+    Meurant's terms, SIAM J. Matrix Anal. Appl. 13, 1992): T_k = L D L^T
+    with L unit lower bidiagonal above the middle node and unit upper
+    bidiagonal below it.  The h nodes on each side of the middle are paired
+    by their distance from it.  The workspace arrays hold each pair in one
+    (2, n2-1) block, the top node first, and the middle node in a last row,
+    so every numpy call of the factor and of both sweeps steps both ends of
+    every line at once: about N / 2 steps where a one-ended elimination
+    takes N - 1.  Every pivot is positive because T_k is SPD: the top end's
+    are ratios of leading principal minors, the bottom end's of trailing
+    ones, and the middle one is 1 / (T_k^-1)_hh.  When N is even the bottom
+    end is one node short, and an identity row coupled to nothing pads it.
+    No DST and no diagonal or off-diagonal of ``factor`` is written to its
+    rows, so its right side and off-diagonal in y stay 0 and its D^-1 stays
+    1; its multiplier in L is 0, and the sweeps leave its row of y at 0.
 
     One workspace serves one ``minimize_J_delta`` level.  It allocates the
-    sine tables, the extension buffer, the sweep array y and the factors L
-    and D^-1 once; ``factor(w1, w2)`` refactors them in place at each Newton
-    step, with T's off-diagonal held in y until the next apply overwrites
-    it, and ``apply(r)`` returns a new array.  The first DST of an apply
-    writes r S straight into y.
+    sine tables, the zero-tailed buffer of the DSTs, the sweep array y and
+    the factors L and D^-1 once; ``factor(w1, w2)`` refactors them in place
+    at each Newton step, with T's off-diagonal held in y until the next
+    apply overwrites it, and ``apply(r)`` returns a new array.  The first DST
+    of an apply writes r S straight into y and the second reads y, both
+    through the same two strided blocks of rows that put y in x1 order.
     """
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     t2 = np.arange(1, n2) * (math.pi / n2)
     cos2, sin2 = np.cos(0.5 * t2) ** 2, 4.0 * np.sin(0.5 * t2) ** 2 / h2**2
+    h = (n1 - 1) // 2
     ext = np.zeros((n1 - 1, 2 * n2))
-    y = np.empty((n1 - 1, n2 - 1))
-    lower = np.empty((n1 - 2, n2 - 1))
-    inv_diag = np.empty_like(y)
-    off = y[:-1]
-    # one view per row, shared by the factor's loop and the sweeps
-    y_rows, low_rows, d_rows = list(y), list(lower), list(inv_diag)
-    factor_rows = list(zip(y_rows, d_rows, low_rows, d_rows[1:]))
-    sweep_rows = list(zip(y_rows[1:], low_rows, y_rows))
+    # row 2i holds the node i from the top, row 2i + 1 the node i from the
+    # bottom, and the last row the middle node h; when n1 - 1 is even, node
+    # 0 from the bottom is the pad, which keeps the 0 and 1 it starts with
+    y = np.zeros((2 * h + 1, n2 - 1))
+    inv_diag = np.ones_like(y)
+    lower = np.empty((h, 2, n2 - 1))
+    mid, d_mid = y[-1], inv_diag[-1]
+
+    def in_x1_order(rows):
+        # nodes 0..h, then nodes h + 1..n1 - 2 (the pad left out)
+        return rows[0::2], rows[-2::-2][: n1 - 2 - h]
+
+    y_x1, d_x1 = in_x1_order(y), in_x1_order(inv_diag)
+    # T's off-diagonal j couples nodes j and j + 1, and is held in the row of
+    # whichever of the two lies farther from the middle
+    off_x1 = (y_x1[0][:-1], y_x1[1])
+    # one view per row pair, shared by the factor's loop and the sweeps
+    y_pairs, d_pairs = (list(a[:-1].reshape(lower.shape)) for a in (y, inv_diag))
+    low_pairs = list(lower)
+    factor_rows = list(zip(y_pairs, d_pairs, low_pairs, d_pairs[1:]))
+    sweep_rows = list(zip(y_pairs[1:], low_pairs, y_pairs))
+    # both ends step into the middle node last, one after the other; a line
+    # of one node has no ends
+    for o, d, low in zip(y_pairs[-1:], d_pairs[-1:], low_pairs[-1:]):
+        factor_rows += zip(o, d, low, (d_mid, d_mid))
+        sweep_rows += zip((mid, mid), low, o)
 
     def factor(w1: np.ndarray, w2: np.ndarray) -> None:
-        a = (2.0 * n2 * h2 / h1) * np.mean(w1, axis=1)
-        b = (0.5 * n2 * h1 * h2) * np.mean(w2, axis=1)
-        # interior node m along x1 lies between cells m and m + 1; the
-        # diagonal is eliminated in the buffer of its inverse
-        diag = np.multiply.outer(a[:-1] + a[1:], cos2, out=inv_diag)
+        a = (0.5 * n2 * h2 / h1) * np.mean(w1, axis=1)
+        b = (0.125 * n2 * h1 * h2) * np.mean(w2, axis=1)
+        # interior node j along x1 lies between cells j and j + 1
+        diag = np.multiply.outer(a[:-1] + a[1:], cos2)
         diag += np.outer(b[:-1] + b[1:], sin2)
-        np.multiply.outer(-a[1:-1], cos2, out=off)
-        off[...] += np.outer(b[1:-1], sin2)
+        off = np.multiply.outer(-a[1:-1], cos2)
+        off += np.outer(b[1:-1], sin2)
+        for rows, block in _stacked(d_x1):
+            block[...] = diag[rows]
+        for rows, block in _stacked(off_x1):
+            block[...] = off[rows]
+        # the diagonal is eliminated in the buffer of its inverse
         for o, d, low, d_next in factor_rows:
             np.divide(o, d, out=low)
             d_next -= low * o
-        np.divide(1.0, diag, out=inv_diag)
+        np.divide(1.0, inv_diag, out=inv_diag)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        _dst1(r, ext, out=y)
+        _dst1([r], ext, out=y_x1)
         for row, low, prev in sweep_rows:
             row -= low * prev
         y[...] *= inv_diag
         for prev, low, row in reversed(sweep_rows):
             row -= low * prev
-        return _dst1(y, ext)
+        return _dst1(y_x1, ext)
 
     return SimpleNamespace(factor=factor, apply=apply)
 

@@ -255,16 +255,19 @@ def test_affine_oracle_from_perturbed_interior(pair_std):
 def test_dst1_matches_reference_transform():
     x = np.random.default_rng(0).standard_normal((95, 63))
     ext = np.zeros((95, 128))
-    y = solve._dst1(x, ext)
-    # the definition, y_k = 2 sum_i x_i sin(pi k i / n), as a dense product
+    y = solve._dst1([x], ext)
+    # the definition, y_k = sum_i x_i sin(pi k i / n), as a dense product
     k = np.arange(1, 64)
-    dense = x @ (2.0 * np.sin(np.pi * np.outer(k, k) / 64))
+    dense = x @ np.sin(np.pi * np.outer(k, k) / 64)
     assert np.allclose(y, dense, rtol=0.0, atol=1e-12)
-    out = np.empty_like(x)
-    assert solve._dst1(x, ext, out=out) is out
-    assert np.array_equal(out, y)
-    # DST-I is its own inverse up to 2n along each axis, with the buffer reused
-    assert np.allclose(solve._dst1(y, ext), 2 * 64 * x, rtol=0.0, atol=1e-12)
+    # rows given and written in blocks are the rows of one stacked array
+    out = [np.empty((40, 63)), np.empty((55, 63))[::-1]]
+    assert solve._dst1([x[:10], x[10:]], ext, out=out) is None
+    assert np.array_equal(np.concatenate(out), y)
+    # DST-I is its own inverse up to n/2 along each axis, with the buffer
+    # reused; the transforms write only its columns 1..m
+    assert np.allclose(solve._dst1([y], ext), 64 / 2 * x, rtol=0.0, atol=1e-12)
+    assert not np.any(ext[:, 0]) and not np.any(ext[:, 64:])
 
 
 def _interior_random(grid, rng):
@@ -308,8 +311,8 @@ def _x1_only_curvatures(grid, case, rng):
 
 
 # N = n1 - 1 rows per x1 line, odd and even, from a single row (no
-# elimination step) to the 64^2 benchmark size and one beyond
-LINE_ROWS = (1, 2, 3, 4, 9, 63, 64)
+# elimination step) to the 64^2 benchmark size, one beyond, and the 96^2 one
+LINE_ROWS = (1, 2, 3, 4, 5, 9, 63, 64, 95)
 
 
 @pytest.mark.parametrize(
@@ -328,6 +331,43 @@ def test_line_preconditioner_inverts_x1_only_hessian(shape, case):
     z = precond(_hessian_interior(g, w1, w2)(v))
     assert z.shape == v.shape
     assert np.max(np.abs(z - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def _dense_mode_solves(grid, w1, w2, r):
+    """M^-1 r as S T_k^-1 S r / (n2/2), S the dense DST-I along x2 and T_k
+    formed densely from the x2-means a, b of the curvatures, as the
+    ``_line_preconditioner`` docstring writes it."""
+    n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
+    a, b = w1.mean(axis=1), w2.mean(axis=1)
+    # differences and averages from the n1 - 1 interior nodes of a line, with
+    # its zero ends, to its n1 cells
+    diff = np.eye(n1, n1 - 1) - np.eye(n1, n1 - 1, -1)
+    avg = (np.eye(n1, n1 - 1) + np.eye(n1, n1 - 1, -1)) / 2
+    k1 = diff.T @ np.diag(a) @ diff / h1**2
+    ab = avg.T @ np.diag(b) @ avg
+    modes = np.arange(1, n2)
+    sine = np.sin(np.pi * np.outer(modes, modes) / n2)
+    rs = r @ sine
+    z = np.empty_like(rs)
+    for k, t in enumerate(modes * np.pi / n2):
+        tk = h1 * h2 * (np.cos(t / 2) ** 2 * k1 + 4 * np.sin(t / 2) ** 2 / h2**2 * ab)
+        z[:, k] = np.linalg.solve(tk, rs[:, k])
+    return z @ sine / (n2 / 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 95])
+def test_line_preconditioner_matches_dense_mode_solves(n):
+    # curvatures that vary in x2 too, so that M is not the Hessian: the
+    # two-ended sweeps must still give the dense solve of every mode
+    g = Grid(n + 1, 7)
+    rng = np.random.default_rng(n)
+    w1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
+    w2 = rng.uniform(0.0, 2.0, (g.n1, g.n2))
+    precond = _factored_preconditioner(g, w1, w2)
+    for _ in range(3):
+        r = _interior_random(g, rng)
+        ref = _dense_mode_solves(g, w1, w2, r)
+        assert np.max(np.abs(precond(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_line_preconditioner_symmetric_positive():
@@ -366,14 +406,15 @@ def test_line_preconditioner_refactors_like_a_fresh_workspace():
 
 @pytest.mark.parametrize("n, steps", [(64, 4), (128, 5), (256, 6)])
 def test_newton_level_peak_memory(pair_std, n, steps):
-    # a warm-started level on step data peaks at 18.1, 17.1 and 17.0 nodal
+    # a warm-started level on step data peaks at 17.9, 17.0 and 17.0 nodal
     # arrays at 64^2, 128^2 and 256^2, inside CG: the iterate, the padded
     # buffer, the weights k1, k2, minus_g, CG's x, r and p, the preconditioner
-    # workspace (ext, two arrays wide, y, L and D^-1) and the three
-    # temporaries of a Hessian product or a sine transform.  The bound fails
-    # (22.9, 21.9 and 21.2) if the accepted trial's cell gradient, the
-    # residual, the last step's weights and direction, and CG's last product
-    # and preconditioned residual are kept past their last read.
+    # workspace (ext, two arrays wide, and the interleaved y, L and D^-1, one
+    # array each) and the three temporaries of a Hessian product or a sine
+    # transform.  The bound fails (22.9, 21.9 and 21.2) if the accepted
+    # trial's cell gradient, the residual, the last step's weights and
+    # direction, and CG's last product and preconditioned residual are kept
+    # past their last read.
     cfg = step_config(pair_std, n, [1e-1, 1e-2])
     u, _ = minimize_J_delta(cfg, 1e-1)
     tracemalloc.start()
