@@ -110,7 +110,9 @@ class GridFunction:
     data is made read-only in place and kept, so the caller's own array is
     frozen along with the field, and a field built on another's values
     shares them.  Any other input (a view, a list, another dtype) is first
-    copied into a new row-major float64 array.
+    copied into a new row-major float64 array.  A view of the kept array
+    taken before the field was built stays writable, since numpy cannot
+    revoke it, so a write through it reaches the field unchecked.
     """
 
     grid: Grid

@@ -19,8 +19,13 @@ A level holds nothing of a Newton step past that step.  Between steps it
 keeps the iterate with its split energy and cell gradient, the padded buffer
 and the workspace; within a step, the cell gradient, the residual, CG's
 products and preconditioned residuals are each released at their last read.
-So a level's heap peaks inside CG, at about 17 nodal arrays (see
-``test_newton_level_peak_memory``).
+So a level's heap peaks inside CG, at about 17 nodal arrays.  The Hessian
+weights and -g are read by nothing past the slope, but are kept to the end
+of a step unless the rounding tie-break below forms its residual: released
+at every step, they let glibc's malloc trim the heap and fault it back in at
+the next one, about 5% of a 96^2 tanh continuation's time on a 2-vCPU
+virtual machine.  A step that the tie-break decides peaks at about 19
+arrays (see ``test_newton_level_peak_memory`` and its tie-break twin).
 
 The Newton method is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982): step k stops CG once the linear residual of its direction d
@@ -235,37 +240,19 @@ class _DeltaProblem:
         return w1, w2
 
 
-def _stacked(blocks):
-    """(rows, block) for each of a sequence of arrays whose rows, stacked in
-    order, make one array: ``rows`` is the slice of that array ``block``
-    holds."""
-    first = 0
-    for block in blocks:
-        yield slice(first, first + len(block)), block
-        first += len(block)
-
-
-def _dst1(
-    x: Sequence[np.ndarray], ext: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
-):
-    """Unnormalized DST-I along the last axis, y_k = sum_i x_i sin(pi k i / n)
-    with n = m + 1 for m entries: minus the imaginary part of the real FFT of
-    the zero-tailed row [0, x, 0, ..., 0] of length 2n.  Applied twice it is
-    n/2 times the identity.  ``ext`` is the buffer of those rows, last axis
-    2n and zero outside columns 1..m; only those columns are written, so one
-    buffer serves every transform of one shape.  ``x`` is a sequence of
-    arrays whose rows, stacked in order (``_stacked``), are the rows to
-    transform, and ``out``, if given, one that the rows of y are written to
-    in the same way; without it y is returned in a new array.  No temporary
-    is made beyond the FFT's own."""
+def _dst1(x: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """The unnormalized DST-I of each row of ``x`` with its sign flipped,
+    -sum_i x_i sin(pi k i / n) for k = 1..m, n = m + 1: the imaginary part of
+    the real FFT of the zero-tailed row [0, x, 0, ..., 0] of length 2n.
+    Applied twice it is n/2 times the identity.  ``ext`` is the buffer of
+    those rows, at least as many as ``x`` has, last axis 2n and zero outside
+    columns 1..m; only those columns of its first rows are written, so one
+    buffer serves every transform of one width.  Returns a strided view of
+    the FFT's output."""
     n = ext.shape[-1] // 2
-    for rows, block in _stacked(x):
-        ext[rows, 1:n] = block
-    y = np.fft.rfft(ext)[:, 1:n].imag
-    if out is None:
-        return np.negative(y)
-    for rows, block in _stacked(out):
-        np.negative(y[rows], out=block)
+    rows = ext[: len(x)]
+    rows[:, 1:n] = x
+    return np.fft.rfft(rows)[:, 1:n].imag
 
 
 def _line_preconditioner(grid: Grid) -> SimpleNamespace:
@@ -284,7 +271,9 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
     tridiagonal in x1 for each mode k (Buzbee, Golub & Nielson, SIAM J. Numer.
     Anal. 7, 1970); n2/2 is folded into a and b.  Since a >= delta p > 0 (the
     regularizer) and b >= 0, every T_k is SPD; where w1 and w2 vary only in
-    x1, M is the Hessian.
+    x1, M is the Hessian.  ``_dst1`` gives -r S in place of r S, and its sign
+    cancels: M^-1 r = [T^-1 (r (-S))] (-S) / (n2/2), and negation commutes
+    with every rounded step in between, so not a bit changes.
 
     All T_k are factored at once, each line of N = n1 - 1 nodes from both
     ends toward its middle node h = floor(N / 2) (van der Vorst's "burn at
@@ -292,47 +281,43 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
     Meurant's terms, SIAM J. Matrix Anal. Appl. 13, 1992): T_k = L D L^T
     with L unit lower bidiagonal above the middle node and unit upper
     bidiagonal below it.  The h nodes on each side of the middle are paired
-    by their distance from it.  The workspace arrays hold each pair in one
-    (2, n2-1) block, the top node first, and the middle node in a last row,
-    so every numpy call of the factor and of both sweeps steps both ends of
-    every line at once: about N / 2 steps where a one-ended elimination
-    takes N - 1.  Every pivot is positive because T_k is SPD: the top end's
-    are ratios of leading principal minors, the bottom end's of trailing
-    ones, and the middle one is 1 / (T_k^-1)_hh.  When N is even the bottom
-    end is one node short, and an identity row coupled to nothing pads it.
-    No DST and no diagonal or off-diagonal of ``factor`` is written to its
-    rows, so its right side and off-diagonal in y stay 0 and its D^-1 stays
-    1; its multiplier in L is 0, and the sweeps leave its row of y at 0.
+    by their distance from it.  The workspace arrays have 2h + 1 rows, and
+    ``order`` gives each node i its row: 2i for i <= h, and 2(2h - i) + 1
+    below the middle.  So each pair fills one (2, n2-1) block, the top node
+    first, and the middle node the last row, and every numpy call of the
+    factor and of both sweeps steps both ends of every line at once: about
+    N / 2 steps where a one-ended elimination takes N - 1.  Every pivot is
+    positive because T_k is SPD: the top end's are ratios of leading
+    principal minors, the bottom end's of trailing ones, and the middle one
+    is 1 / (T_k^-1)_hh.  When N is even the bottom end is one node short,
+    and row 1, which ``order`` skips, pads it: an identity row coupled to
+    nothing.  No DST and no diagonal or off-diagonal of ``factor`` is
+    written to it, so its right side and off-diagonal in y stay 0 and its
+    D^-1 stays 1; its multiplier in L is 0, and the sweeps leave its row of
+    y at 0.
 
     One workspace serves one ``minimize_J_delta`` level.  It allocates the
     sine tables, the zero-tailed buffer of the DSTs, the sweep array y and
     the factors L and D^-1 once; ``factor(w1, w2)`` refactors them in place
     at each Newton step, with T's off-diagonal held in y until the next
-    apply overwrites it, and ``apply(r)`` returns a new array.  The first DST
-    of an apply writes r S straight into y and the second reads y, both
-    through the same two strided blocks of rows that put y in x1 order.
+    apply overwrites it.  ``apply(r)`` scatters r S into y by ``order`` and
+    gathers the rows of the second DST back by ``order`` into a new
+    C-contiguous array.
     """
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     t2 = np.arange(1, n2) * (math.pi / n2)
     cos2, sin2 = np.cos(0.5 * t2) ** 2, 4.0 * np.sin(0.5 * t2) ** 2 / h2**2
     h = (n1 - 1) // 2
-    ext = np.zeros((n1 - 1, 2 * n2))
-    # row 2i holds the node i from the top, row 2i + 1 the node i from the
-    # bottom, and the last row the middle node h; when n1 - 1 is even, node
-    # 0 from the bottom is the pad, which keeps the 0 and 1 it starts with
+    nodes = np.arange(n1 - 1)
+    order = np.where(nodes <= h, 2 * nodes, 2 * (2 * h - nodes) + 1)
+    # T's off-diagonal j couples nodes j and j + 1, and is held in the row of
+    # whichever of the two lies farther from the middle
+    off_rows = np.delete(order, h)
+    ext = np.zeros((2 * h + 1, 2 * n2))
     y = np.zeros((2 * h + 1, n2 - 1))
     inv_diag = np.ones_like(y)
     lower = np.empty((h, 2, n2 - 1))
     mid, d_mid = y[-1], inv_diag[-1]
-
-    def in_x1_order(rows):
-        # nodes 0..h, then nodes h + 1..n1 - 2 (the pad left out)
-        return rows[0::2], rows[-2::-2][: n1 - 2 - h]
-
-    y_x1, d_x1 = in_x1_order(y), in_x1_order(inv_diag)
-    # T's off-diagonal j couples nodes j and j + 1, and is held in the row of
-    # whichever of the two lies farther from the middle
-    off_x1 = (y_x1[0][:-1], y_x1[1])
     # one view per row pair, shared by the factor's loop and the sweeps
     y_pairs, d_pairs = (list(a[:-1].reshape(lower.shape)) for a in (y, inv_diag))
     low_pairs = list(lower)
@@ -352,10 +337,8 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
         diag += np.outer(b[:-1] + b[1:], sin2)
         off = np.multiply.outer(-a[1:-1], cos2)
         off += np.outer(b[1:-1], sin2)
-        for rows, block in _stacked(d_x1):
-            block[...] = diag[rows]
-        for rows, block in _stacked(off_x1):
-            block[...] = off[rows]
+        inv_diag[order] = diag
+        y[off_rows] = off
         # the diagonal is eliminated in the buffer of its inverse
         for o, d, low, d_next in factor_rows:
             np.divide(o, d, out=low)
@@ -363,13 +346,13 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
         np.divide(1.0, inv_diag, out=inv_diag)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        _dst1([r], ext, out=y_x1)
+        y[order] = _dst1(r, ext)
         for row, low, prev in sweep_rows:
             row -= low * prev
         y[...] *= inv_diag
         for prev, low, row in reversed(sweep_rows):
             row -= low * prev
-        return _dst1(y_x1, ext)
+        return _dst1(y, ext)[order]
 
     return SimpleNamespace(factor=factor, apply=apply)
 
@@ -537,7 +520,10 @@ def minimize_J_delta(
             descent = e_trial <= energy + ARMIJO_SLOPE * alpha * slope
             g_trial = None
             if not descent and abs(e_trial - energy) <= ROUNDING_REL * (1.0 + abs(energy)):
-                # a tie to rounding (module docstring): compare ||g||_2
+                # a tie to rounding (module docstring): compare ||g||_2, with
+                # the weights and -g, read by nothing past the slope, released
+                # first (see the module docstring)
+                k1 = k2 = minus_g = None
                 g_trial = prob.residual(split_trial[2], split_trial[3])
                 descent = math.sqrt(_dot(g_trial, g_trial)) < g_norm
             if descent:
