@@ -308,8 +308,10 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
     t2 = np.arange(1, n2) * (math.pi / n2)
     cos2, sin2 = np.cos(0.5 * t2) ** 2, 4.0 * np.sin(0.5 * t2) ** 2 / h2**2
     h = (n1 - 1) // 2
-    nodes = np.arange(n1 - 1)
-    order = np.where(nodes <= h, 2 * nodes, 2 * (2 * h - nodes) + 1)
+    # built in Python: numpy's int64 loops (arithmetic, comparison, where),
+    # which nothing else in a solve runs, would fault up to 0.19 MiB of
+    # numpy's code into memory
+    order = np.array([2 * i if i <= h else 2 * (2 * h - i) + 1 for i in range(n1 - 1)])
     # T's off-diagonal j couples nodes j and j + 1, and is held in the row of
     # whichever of the two lies farther from the middle
     off_rows = np.delete(order, h)
