@@ -1,8 +1,8 @@
 """Hot grid kernels: cell-centered gradients, nodal scatter, Hessian products.
 
 The conjugate-gradient inner loop of the solver spends most of its time in
-these array passes.  All kernels are single-threaded numpy slicing with
-pairwise summation, so results are bitwise deterministic.
+these array passes.  Every kernel is elementwise numpy arithmetic on slices
+and sums no array, so no summation order or thread count moves its bits.
 
 ``grid`` and ``solve`` look the public names up on this module at each call,
 so a wrapper installed on the module (``perfbench/tracer.py``) sees every
@@ -55,13 +55,13 @@ def scatter_adjoint(t1: np.ndarray, t2: np.ndarray, h1: float, h2: float):
     return out
 
 
-def scatter_diag(w1: np.ndarray, w2: np.ndarray, h1: float, h2: float):
-    """Diagonal of scatter_adjoint((w1,w2) * cell_gradient(.)), from the
-    per-cell curvatures w1, w2 >= 0.  The solver does not use it;
+def scatter_diag(k1: np.ndarray, k2: np.ndarray):
+    """Diagonal of scatter_adjoint((w1,w2) * cell_gradient(.)), from the cell
+    weights k1, k2 of ``hessvec``.  The solver does not use it;
     perfbench/tracer.py looks it up by name."""
-    n1, n2 = w1.shape
+    n1, n2 = k1.shape
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.float64)
-    c = (0.25 * h2 / h1) * w1 + (0.25 * h1 / h2) * w2
+    c = k1 + k2
     out[:-1, :-1] += c
     out[1:, :-1] += c
     out[:-1, 1:] += c
@@ -73,9 +73,9 @@ def hessvec(v: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Interior of the nodal Hessian product H v = h1 h2 G^T W G v.
 
     ``v`` is a full nodal array, ``k1 = w1 h2 / (4 h1)`` and
-    ``k2 = w2 h1 / (4 h2)`` are built once per Newton step from the per-cell
-    curvatures (w1, w2).  With the pair sums s = v[:, 1:] + v[:, :-1] (along
-    x2) and t = v[1:] + v[:-1] (along x1), the cell gradient is
+    ``k2 = w2 h1 / (4 h2)`` the cell weights of the curvatures (w1, w2), from
+    ``solve._DeltaProblem``.  With the pair sums s = v[:, 1:] + v[:, :-1]
+    (along x2) and t = v[1:] + v[:-1] (along x1), the cell gradient is
 
         g1 = (s[1:] - s[:-1]) / (2 h1),    g2 = (t[:, 1:] - t[:, :-1]) / (2 h2),
 

@@ -9,10 +9,10 @@ with steepest descent as fallback and Armijo backtracking for global
 descent.  CG works on (n1-1) x (n2-1) arrays of interior values: each
 product copies its vector into the interior of one zero-ringed nodal buffer
 per level, and ``_kernels.hessvec`` returns the interior of H v.  CG is
-preconditioned by the exact inverse of H with the curvatures W1, W2
-replaced by their means across x2, applied with a sine transform along x2
-and one tridiagonal solve per sine mode along x1, each line eliminated from
-both ends toward its middle node (see ``_line_preconditioner``, one
+preconditioned by the exact inverse of H with its cell weights replaced by
+their means across x2, applied with a sine transform along x2 and one
+tridiagonal solve per sine mode along x1, each line eliminated from both
+ends toward its middle node (see ``_line_preconditioner``, one
 workspace per level, refactored in place at each Newton step).
 
 A level holds nothing of a Newton step past that step.  Between steps it
@@ -40,9 +40,10 @@ FORCING_GAMMA eta_{k-1}^2 whenever that exceeds 0.1, is omitted: with
 eta_{k-1} <= FORCING_MAX = 0.1 it is at most 0.009 and never binds.  Early
 steps, far from the minimizer, solve loosely; near it eta_k shrinks with the
 square of the residual ratio, which keeps the local convergence quadratic.
-The floor FORCING_FLOOR tol_grad (0.1 tol_grad) ends over-solving on the
-last step and suffices to converge: max|r| <= ||r||_2, so the linear model
-of the accepted step meets tol_grad with a factor of ten to spare.
+The floor FORCING_FLOOR tol_grad (0.1 tol_grad) suffices to converge:
+max|r| <= ||r||_2, so the accepted step's linear model meets tol_grad with
+a factor of ten to spare.  As a 2-norm bound it still over-solves the last
+steps: a max|r| stop takes 77 products, not 81, on 64^2 step data.
 
 Near a minimizer trial energies can differ from E by rounding only, and the
 Armijo test then ranks steps by noise.  A trial that fails it with
@@ -230,13 +231,17 @@ class _DeltaProblem:
         sigma1, _, tau2, _ = regularized_stress(self.d, c1, c2, self.delta, self.p)
         return divergence_residual(CellField2(self.grid, sigma1, tau2))
 
-    def curvatures(self, c1, c2):
+    def hessian_weights(self, c1, c2):
+        """``hessvec``'s cell weights k1 = w1 h2 / (4 h1), k2 = w2 h1 / (4 h2):
+        the one place where the curvatures w1, w2 meet the grid spacing."""
         reg2 = regularizer_second_deriv(c1, self.p)
         w1 = np.asarray(self.d.f1.second_deriv(c1)) + self.delta * reg2
         w2 = np.asarray(self.d.f2.second_deriv(c2))
         # f2'' is +inf at 0 for a pure power 1 < p < 2; that point's curvature
         # is taken as 0 (for p > 2 it is a finite 0 already)
         w2 = np.where(np.isfinite(w2), w2, 0.0)
+        w1 *= 0.25 * self.grid.h2 / self.grid.h1
+        w2 *= 0.25 * self.grid.h1 / self.grid.h2
         return w1, w2
 
 
@@ -255,25 +260,26 @@ def _dst1(x: np.ndarray, ext: np.ndarray) -> np.ndarray:
     return np.fft.rfft(rows)[:, 1:n].imag
 
 
-def _line_preconditioner(grid: Grid) -> SimpleNamespace:
-    """Workspace of r -> z = M^-1 r on (n1-1) x (n2-1) interior arrays, M the
-    Hessian with w1, w2 replaced by their x2-means a(x1), b(x1).  On interior
-    nodes with a zero ring, G1 = (D/h1) (x) A and G2 = A (x) (D/h2), D forward
-    differences and A neighbour averages, so
+def _line_preconditioner(n1: int, n2: int) -> SimpleNamespace:
+    """Workspace of r -> z = M^-1 r on the (n1-1) x (n2-1) interior arrays of
+    n1 x n2 cells, M the Hessian with its cell weights k1, k2 (``hessvec``'s)
+    replaced by their x2-means a(x1), b(x1).  On interior nodes with a zero
+    ring, G1 = (D/h1) (x) A and G2 = A (x) (D/h2), D forward differences and
+    A neighbour averages, and k1, k2 hold every spacing factor: where they
+    vary only in x1, whatever the cell widths along x1, M is the Hessian
 
-        M = h1 h2 [K1(a) (x) A^T A + A^T diag(b) A (x) D^T D / h2^2],
-        K1(a) = D^T diag(a) D / h1^2.
+        H = 4 [D^T diag(k1) D (x) A^T A + A^T diag(k2) A (x) D^T D].
 
     A^T A = tridiag(1, 2, 1) / 4 and D^T D = tridiag(-1, 2, -1) have the sine
     eigenvectors, eigenvalues cos^2(t/2) and 4 sin^2(t/2), t = k pi / n2, so
     the DST-I S along x2 (S^2 = (n2/2) I) gives M^-1 r = [T^-1 (r S)] S / (n2/2)
-    with T_k = h1 h2 [cos^2(t/2) K1(a) + 4 sin^2(t/2) / h2^2 A^T diag(b) A]
+    with T_k = 4 [cos^2(t/2) D^T diag(a) D + 4 sin^2(t/2) A^T diag(b) A]
     tridiagonal in x1 for each mode k (Buzbee, Golub & Nielson, SIAM J. Numer.
-    Anal. 7, 1970); n2/2 is folded into a and b.  Since a >= delta p > 0 (the
-    regularizer) and b >= 0, every T_k is SPD; where w1 and w2 vary only in
-    x1, M is the Hessian.  ``_dst1`` gives -r S in place of r S, and its sign
-    cancels: M^-1 r = [T^-1 (r (-S))] (-S) / (n2/2), and negation commutes
-    with every rounded step in between, so not a bit changes.
+    Anal. 7, 1970).  (n2/2) T_k weighs D^T diag(a) D and 4 A^T diag(b) A by
+    the mode tables 2 n2 cos^2(t/2) and 2 n2 sin^2(t/2), and a > 0 (the
+    regularizer) and b >= 0 make every T_k SPD.  ``_dst1`` gives -r S for
+    r S, and its sign cancels: M^-1 r = [T^-1 (r (-S))] (-S) / (n2/2), and
+    negation commutes with every rounded step between, so no bit changes.
 
     All T_k are factored at once, each line of N = n1 - 1 nodes from both
     ends toward its middle node h = floor(N / 2) (van der Vorst's "burn at
@@ -298,15 +304,14 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
 
     One workspace serves one ``minimize_J_delta`` level.  It allocates the
     sine tables, the zero-tailed buffer of the DSTs, the sweep array y and
-    the factors L and D^-1 once; ``factor(w1, w2)`` refactors them in place
+    the factors L and D^-1 once; ``factor(k1, k2)`` refactors them in place
     at each Newton step, with T's off-diagonal held in y until the next
     apply overwrites it.  ``apply(r)`` scatters r S into y by ``order`` and
     gathers the rows of the second DST back by ``order`` into a new
     C-contiguous array.
     """
-    n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     t2 = np.arange(1, n2) * (math.pi / n2)
-    cos2, sin2 = np.cos(0.5 * t2) ** 2, 4.0 * np.sin(0.5 * t2) ** 2 / h2**2
+    cos2, sin2 = 2 * n2 * np.cos(0.5 * t2) ** 2, 2 * n2 * np.sin(0.5 * t2) ** 2
     h = (n1 - 1) // 2
     # built in Python: numpy's int64 loops (arithmetic, comparison, where),
     # which nothing else in a solve runs, would fault up to 0.19 MiB of
@@ -331,9 +336,8 @@ def _line_preconditioner(grid: Grid) -> SimpleNamespace:
         factor_rows += zip(o, d, low, (d_mid, d_mid))
         sweep_rows += zip((mid, mid), low, o)
 
-    def factor(w1: np.ndarray, w2: np.ndarray) -> None:
-        a = (0.5 * n2 * h2 / h1) * np.mean(w1, axis=1)
-        b = (0.125 * n2 * h1 * h2) * np.mean(w2, axis=1)
+    def factor(k1: np.ndarray, k2: np.ndarray) -> None:
+        a, b = np.mean(k1, axis=1), np.mean(k2, axis=1)
         # interior node j along x1 lies between cells j and j + 1
         diag = np.multiply.outer(a[:-1] + a[1:], cos2)
         diag += np.outer(b[:-1] + b[1:], sin2)
@@ -456,7 +460,7 @@ def minimize_J_delta(
     values = cfg.u0.values.copy()
     values[1:-1, 1:-1] = start.values[1:-1, 1:-1]
 
-    precond = _line_preconditioner(grid)
+    precond = _line_preconditioner(grid.n1, grid.n2)
     # CG's vectors are interior arrays; the ring of this buffer stays zero
     padded = np.zeros(grid.node_shape)
 
@@ -490,13 +494,9 @@ def minimize_J_delta(
         eta = _forcing_term(g_norm, g_norm_prev)
         g_norm_prev = g_norm
 
-        # the curvatures w1, w2; once factor has read their means they are
-        # scaled in place into hessvec's weights
-        k1, k2 = prob.curvatures(c1, c2)
+        k1, k2 = prob.hessian_weights(c1, c2)
         del c1, c2
         precond.factor(k1, k2)
-        k1 *= 0.25 * grid.h2 / grid.h1
-        k2 *= 0.25 * grid.h1 / grid.h2
         minus_g = -g[1:-1, 1:-1]
         del g
         cg_tol = max(eta * g_norm, FORCING_FLOOR * cfg.tol_grad)

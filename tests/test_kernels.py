@@ -45,8 +45,8 @@ def test_scatter_diag_matches_unit_vector_probe():
     w1 = rng.standard_normal((3, 3)) ** 2
     w2 = rng.standard_normal((3, 3)) ** 2
     h1, h2 = 0.5, 0.25
-    diag = K.scatter_diag(w1, w2, h1, h2)
     k1, k2 = _curvature_weights(w1, w2, h1, h2)
+    diag = K.scatter_diag(k1, k2)
     probe = np.zeros_like(diag)
     for i in range(4):
         for j in range(4):

@@ -270,11 +270,9 @@ def _interior_random(grid, rng):
     return rng.standard_normal((grid.n1 - 1, grid.n2 - 1))
 
 
-def _hessian_interior(grid, w1, w2):
+def _hessian_interior(grid, k1, k2):
     """v -> H v on interior arrays, as the solver forms it: v padded with a
-    zero ring, then the fused kernel with hessvec's per-step weights."""
-    k1 = (0.25 * grid.h2 / grid.h1) * w1
-    k2 = (0.25 * grid.h1 / grid.h2) * w2
+    zero ring, then the fused kernel with the step's weights k1, k2."""
 
     def apply_h(v):
         padded = np.zeros(grid.node_shape)
@@ -284,25 +282,31 @@ def _hessian_interior(grid, w1, w2):
     return apply_h
 
 
-def _factored_preconditioner(grid, w1, w2):
-    """r -> M^-1 r from a fresh per-level workspace factored at (w1, w2)."""
-    workspace = solve._line_preconditioner(grid)
-    workspace.factor(w1, w2)
+def _factored_preconditioner(grid, k1, k2):
+    """r -> M^-1 r from a fresh per-level workspace factored at (k1, k2)."""
+    workspace = solve._line_preconditioner(grid.n1, grid.n2)
+    workspace.factor(k1, k2)
     return workspace.apply
 
 
-def _x1_only_curvatures(grid, case, rng):
+def _x1_only_weights(grid, case, rng):
     if case == "power3":
-        # the solver's own curvatures for x1-only data: f2 = power:3 has zero
-        # curvature at d2 u = 0, so w2 vanishes identically
+        # the solver's own weights for x1-only data: f2 = power:3 has zero
+        # curvature at d2 u = 0, so k2 vanishes identically
         pair = splitvar.make_pair(splitvar.make_phi_nu(1.5), splitvar.power_density2(3.0))
         u = GridFunction.from_callable(grid, lambda x, y: np.tanh(3.0 * x) + 0.0 * y)
         c1, c2 = _kernels.cell_gradient(u.values, grid.h1, grid.h2)
-        w1, w2 = solve._DeltaProblem(grid, pair, 1e-3, 3.0).curvatures(c1, c2)
-        assert not np.any(w2)
-        return w1, w2
+        k1, k2 = solve._DeltaProblem(grid, pair, 1e-3, 3.0).hessian_weights(c1, c2)
+        assert not np.any(k2)
+        return k1, k2
     a = rng.uniform(1e-4, 5.0, grid.n1)
     b = rng.uniform(0.0, 2.0, grid.n1)
+    if case == "graded":
+        # the weights of x1 cells of random widths, k1 = w1 h2 / (4 a_i) and
+        # k2 = w2 a_i / (4 h2), which no uniform spacing gives: they carry
+        # every width, so M is still the Hessian
+        widths = rng.uniform(0.2, 5.0, grid.n1) * grid.h1
+        a, b = a * grid.h2 / (4 * widths), b * widths / (4 * grid.h2)
     return np.repeat(a[:, None], grid.n2, 1), np.repeat(b[:, None], grid.n2, 1)
 
 
@@ -314,64 +318,68 @@ LINE_ROWS = (1, 2, 3, 4, 5, 9, 63, 64, 95)
 @pytest.mark.parametrize(
     "shape, case",
     [((24, 10), "random"), ((10, 24), "power3"), ((2, 9), "random"), ((9, 2), "power3")]
-    + [((n + 1, 7), "random") for n in LINE_ROWS],
+    + [((n + 1, 7), "random") for n in LINE_ROWS]
+    + [((24, 10), "graded"), ((10, 24), "graded")]
+    + [((n + 1, 7), "graded") for n in LINE_ROWS],
     ids=["24x10-random", "10x24-power3", "2x9-random", "9x2-power3"]
-    + [f"{n + 1}x7-random" for n in LINE_ROWS],
+    + [f"{n + 1}x7-random" for n in LINE_ROWS]
+    + ["24x10-graded", "10x24-graded"]
+    + [f"{n + 1}x7-graded" for n in LINE_ROWS],
 )
 def test_line_preconditioner_inverts_x1_only_hessian(shape, case):
     g = Grid(*shape)
     rng = np.random.default_rng(7)
-    w1, w2 = _x1_only_curvatures(g, case, rng)
-    precond = _factored_preconditioner(g, w1, w2)
+    k1, k2 = _x1_only_weights(g, case, rng)
+    precond = _factored_preconditioner(g, k1, k2)
     v = _interior_random(g, rng)
-    z = precond(_hessian_interior(g, w1, w2)(v))
+    z = precond(_hessian_interior(g, k1, k2)(v))
     assert z.shape == v.shape
     assert np.max(np.abs(z - v)) <= 1e-12 * np.max(np.abs(v))
 
 
-def _dense_mode_solves(grid, w1, w2, r):
+def _dense_mode_solves(grid, k1, k2, r):
     """M^-1 r as S T_k^-1 S r / (n2/2), S the dense DST-I along x2 and T_k
-    formed densely from the x2-means a, b of the curvatures, as the
+    formed densely from the x2-means a, b of the weights, as the
     ``_line_preconditioner`` docstring writes it."""
-    n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
-    a, b = w1.mean(axis=1), w2.mean(axis=1)
+    n1, n2 = grid.n1, grid.n2
+    a, b = k1.mean(axis=1), k2.mean(axis=1)
     # differences and averages from the n1 - 1 interior nodes of a line, with
     # its zero ends, to its n1 cells
     diff = np.eye(n1, n1 - 1) - np.eye(n1, n1 - 1, -1)
     avg = (np.eye(n1, n1 - 1) + np.eye(n1, n1 - 1, -1)) / 2
-    k1 = diff.T @ np.diag(a) @ diff / h1**2
+    da = diff.T @ np.diag(a) @ diff
     ab = avg.T @ np.diag(b) @ avg
     modes = np.arange(1, n2)
     sine = np.sin(np.pi * np.outer(modes, modes) / n2)
     rs = r @ sine
     z = np.empty_like(rs)
     for k, t in enumerate(modes * np.pi / n2):
-        tk = h1 * h2 * (np.cos(t / 2) ** 2 * k1 + 4 * np.sin(t / 2) ** 2 / h2**2 * ab)
+        tk = 4 * (np.cos(t / 2) ** 2 * da + 4 * np.sin(t / 2) ** 2 * ab)
         z[:, k] = np.linalg.solve(tk, rs[:, k])
     return z @ sine / (n2 / 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 95])
 def test_line_preconditioner_matches_dense_mode_solves(n):
-    # curvatures that vary in x2 too, so that M is not the Hessian: the
+    # weights that vary in x2 too, so that M is not the Hessian: the
     # two-ended sweeps must still give the dense solve of every mode
     g = Grid(n + 1, 7)
     rng = np.random.default_rng(n)
-    w1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
-    w2 = rng.uniform(0.0, 2.0, (g.n1, g.n2))
-    precond = _factored_preconditioner(g, w1, w2)
+    k1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
+    k2 = rng.uniform(0.0, 2.0, (g.n1, g.n2))
+    precond = _factored_preconditioner(g, k1, k2)
     for _ in range(3):
         r = _interior_random(g, rng)
-        ref = _dense_mode_solves(g, w1, w2, r)
+        ref = _dense_mode_solves(g, k1, k2, r)
         assert np.max(np.abs(precond(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_line_preconditioner_symmetric_positive():
     rng = np.random.default_rng(11)
     for g in [Grid(20, 13)] + [Grid(n + 1, 7) for n in LINE_ROWS]:
-        w1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
-        w2 = np.where(rng.uniform(size=(g.n1, g.n2)) < 0.5, 0.0, 2.0)
-        precond = _factored_preconditioner(g, w1, w2)
+        k1 = rng.uniform(1e-4, 5.0, (g.n1, g.n2))
+        k2 = np.where(rng.uniform(size=(g.n1, g.n2)) < 0.5, 0.0, 2.0)
+        precond = _factored_preconditioner(g, k1, k2)
         for _ in range(5):
             x = _interior_random(g, rng)
             y = _interior_random(g, rng)
@@ -407,12 +415,12 @@ def test_line_preconditioner_refactors_like_a_fresh_workspace():
     rng = np.random.default_rng(5)
     for g in [Grid(20, 13), Grid(13, 20)] + [Grid(n + 1, 7) for n in LINE_ROWS]:
         shape = (g.n1, g.n2)
-        reused = solve._line_preconditioner(g)
+        reused = solve._line_preconditioner(g.n1, g.n2)
         reused.factor(rng.uniform(1e-4, 5.0, shape), rng.uniform(0.0, 2.0, shape))
         reused.apply(_interior_random(g, rng))
-        w1, w2 = rng.uniform(1e-4, 5.0, shape), rng.uniform(0.0, 2.0, shape)
-        reused.factor(w1, w2)
-        fresh = _factored_preconditioner(g, w1, w2)
+        k1, k2 = rng.uniform(1e-4, 5.0, shape), rng.uniform(0.0, 2.0, shape)
+        reused.factor(k1, k2)
+        fresh = _factored_preconditioner(g, k1, k2)
         for _ in range(3):
             r = _interior_random(g, rng)
             r_before = r.copy()
@@ -509,7 +517,7 @@ def step_config(pair, n, schedule):
     ids=["tanh-96", "step-64"],
 )
 def test_line_preconditioner_bounds_hessian_products(pair_std, make_cfg, bound, monkeypatch):
-    # the x1 profile of the curvatures, which a constant-coefficient
+    # the x1 profile of the weights, which a constant-coefficient
     # preconditioner discards, is what brings these solves under the bound
     calls = count_hessian_products(monkeypatch)
     report = continuation(make_cfg(pair_std))
@@ -623,11 +631,11 @@ def test_forcing_term_is_eisenstat_walker_choice_2():
 def test_pcg_stops_at_first_iterate_meeting_tolerance(monkeypatch):
     g = Grid(12, 9)
     rng = np.random.default_rng(4)
-    w1 = rng.uniform(0.1, 5.0, (g.n1, g.n2))
-    w2 = rng.uniform(0.0, 2.0, (g.n1, g.n2))
-    precond = _factored_preconditioner(g, w1, w2)
+    k1 = rng.uniform(0.1, 5.0, (g.n1, g.n2))
+    k2 = rng.uniform(0.0, 2.0, (g.n1, g.n2))
+    precond = _factored_preconditioner(g, k1, k2)
     calls = []
-    hessian = _hessian_interior(g, w1, w2)
+    hessian = _hessian_interior(g, k1, k2)
 
     def apply_h(v):
         calls.append(1)
@@ -683,8 +691,7 @@ def test_rounding_level_trials_ranked_by_gradient_norm(pair_std, monkeypatch):
     capped = dataclasses.replace(cfg, max_iter=30)
     prob = solve._DeltaProblem(cfg.grid, pair_std, 1e-4, cfg.p_reg)
     c1, c2 = _kernels.cell_gradient(u.values, cfg.grid.h1, cfg.grid.h2)
-    w1, w2 = prob.curvatures(c1, c2)
-    hessian = _hessian_interior(cfg.grid, w1, w2)
+    hessian = _hessian_interior(cfg.grid, *prob.hessian_weights(c1, c2))
     starts = []
     for seed in range(300):
         rng = np.random.default_rng(seed)
